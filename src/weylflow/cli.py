@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, billiards, flows, geometry, presets, tangent
+from . import __version__, acceptance, billiards, flows, geometry, presets, tangent
 from .errors import ConfigError, WeylflowError
 from .fields import (
     ClosedOneFormField,
@@ -34,8 +34,6 @@ from .fields import (
 )
 from .metrics import ConformalTorus, ConstantCurvatureChart, FlatTorus, SolGroup
 from .scenario import WeylScenario, product_scenario
-
-__version__ = "0.1.0"
 
 TASKS = ("simulate", "lyapunov", "curvature-scan", "billiard",
          "orbit-stability", "verify")

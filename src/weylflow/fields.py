@@ -171,12 +171,9 @@ class GradientField(VectorField):
 
     def jacobian(self, q, scenario):
         ginv = scenario.metric_inv(q)
-        dg = scenario.metric_d1(q)
-        # d ginv / dq_m = -ginv dg[m] ginv
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
         gu = self.potential.grad(q)
         hu = self.potential.hess(q)
-        return -(np.einsum("mkl,l->km", dginv, gu) + np.einsum("kl,lm->km", ginv, hu))
+        return -((scenario.metric_inv_d1(q, ginv) @ gu).T + ginv @ hu)
 
     @property
     def is_zero(self):
@@ -193,10 +190,7 @@ class ClosedOneFormField(VectorField):
         return scenario.metric_inv(q) @ self.cov
 
     def jacobian(self, q, scenario):
-        ginv = scenario.metric_inv(q)
-        dg = scenario.metric_d1(q)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-        return np.einsum("mkl,l->km", dginv, self.cov)
+        return (scenario.metric_inv_d1(q) @ self.cov).T
 
     def constant_on(self, scenario):
         return scenario.metric_family.is_constant_metric
@@ -278,6 +272,10 @@ class ProductField(VectorField):
             self.f2.components(q[self.n1:], s2),
         ])
 
+    def constant_on(self, scenario):
+        s1, s2 = scenario.metric_family.factor_scenarios(scenario)
+        return self.f1.constant_on(s1) and self.f2.constant_on(s2)
+
     def jacobian(self, q, scenario):
         s1, s2 = scenario.metric_family.factor_scenarios(scenario)
         n = self.n1 + self.n2
@@ -308,13 +306,10 @@ class ReducedField(VectorField):
     def jacobian(self, q, scenario):
         m = self.h - self.potential.value(q)
         ginv = scenario.metric_inv(q)
-        dg = scenario.metric_d1(q)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
         gw = self.potential.grad(q)
         hw = self.potential.hess(q)
         num = -ginv @ gw + self.base.components(q, scenario)
-        dnum = (-np.einsum("mkl,l->km", dginv, gw)
-                - np.einsum("kl,lm->km", ginv, hw)
+        dnum = (-(scenario.metric_inv_d1(q, ginv) @ gw).T - ginv @ hw
                 + self.base.jacobian(q, scenario))
         # d/dq_m [num_k / (2m)] = dnum/(2m) + num_k * W_m / (2 m^2)
         return dnum / (2.0 * m) + np.outer(num, gw) / (2.0 * m**2)

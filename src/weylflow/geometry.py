@@ -144,6 +144,45 @@ def sectional_weyl(scenario, q, X, Y):
     )
 
 
+def jacobi_operator(scenario, q, v, frame, E=None, g=None, gamma=None):
+    """Jacobi matrix R[a, b] = < Rhat_a(e_b, v) v, e_a > in closed form.
+
+    frame holds g-orthonormal vectors e_1..e_{n-1} completing the unit vector v.
+    With the Levi-Civita R and grad, phi_c = phi(e_c) and N X = grad_X E:
+
+        R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
+                  + phi_a phi_b - < grad_{e_b} E, e_a >
+
+    The last term is not symmetrized: for a non-closed E the matrix is not
+    symmetric.  E, g and gamma (the field, metric and Christoffels at q) may be
+    passed by a caller that already holds them; g and gamma are unused on a
+    flat family.
+    """
+    flat = scenario.metric_family.is_flat
+    if E is None:
+        E = scenario.field(q)
+    if not flat:
+        g = scenario.metric(q) if g is None else g
+    ge = frame if flat else frame @ g       # rows: <e_a, .>
+    phi_e = ge @ E
+    Rmat = np.outer(phi_e, phi_e)
+    shift = float(phi_e @ phi_e)
+    if not (scenario.is_homogeneous or scenario.field_is_zero):
+        N = scenario.field_jac(q)
+        if not flat:
+            gamma = scenario.christoffel(q) if gamma is None else gamma
+            N = N + gamma @ E
+        shift += float((v if flat else g @ v) @ (N @ v))
+        Rmat -= ge @ (N @ frame.T)
+    Rmat.flat[:: len(Rmat) + 1] -= shift
+    if not flat:
+        n = scenario.dim
+        R = scenario.curvature_lc_tensor(q)
+        Rvv = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)  # [d, a] = R^d_{cab} v^c v^b
+        Rmat += ge @ (Rvv @ frame.T)
+    return Rmat
+
+
 def anosov_margin(scenario, q, X, Y):
     """Khat(Pi) + E_Pi^2/4 = K - div_Pi E - E^2 + (5/4) E_Pi^2; < 0 certifies Anosov."""
     return sectional_weyl(scenario, q, X, Y).margin

@@ -9,9 +9,24 @@ only as a cross-check in the tests.  Index conventions:
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DegenerateMetricError, UnsupportedConfigurationError
+
+
+@lru_cache(maxsize=None)
+def _curvature_basis(n):
+    """delta^d_a delta_cb - delta^d_b delta_ca as R^d_{cab} (shared, read-only).
+
+    For g = lam^2 I, R(X,Y)Z = K (<Y,Z> X - <X,Z> Y) is K lam^2 times this tensor.
+    """
+    eye = np.eye(n)
+    basis = (eye[:, None, :, None] * eye[None, :, None, :]
+             - eye[:, None, None, :] * eye[None, :, :, None])
+    basis.flags.writeable = False
+    return basis
 
 
 class MetricFamily:
@@ -168,11 +183,7 @@ class ConstantCurvatureChart(MetricFamily):
                 - eye[None, None, :, :] * dh[:, :, None, None])
 
     def riemann_tensor(self, q):
-        # R(X,Y)Z = K (<Y,Z> X - <X,Z> Y)
-        g = self.metric(q)
-        eye = self._eye
-        return self.K * (eye[:, None, :, None] * g[None, :, None, :]
-                         - eye[:, None, None, :] * g[None, :, :, None])
+        return (self.K * self._factor(q) ** 2) * _curvature_basis(self.dim)
 
     def sample_point(self, rng):
         if self.K < 0:
@@ -293,6 +304,13 @@ class ConformalTorus(MetricFamily):
         return (eye[None, :, :, None] * hs[:, None, None, :]
                 + eye[None, :, None, :] * hs[:, None, :, None]
                 - eye[None, None, :, :] * hs[:, :, None, None])
+
+    def riemann_tensor(self, q):
+        """Closed form in dim 2 only: Gauss curvature K = -e^{-2 sigma} lap sigma."""
+        if self.dim != 2:
+            return None
+        # K e^{2 sigma} = -lap sigma
+        return -np.trace(self.sigma.hess(q)) * _curvature_basis(2)
 
     def sample_point(self, rng):
         return rng.uniform(0.0, self.periods)

@@ -46,6 +46,15 @@ class WeylScenario:
     def metric_d2(self, q):
         return self.metric_family.metric_d2(q)
 
+    def metric_inv_d1(self, q, ginv=None):
+        """d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}, shape [m, k, l].
+
+        ginv: the inverse metric at q, when the caller already holds it.
+        """
+        if ginv is None:
+            ginv = self.metric_inv(q)
+        return -(ginv @ self.metric_d1(q) @ ginv)
+
     def inner(self, q, X, Y):
         return float(X @ self.metric(q) @ Y)
 
@@ -103,11 +112,10 @@ class WeylScenario:
         closed = self.metric_family.christoffel_d1(q)
         if closed is not None:
             return closed
-        g = self.metric(q)
         dg = self.metric_d1(q)
         ddg = self.metric_d2(q)
-        ginv = np.linalg.inv(g)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+        ginv = self.metric_inv(q)
+        dginv = self.metric_inv_d1(q, ginv)
         S = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
         dS = 0.5 * (np.einsum("milj->mlij", ddg) + np.einsum("mjli->mlij", ddg)
                     - np.einsum("mlij->mlij", ddg))
@@ -137,6 +145,11 @@ class WeylScenario:
                 - np.einsum("ij,km->mkij", g, dE))
 
     def weyl_christoffel(self, q):
+        if self.is_homogeneous:
+            key = "weyl_christoffel"
+            if key not in self._cache:
+                self._cache[key] = self.christoffel(q) + self.weyl_correction(q)
+            return self._cache[key]
         return self.christoffel(q) + self.weyl_correction(q)
 
     def weyl_christoffel_d1(self, q):

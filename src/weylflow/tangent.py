@@ -10,6 +10,20 @@ in the frame v(t), e_1(t), ..., e_{n-1}(t) obtained by Weyl-parallel
 transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
+
+The kernel takes R from geometry.jacobi_operator, in closed form from the
+Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
+
+    R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
+              + phi_a phi_b - < grad_{e_b} E, e_a >
+
+The diagonal shift is kept as the frame sum  sum_c phi_c^2, not as
+|E|^2 - phi(v)^2: the two agree only when the frame completes a unit v, and
+at RK4 stage points |v| is off 1 by about 1e-6.  The sum form matches the
+tensor route there (both give exactly 0 on the flat 2-torus with constant E);
+the other form moves the attractor exponents {0, -1} by about 0.16.  The last
+term is not symmetrized, since R is not symmetric for a non-closed E.  The
+full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
 """
 from __future__ import annotations
 
@@ -19,6 +33,7 @@ import numpy as np
 
 from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
 from .flows import PhaseState
+from .geometry import jacobi_operator
 from .metrics import ConstantCurvatureChart
 
 
@@ -125,12 +140,12 @@ class _Kernel:
     def __init__(self, scenario):
         self.sc = scenario
         self.flat = scenario.metric_family.is_flat
-        self.n = scenario.dim
 
     def __call__(self, q, v, frame, need_R=True):
         sc = self.sc
         E = sc.field(q)
         if self.flat:
+            g = gamma = None
             phi_vec = E
             phi_v = float(E @ v)
             dv = E - phi_v * v
@@ -149,22 +164,7 @@ class _Kernel:
         de = phi_e[:, None] * (-v)[None, :] + ve[:, None] * E[None, :]
         if not self.flat:
             de = de - frame @ gv.T
-        Rmat = None
-        if need_R:
-            n = self.n
-            Rhat = sc.curvature_hat_tensor(q)
-            P = (Rhat.reshape(-1, n) @ v).reshape(n, n, n)  # [d, c, a]
-            Ops = (frame @ P.reshape(-1, n).T).reshape(-1, n, n)  # [b, d, c]
-            if self.flat:
-                Ops_a = 0.5 * (Ops - Ops.transpose(0, 2, 1))
-                vecs = Ops_a @ v                            # [b, d]
-                Rmat = (vecs @ frame.T).T                   # [a, b]
-            else:
-                ginv = sc.metric_inv(q)
-                adj = ginv[None] @ Ops.transpose(0, 2, 1) @ g[None]
-                Ops_a = 0.5 * (Ops - adj)
-                vecs = Ops_a @ v
-                Rmat = frame @ g @ vecs.T                   # [a, b]
+        Rmat = jacobi_operator(sc, q, v, frame, E=E, g=g, gamma=gamma) if need_R else None
         return phi_v, phi_e, dv, de, Rmat
 
 

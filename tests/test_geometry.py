@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from weylflow import geometry as geo
-from weylflow import presets
+from weylflow import presets, tangent
 from weylflow.errors import DegenerateMetricError, DegeneratePlaneError
-from weylflow.fields import ConstantField, FourierField, GradientField, RotationalField
+from weylflow.fields import (
+    ConstantField,
+    FourierComponentsField,
+    FourierField,
+    GradientField,
+    HalfLogField,
+    ReducedField,
+    RotationalField,
+)
 from weylflow.metrics import ConformalTorus, ConstantCurvatureChart, FlatTorus, SolGroup
 from weylflow.scenario import WeylScenario, product_scenario
 
@@ -49,6 +57,24 @@ def test_closed_form_christoffels_match_generic_assembly():
         for _ in range(10):
             q = sc.sample_point(rng)
             assert np.abs(sc.christoffel(q) - generic_christoffel(sc, q)).max() < 1e-12
+
+
+def test_metric_inv_d1_matches_finite_differences():
+    scenarios = [
+        WeylScenario(SolGroup()),
+        WeylScenario(ConformalTorus(FourierField(2, [((1, 0), 0.2, 0.1)]))),
+        product_scenario(WeylScenario(ConstantCurvatureChart(-1.0, 2)),
+                         WeylScenario(FlatTorus((1, 1)))),
+    ]
+    rng = np.random.default_rng(2)
+    h = 1e-5
+    for sc in scenarios:
+        q = sc.sample_point(rng)
+        for m in range(sc.dim):
+            e = np.zeros(sc.dim)
+            e[m] = h
+            ref = (sc.metric_inv(q + e) - sc.metric_inv(q - e)) / (2 * h)
+            assert np.abs(sc.metric_inv_d1(q)[m] - ref).max() < 1e-8
 
 
 def test_conformal_christoffel_against_metric_finite_differences():
@@ -303,3 +329,99 @@ def test_fd_fallback_matches_closed_form_weyl_derivatives():
         q = sc.sample_point(rng)
         fd = geo.christoffel_d1_fd(sc, q, weyl=True)
         assert np.abs(fd - sc.weyl_christoffel_d1(q)).max() < 1e-8
+
+
+def _curl_field_torus3():
+    """Non-closed field on the flat 3-torus: E = (f(y), g(z), h(x))."""
+    return WeylScenario(FlatTorus((1, 1, 1)), FourierComponentsField([
+        FourierField(3, [((0, 1, 0), 0.5, 0.2)]),
+        FourierField(3, [((0, 0, 1), 0.3, 0.1)]),
+        FourierField(3, [((1, 0, 0), 0.0, 0.4)]),
+    ]))
+
+
+def _conformal_non_gradient():
+    sigma = FourierField(2, [((1, 0), 0.15, 0.0), ((1, 1), 0.0, 0.06)])
+    return WeylScenario(ConformalTorus(sigma), FourierComponentsField([
+        FourierField(2, [((0, 1), 0.4, 0.0)]),
+        FourierField(2, [((1, 0), 0.0, 0.3)]),
+    ]))
+
+
+def _hyperbolic_times_flat():
+    return product_scenario(presets.hyperbolic_potential(), presets.flat2_gradient())
+
+
+def _reduced_on_maupertuis_metric():
+    W = FourierField(2, [((1, 0), 0.2, 0.0)])
+    field = ReducedField(W, ConstantField([0.3, 0.2]), h=1.0)
+    return WeylScenario(ConformalTorus(HalfLogField(1.0, W)), field)
+
+
+JACOBI_CASES = dict(presets.GEOMETRY_PRESETS)
+JACOBI_CASES.update({
+    "curl_torus3": _curl_field_torus3,
+    "conformal_non_gradient": _conformal_non_gradient,
+    "hyperbolic_potential_x_flat2_gradient": _hyperbolic_times_flat,
+    "reduced_on_maupertuis_metric": _reduced_on_maupertuis_metric,
+})
+
+
+def _jacobi_tensor_route(sc, q, v, frame):
+    """R[a, b] = < Rhat_a(e_b, v) v, e_a > from the full Weyl curvature tensor."""
+    g = sc.metric(q)
+    cols = []
+    for e_b in frame:
+        op_a, _ = geo.antisymmetric_split(sc, q, geo.curvature_operator(sc, q, e_b, v))
+        cols.append(frame @ g @ (op_a @ v))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_CASES))
+def test_jacobi_operator_matches_tensor_route(name):
+    sc = JACOBI_CASES[name]()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        q = sc.sample_point(rng)
+        v = rng.standard_normal(sc.dim)
+        v = v / sc.norm(q, v)
+        frame = tangent.complete_frame(sc, q, v)
+        closed = geo.jacobi_operator(sc, q, v, frame)
+        oracle = _jacobi_tensor_route(sc, q, v, frame)
+        scale = max(np.abs(oracle).max(), 1.0)
+        assert np.abs(closed - oracle).max() <= 1e-12 * scale
+
+
+def test_jacobi_operator_non_closed_field_is_not_symmetric():
+    sc = _curl_field_torus3()
+    rng = np.random.default_rng(18)
+    q = sc.sample_point(rng)
+    v = rng.standard_normal(3)
+    v = v / sc.norm(q, v)
+    Rmat = geo.jacobi_operator(sc, q, v, tangent.complete_frame(sc, q, v))
+    assert np.abs(Rmat - Rmat.T).max() > 1e-2
+
+
+def test_conformal_torus_riemann_closed_form_matches_assembly():
+    sigma = FourierField(2, [((1, 0), 0.15, 0.0), ((1, 1), 0.0, 0.06)])
+    sc = WeylScenario(ConformalTorus(sigma))
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        q = sc.sample_point(rng)
+        closed = sc.metric_family.riemann_tensor(q)
+        assert np.abs(closed - sc._curvature_tensor(q, weyl=False)).max() < 1e-12
+
+
+def test_product_homogeneity_follows_factor_fields():
+    assert presets.product_constant().is_homogeneous
+    assert not presets.product_mixed().is_homogeneous
+
+
+@pytest.mark.parametrize("name", ["example_1_2", "product_constant"])
+def test_cached_weyl_christoffel_matches_fresh_assembly(name):
+    sc = presets.scenario_preset(name)
+    rng = np.random.default_rng(20)
+    q0, q1 = sc.sample_point(rng), sc.sample_point(rng)
+    cached = sc.weyl_christoffel(q0)
+    assert sc.weyl_christoffel(q1) is cached
+    assert np.array_equal(cached, sc.christoffel(q1) + sc.weyl_correction(q1))
