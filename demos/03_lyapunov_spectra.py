@@ -36,6 +36,6 @@ e = rep3.exponents
 print("3-torus attractor:", np.round(e, 4))
 print(f"  pair sums {e[0] + e[3]:+.5f} and {e[1] + e[2]:+.5f}"
       f"  vs sbar = {rep3.sbar:+.5f}"
-      f"  (pairing residual {tangent.pairing_check(rep3):.1e})")
-print(f"  volume rates on the split subspaces: {tangent.splitting_volume_rates(rep3)}")
+      f"  (pairing residual {rep3.pairing_residual:.1e})")
+print(f"  volume rates on the split subspaces: {(rep3.volume_growth, rep3.volume_decay)}")
 print(f"  trace identity residual: {rep3.trace_residual:.2e}")

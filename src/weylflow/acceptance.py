@@ -296,21 +296,16 @@ def criterion_10(ctx):
     T_oracle = 0.3
     dt = 1e-6
     E = table.field
-    q_b = qs.copy()
-    v_b = vs.copy()
 
-    def rhs(qb, vb):
-        ev = vb @ E
-        return vb, E[None, :] - ev[:, None] * vb
+    def rhs(y):
+        v = y[:, 2:]
+        ev = v @ E
+        return np.concatenate((v, E[None, :] - ev[:, None] * v), axis=1)
 
-    n_steps = int(round(T_oracle / dt))
-    for _ in range(n_steps):
-        k1q, k1v = rhs(q_b, v_b)
-        k2q, k2v = rhs(q_b + 0.5 * dt * k1q, v_b + 0.5 * dt * k1v)
-        k3q, k3v = rhs(q_b + 0.5 * dt * k2q, v_b + 0.5 * dt * k2v)
-        k4q, k4v = rhs(q_b + dt * k3q, v_b + dt * k3v)
-        q_b += (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v_b += (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    y = np.hstack((qs, vs))
+    for _ in range(flows.step_count(T_oracle, dt)):
+        y = flows.rk4_step(rhs, y, dt, rhs(y))
+    q_b = y[:, :2]
     worst_flight = 0.0
     for i in range(n_fl):
         fl = bl.ThermostatFlight(table.to_aligned(qs[i]), table.to_aligned(vs[i]), table.a)

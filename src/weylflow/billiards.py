@@ -27,6 +27,7 @@ from .errors import (
 GRAZING_TOL = 1e-10
 FLIGHT_CAP_FACTOR = 10.0
 BISECT_TOL = 1e-12
+MAX_CONSECUTIVE_CAPS = 100   # capped flights in a row before an infinite-horizon abort
 
 
 @dataclass
@@ -355,7 +356,8 @@ def _first_crossing(flight, table, c, r, t_grid, pos_w, vel_w, t_best=None):
             return None
         if crossing[j]:
             return _bisect(f, t_grid[j], t_grid[j + 1])
-        t_min = _bisect_root(g, t_grid[j], t_grid[j + 1])
+        # closest approach: g (radial velocity) goes from - to + across the cell
+        t_min = _bisect(lambda t: -g(t), t_grid[j], t_grid[j + 1])
         if f(t_min) <= -BISECT_TOL:
             return _bisect(f, t_grid[j], t_min)
     return None
@@ -365,18 +367,6 @@ def _bisect(f, lo, hi):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _bisect_root(g, lo, hi):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -477,8 +467,7 @@ class BilliardRun:
     collision_times: np.ndarray = None
 
 
-def run_billiard(table, q0, v0, n_collisions, with_tangent=False,
-                 max_consecutive_caps=100):
+def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
     """Iterate free flight + specular reflection for n_collisions events.
 
     With tangent propagation, the 2x2 quotient map is accumulated per
@@ -503,7 +492,7 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False,
         if isinstance(ev, OpenFlight):
             open_count += 1
             consecutive_caps += 1
-            if consecutive_caps > max_consecutive_caps:
+            if consecutive_caps > MAX_CONSECUTIVE_CAPS:
                 raise InvalidStateError("infinite-horizon abort: too many capped flights")
             if with_tangent:
                 fm = flight_tangent_matrix(

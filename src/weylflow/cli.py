@@ -329,6 +329,9 @@ def parse_config(document):
                                    default=numerics["n_planes"], positive=True, integer=True)
     numerics["burn_in"] = _number(ndoc, "burn_in", "numerics", errors,
                                   default=numerics["burn_in"], nonnegative=True)
+    if numerics["T"] < numerics["dt"]:
+        errors.append(f"numerics.T: must be >= numerics.dt, got T={numerics['T']!r}"
+                      f" and dt={numerics['dt']!r}")
 
     output = {"directory": ".", "formats": ["csv", "json"]}
     odoc = doc.get("output", {})
@@ -453,11 +456,10 @@ def _task_lyapunov(cfg, outdir):
     rep = tangent.lyapunov_spectrum(cfg.scenario, state, T=cfg.numerics["T"],
                                     dt=cfg.numerics["dt"],
                                     renorm_every=cfg.numerics["renorm_every"],
-                                    seed=cfg.numerics["seed"],
                                     burn_in=cfg.numerics["burn_in"])
     k = len(rep.exponents)
     lines = [f"# weylflow lyapunov run: T={fmt(rep.T)} dt={fmt(rep.dt)} "
-             f"renorm_every={rep.renorm_every} seed={rep.seed} "
+             f"renorm_every={rep.renorm_every} seed={cfg.numerics['seed']} "
              f"finite_time={'yes' if rep.finite_time else 'no'}"]
     header = ["t"] + [f"lambda{i + 1}" for i in range(k)] + ["sbar_running", "jsep_margin"]
     rows = [
@@ -475,7 +477,7 @@ def _task_lyapunov(cfg, outdir):
         "volume_growth": rep.volume_growth,
         "volume_decay": rep.volume_decay,
         "T": rep.T, "dt": rep.dt, "renorm_every": rep.renorm_every,
-        "seed": rep.seed, "finite_time": rep.finite_time,
+        "seed": cfg.numerics["seed"], "finite_time": rep.finite_time,
     }
     files = [_write_text(outdir / "lyapunov.csv", csv_text),
              _write_text(outdir / "lyapunov.json", _json_text(report))]
@@ -563,8 +565,8 @@ def _task_orbit_stability(cfg, outdir):
         tb = presets.two_disk_orbit(re_val, radius=radius, gap=gap)
         s = billiards.periodic_orbit_stability(tb)
         lam1 = float(np.log(np.abs(s.eigenvalues)).max() / s.period)
-        rows.append([re_val, lam1, 0, 1 if s.classification == "elliptic" else 0])
-    header = ["parameter", "lambda1", "grazing_count", "elliptic_flag"]
+        rows.append([re_val, lam1, 1 if s.classification == "elliptic" else 0])
+    header = ["parameter", "lambda1", "elliptic_flag"]
     files = [_write_text(outdir / "orbit.json", _json_text(report)),
              _write_text(outdir / "orbit_sweep.csv", _csv(rows, header))]
     return files, report

@@ -29,6 +29,10 @@ class NonFiniteStateError(WeylflowError):
     """Integration produced NaN or Inf; message carries the step index."""
 
 
+class InvalidStepError(WeylflowError):
+    """Step size dt is not positive or exceeds the integration time T."""
+
+
 class FrameCollapseError(WeylflowError):
     """Transported frame became too ill-conditioned to re-orthonormalize."""
 

@@ -4,6 +4,14 @@ Conventions: all right-hand sides return ordinary coordinate derivatives
 (dq/dt, dv/dt); the covariant acceleration is dv/dt + Gamma(v, v).  Phase
 points are stored unwrapped (no torus reduction); periodic data is evaluated
 periodically by construction.
+
+There is one RK4 step, ``rk4_step``, and one step count, ``step_count``; every
+flow in the package uses them, the linearized and batched ones included.  The
+stepper takes a single float array, so each caller packs its state (q, v and
+whatever it co-integrates) into one array and reads the parts back through
+fixed-offset views.  Packing is what lets one stepper serve every flow: the
+stage arithmetic is a few numpy operations on one array whatever the state
+holds, where a tuple of arrays would cost a numpy call per part per stage.
 """
 from __future__ import annotations
 
@@ -15,6 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (
     InvalidEnergyLevelError,
+    InvalidStepError,
     KineticFloorError,
     NonFiniteStateError,
     NotLocallyPotentialError,
@@ -145,7 +154,22 @@ def reduce_to_wflow(scenario, spec, n_check=64, seed=0):
 
 # -- integrator ---------------------------------------------------------------
 
-def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None, renorm=True):
+def step_count(T, dt):
+    """Number of fixed steps of size dt spanning T; needs dt > 0 and T >= dt."""
+    if not (dt > 0 and T >= dt):
+        raise InvalidStepError(f"need dt > 0 and T >= dt, got T={T!r}, dt={dt!r}")
+    return int(round(T / dt))
+
+
+def rk4_step(rhs, y, dt, k1):
+    """One classical RK4 step of y' = rhs(y) from y, given k1 = rhs(y)."""
+    k2 = rhs(y + (0.5 * dt) * k1)
+    k3 = rhs(y + (0.5 * dt) * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
     """Classical fixed-step RK4 with post-step constraint projection.
 
     kind: 'isokinetic' (project |v|_g = 1), 'isoenergetic' (restore
@@ -153,8 +177,7 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None, renorm=Tru
     projection).  Accumulates the line integral of phi by Simpson quadrature
     on the stored samples.
     """
-    if dt <= 0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
+    n_steps = step_count(T, dt)
     if kind == "isoenergetic" and spec is None:
         raise ValueError("isoenergetic integration needs an IsoenergeticSpec")
 
@@ -167,29 +190,22 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None, renorm=Tru
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    n_steps = int(round(T / dt))
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.v, dtype=float)
-    m = n_steps + 1
     n = scenario.dim
-    qs = np.empty((m, n))
-    vs = np.empty((m, n))
-    qs[0], vs[0] = q, v
 
+    def f(y):
+        return np.concatenate(rhs(y[:n], y[n:]))
+
+    ys = np.empty((n_steps + 1, 2 * n))
+    y = np.concatenate((initial.q, initial.v), dtype=float)
+    ys[0] = y
     for i in range(n_steps):
-        k1q, k1v = rhs(q, v)
-        k2q, k2v = rhs(q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
-        k3q, k3v = rhs(q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
-        k4q, k4v = rhs(q + dt * k3q, v + dt * k3v)
-        q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        y = rk4_step(f, y, dt, f(y))
+        if not np.isfinite(y).all():
             raise NonFiniteStateError(f"non-finite state at step {i + 1}")
-        if renorm:
-            v = _project(scenario, spec, kind, q, v)
-        qs[i + 1], vs[i + 1] = q, v
+        y[n:] = _project(scenario, spec, kind, y[:n], y[n:])
+        ys[i + 1] = y
 
-    return _assemble_trajectory(scenario, spec, kind, dt, initial.t, qs, vs)
+    return _assemble_trajectory(scenario, spec, kind, dt, initial.t, ys[:, :n], ys[:, n:])
 
 
 def _project(scenario, spec, kind, q, v):
@@ -346,47 +362,36 @@ def transport_tangent_pairs(scenario, initial, pairs, T, dt):
         raise UnsupportedConfigurationError("tangent-pair transport is flat-torus only")
     n = scenario.dim
     k = len(pairs)
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
+    o_eta = 2 * n + k * n
 
     def rhs(y):
-        q, v = y[0], y[1]
-        xi, eta = y[2], y[3]
+        q, v = y[:n], y[n:2 * n]
+        xi = y[2 * n:o_eta].reshape(k, n)
+        eta = y[o_eta:].reshape(k, n)
         E = scenario.field(q)
         A = scenario.field_jac(q)
         ev = float(E @ v)
-        dq = v
-        dv = E - ev * v
-        dxi = eta
         Axi = xi @ A.T
         dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ E, v) - ev * eta)
-        return dq, dv, dxi, dEta
-
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.v, dtype=float)
-    xi = np.array([p[0] for p in pairs], dtype=float)
-    eta = np.array([p[1] for p in pairs], dtype=float)
+        return np.concatenate((v, E - ev * v, eta.ravel(), dEta.ravel()))
 
     m = n_steps + 1
-    qs = np.empty((m, n)); vs = np.empty((m, n))
-    xis = np.empty((m, k, n)); etas = np.empty((m, k, n))
+    ys = np.empty((m, 2 * n + 2 * k * n))
+    y = np.concatenate([initial.q, initial.v]
+                       + [p[0] for p in pairs] + [p[1] for p in pairs], dtype=float)
+    ys[0] = y
     phis = np.empty(m)
-    qs[0], vs[0], xis[0], etas[0] = q, v, xi, eta
-    phis[0] = float(scenario.field(q) @ v)
-
-    y = (q, v, xi, eta)
+    phis[0] = float(scenario.field(y[:n]) @ y[n:2 * n])
     for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
-        y = tuple(a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-        q, v, xi, eta = y
-        v = v / np.linalg.norm(v)
-        y = (q, v, xi, eta)
-        qs[i + 1], vs[i + 1], xis[i + 1], etas[i + 1] = q, v, xi, eta
+        y = rk4_step(rhs, y, dt, rhs(y))
+        q, v = y[:n], y[n:2 * n]
+        v /= np.linalg.norm(v)
+        ys[i + 1] = y
         phis[i + 1] = float(scenario.field(q) @ v)
 
     times = initial.t + dt * np.arange(m)
     int_phi = cumulative_simpson(phis, x=times, initial=0.0)
-    return TangentPairRun(times=times, q=qs, v=vs, xi=xis, eta=etas, int_phi=int_phi)
+    return TangentPairRun(times=times, q=ys[:, :n], v=ys[:, n:2 * n],
+                          xi=ys[:, 2 * n:o_eta].reshape(m, k, n),
+                          eta=ys[:, o_eta:].reshape(m, k, n), int_phi=int_phi)

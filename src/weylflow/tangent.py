@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
-from .flows import PhaseState
+from .errors import FrameCollapseError, NonFiniteStateError
+from .flows import PhaseState, rk4_step, step_count
 from .geometry import jacobi_operator
 from .metrics import ConstantCurvatureChart
 
@@ -91,7 +91,6 @@ class LyapunovReport:
     T: float
     dt: float
     renorm_every: int
-    seed: int
     finite_time: bool
     window_times: np.ndarray
     window_exponents: np.ndarray
@@ -172,7 +171,7 @@ def transport_frame(scenario, trajectory):
     """Weyl-parallel transport of an initial orthonormal frame along a trajectory,
     normalized by e^{int phi}; returns the frame history."""
     run = _co_integrate(scenario, trajectory.state(0),
-                        T=float(trajectory.times[-1] - trajectory.times[0]),
+                        T=(len(trajectory.times) - 1) * trajectory.dt,
                         dt=trajectory.dt, n_cols=0, renorm_every=10)
     return FrameRun(times=run["times"], q=run["q"], v=run["v"],
                     frames=run["frames"], int_phi=run["int_phi"])
@@ -194,112 +193,94 @@ def jform(xi, chi):
 
 
 def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
-                  tangent0=None, with_xi0=False, qr_accumulate=False,
-                  burn_in=0.0, recenter="auto"):
+                  tangent0=None, with_xi0=False, qr_accumulate=False, burn_in=0.0):
     n = scenario.dim
-    kern = _Kernel(scenario)
-    need_R = n_cols > 0
-
-    recenter_on = False
-    fam = scenario.metric_family
-    if recenter in ("auto", True):
-        supported = (isinstance(fam, ConstantCurvatureChart) and fam.K < 0
-                     and fam.dim == 2 and scenario.field_is_zero)
-        if recenter is True and not supported:
-            raise UnsupportedConfigurationError(
-                "recentering needs a 2d negative-curvature chart with zero field")
-        recenter_on = supported
-
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.v, dtype=float)
-    v = v / scenario.norm(q, v)
-    frame = complete_frame(scenario, q, v)
+    nm1 = n - 1
     k = n_cols
-    M = None
-    if k:
-        M = np.eye(2 * (n - 1), k) if tangent0 is None else np.array(tangent0, dtype=float)
-    xi0 = np.zeros(k) if with_xi0 else None
+    kern = _Kernel(scenario)
+    need_R = k > 0
+    collect_series = with_xi0 or k == 1
 
-    n_steps = int(round(T / dt))
+    fam = scenario.metric_family
+    # the J-form series (with_xi0, from linearized_run) stays in its starting chart
+    recenter = (isinstance(fam, ConstantCurvatureChart) and fam.K < 0 and fam.dim == 2
+                and scenario.field_is_zero and not with_xi0)
+
+    n_steps = step_count(T, dt)
     burn_steps = int(round(burn_in / dt))
     if burn_steps:
         # align the burn boundary with a QR event so accumulation starts clean
         burn_steps = renorm_every * int(np.ceil(burn_steps / renorm_every))
     m = n_steps + 1
-    nm1 = n - 1
 
-    collect_series = with_xi0 or n_cols == 1
+    # packed state y = [q, v, frame, M, xi0, int_phi]; int_phi has derivative phi(v)
+    o_e = 2 * n
+    o_M = o_e + nm1 * n
+    o_x = o_M + 2 * nm1 * k
+    o_p = o_x + (k if with_xi0 else 0)
 
+    def split(y):
+        return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n),
+                y[o_M:o_x].reshape(2 * nm1, k), y[o_x:o_p])
+
+    def deriv(y):
+        q, v, frame, M, _ = split(y)
+        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame, need_R=need_R)
+        parts = [v, dv, de.ravel()]
+        if k:
+            Mxi = M[:nm1]
+            parts.append(np.vstack([-phi_v * Mxi + M[nm1:], -Rmat @ Mxi]).ravel())
+            if with_xi0:
+                parts.append(phi_e @ Mxi)
+        parts.append([phi_v])
+        return np.concatenate(parts), Rmat
+
+    def rhs(y):
+        return deriv(y)[0]
+
+    q = np.array(initial.q, dtype=float)
+    v = np.array(initial.v, dtype=float)
+    v = v / scenario.norm(q, v)
+    M0 = np.eye(2 * nm1, k) if tangent0 is None else np.array(tangent0, dtype=float)
+    y = np.concatenate((q, v, complete_frame(scenario, q, v).ravel(), M0.ravel(),
+                        np.zeros(o_p - o_x), [0.0]))
+
+    hist = np.empty((m, o_p + 1))
     out = {
         "times": initial.t + dt * np.arange(m),
-        "q": np.empty((m, n)), "v": np.empty((m, n)),
-        "frames": np.empty((m, nm1, n)), "int_phi": np.empty(m),
+        "q": hist[:, :n], "v": hist[:, n:o_e],
+        "frames": hist[:, o_e:o_M].reshape(m, nm1, n), "int_phi": hist[:, o_p],
     }
     if k:
-        out["M"] = np.empty((m, 2 * nm1, k))
+        out["M"] = hist[:, o_M:o_x].reshape(m, 2 * nm1, k)
         if collect_series:
             out["phi_v"] = np.empty(m)
             out["curv_quad"] = np.empty((m, k))
         if with_xi0:
-            out["xi0"] = np.empty((m, k))
+            out["xi0"] = hist[:, o_x:o_p]
     lsum = np.zeros(k) if qr_accumulate else None
     windows = {"t": [], "lam": [], "sbar": [], "jsep": []} if qr_accumulate else None
 
-    int_phi = 0.0
-
-    def rhs(qc, vc, ec, Mc, need):
-        phi_v, phi_e, dv, de, Rmat = kern(qc, vc, ec, need_R=need)
-        dM = None
-        dxi0 = None
-        if Mc is not None:
-            Mxi = Mc[:nm1]
-            Mchi = Mc[nm1:]
-            dM = np.vstack([-phi_v * Mxi + Mchi, -Rmat @ Mxi])
-            if with_xi0:
-                dxi0 = phi_e @ Mxi
-        return vc, dv, de, dM, dxi0, phi_v, Rmat
-
-    def record(i, Rmat_now, phi_v_now):
-        out["q"][i] = q
-        out["v"][i] = v
-        out["frames"][i] = frame
-        out["int_phi"][i] = int_phi
-        if k:
-            out["M"][i] = M
-            if collect_series:
-                out["phi_v"][i] = phi_v_now
-                out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat_now, M[:nm1], M[:nm1])
-            if with_xi0:
-                out["xi0"][i] = xi0
-
     for i in range(n_steps + 1):
-        a1 = rhs(q, v, frame, M, need_R)
-        record(i, a1[6], a1[5])
+        k1, Rmat = deriv(y)
+        hist[i] = y
+        if collect_series:
+            M = split(y)[3]
+            out["phi_v"][i] = k1[-1]
+            out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, M[:nm1], M[:nm1])
         if i == n_steps:
             break
-        a2 = rhs(q + 0.5 * dt * a1[0], v + 0.5 * dt * a1[1], frame + 0.5 * dt * a1[2],
-                 None if M is None else M + 0.5 * dt * a1[3], need_R)
-        a3 = rhs(q + 0.5 * dt * a2[0], v + 0.5 * dt * a2[1], frame + 0.5 * dt * a2[2],
-                 None if M is None else M + 0.5 * dt * a2[3], need_R)
-        a4 = rhs(q + dt * a3[0], v + dt * a3[1], frame + dt * a3[2],
-                 None if M is None else M + dt * a3[3], need_R)
-        q = q + (dt / 6.0) * (a1[0] + 2 * a2[0] + 2 * a3[0] + a4[0])
-        v = v + (dt / 6.0) * (a1[1] + 2 * a2[1] + 2 * a3[1] + a4[1])
-        frame = frame + (dt / 6.0) * (a1[2] + 2 * a2[2] + 2 * a3[2] + a4[2])
-        if M is not None:
-            M = M + (dt / 6.0) * (a1[3] + 2 * a2[3] + 2 * a3[3] + a4[3])
-            if not np.isfinite(M).all():
-                raise NonFiniteStateError(f"non-finite tangent growth at step {i + 1}")
-            if with_xi0:
-                xi0 = xi0 + (dt / 6.0) * (a1[4] + 2 * a2[4] + 2 * a3[4] + a4[4])
-        int_phi += (dt / 6.0) * (a1[5] + 2 * a2[5] + 2 * a3[5] + a4[5])
+        y = rk4_step(rhs, y, dt, k1)
+        q, v, frame, M, _ = split(y)
+        if k and not np.isfinite(M).all():
+            raise NonFiniteStateError(f"non-finite tangent growth at step {i + 1}")
 
         if kern.flat:
             g = None
-            v = v / np.linalg.norm(v)
+            v /= np.linalg.norm(v)
         else:
             g = scenario.metric(q)
-            v = v / np.sqrt(v @ g @ v)
+            v /= np.sqrt(v @ g @ v)
 
         step_no = i + 1
         if step_no % renorm_every == 0:
@@ -307,17 +288,17 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
             gram = frame @ gg @ frame.T
             if np.abs(gram - np.eye(n - 1)).max() > 0.5:
                 raise FrameCollapseError("frame drifted too far between cleanups")
-            frame = _gram_schmidt_frame(gg, v, frame)
-            if recenter_on:
+            frame[:] = _gram_schmidt_frame(gg, v, frame)
+            if recenter:
                 move, push = fam.recenter_map(q)
-                v = push(q, v)
-                frame = np.array([push(q, e) for e in frame])
-                q = move(q)
+                v[:] = push(q, v)
+                frame[:] = np.array([push(q, e) for e in frame])
+                q[:] = move(q)
             if qr_accumulate:
                 Q, R = np.linalg.qr(M)
                 diag = np.diag(R)
                 sign = np.where(diag >= 0, 1.0, -1.0)
-                M = Q * sign
+                M[:] = Q * sign
                 if step_no > burn_steps:
                     lsum += np.log(np.abs(diag))
                     t_since = (step_no - burn_steps) * dt
@@ -328,12 +309,11 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
                     jsep = float(col_chi @ col_chi - col_xi @ (Rmat_now @ col_xi)) / denom
                     windows["t"].append(initial.t + step_no * dt)
                     windows["lam"].append(lsum / t_since)
-                    windows["sbar"].append(-int_phi / (step_no * dt))
+                    windows["sbar"].append(-float(y[-1]) / (step_no * dt))
                     windows["jsep"].append(jsep)
 
     out["lsum"] = lsum
     out["windows"] = windows
-    out["final_int_phi"] = int_phi
     out["burn_steps"] = burn_steps
     return out
 
@@ -343,7 +323,7 @@ def linearized_run(scenario, initial, tangent0, T, dt, renorm_every=10):
     n = scenario.dim
     col = np.concatenate([tangent0.xi, tangent0.chi])[:, None]
     run = _co_integrate(scenario, initial, T, dt, n_cols=1, renorm_every=renorm_every,
-                        tangent0=col, with_xi0=True, recenter=False)
+                        tangent0=col, with_xi0=True)
     M = run["M"][:, :, 0]
     nm1 = n - 1
     xi = M[:, :nm1]
@@ -392,15 +372,14 @@ def jform_derivative_check(run):
                       crossings=crossings)
 
 
-def lyapunov_spectrum(scenario, initial, T, dt, renorm_every=10, seed=0,
-                      burn_in=0.0, recenter="auto"):
+def lyapunov_spectrum(scenario, initial, T, dt, renorm_every=10, burn_in=0.0):
     """Quotient Lyapunov spectrum by co-integrated QR (Benettin) extraction."""
     n = scenario.dim
     k = 2 * (n - 1)
     run = _co_integrate(scenario, initial, T, dt, n_cols=k, renorm_every=renorm_every,
-                        qr_accumulate=True, burn_in=burn_in, recenter=recenter)
+                        qr_accumulate=True, burn_in=burn_in)
     burn_steps = run["burn_steps"]
-    t_eff = (int(round(T / dt)) - burn_steps) * dt
+    t_eff = (step_count(T, dt) - burn_steps) * dt
     # include growth still held in M after the last QR
     _, R = np.linalg.qr(run["M"][-1])
     lsum = run["lsum"] + np.log(np.abs(np.diag(R)))
@@ -429,19 +408,8 @@ def lyapunov_spectrum(scenario, initial, T, dt, renorm_every=10, seed=0,
         mean_jsep_margin=float(w_jsep.mean()) if len(w_jsep) else float("nan"),
         volume_growth=float(exps[: n - 1].sum()),
         volume_decay=float(exps[n - 1:].sum()),
-        T=T, dt=dt, renorm_every=renorm_every, seed=seed,
+        T=T, dt=dt, renorm_every=renorm_every,
         finite_time=finite_time,
         window_times=w_t, window_exponents=w_lam,
         window_sbar=w_sbar, window_jsep=w_jsep,
     )
-
-
-def pairing_check(report):
-    """Max pairwise residual |lam_i + lam_{rev(i)} - sbar| of the shifted symmetry."""
-    exps = report.exponents
-    return float(np.abs(exps + exps[::-1] - report.sbar).max())
-
-
-def splitting_volume_rates(report):
-    """(volume growth rate on the leading subspace, decay rate on the trailing one)."""
-    return report.volume_growth, report.volume_decay

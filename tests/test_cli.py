@@ -142,8 +142,7 @@ def test_orbit_stability_dispatch(tmp_path):
     manifest = cli.dispatch(cfg, out_override=tmp_path)
     assert manifest["summary"]["classification"] == "hyperbolic"
     sweep = (tmp_path / "orbit_sweep.csv").read_text().splitlines()
-    assert sweep[0].split(",") == ["parameter", "lambda1", "grazing_count",
-                                   "elliptic_flag"]
+    assert sweep[0].split(",") == ["parameter", "lambda1", "elliptic_flag"]
     assert len(sweep) == 22
 
 
@@ -167,6 +166,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "numerics.dt" in err
+
+
+@pytest.mark.parametrize("task", ["simulate", "lyapunov"])
+def test_main_rejects_T_below_dt(tmp_path, capsys, task):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": task, "preset": "example_1_2",
+                                    "numerics": {"T": 0.0005, "dt": 0.001}}))
+    rc = cli.main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerics.T" in err and "numerics.dt" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_task_mismatch(tmp_path, capsys):

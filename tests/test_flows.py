@@ -4,6 +4,7 @@ import pytest
 from weylflow import flows
 from weylflow.errors import (
     InvalidEnergyLevelError,
+    InvalidStepError,
     KineticFloorError,
     NotLocallyPotentialError,
 )
@@ -300,3 +301,40 @@ def test_omega_form_conformal_decay():
     factor = np.exp(run.int_phi[::100])
     ratio = om * factor / om[0]
     assert np.abs(ratio - 1.0).max() < 0.02
+
+
+def test_rk4_step_matches_degree_four_taylor_on_linear_system():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 5))
+    y = rng.standard_normal(5)
+    h = 0.1
+    rhs = lambda x: A @ x
+    hA = h * A
+    taylor = np.eye(5) + hA + hA @ hA / 2 + hA @ hA @ hA / 6 + hA @ hA @ hA @ hA / 24
+    got = flows.rk4_step(rhs, y, h, rhs(y))
+    assert np.abs(got - taylor @ y).max() < 1e-14
+
+
+def test_rk4_step_batch_rows_equal_single_steps():
+    # thermostat right-hand side written row-wise, so rows never mix
+    E = np.array([0.7, -0.4])
+
+    def rhs(y):
+        v = y[..., 2:]
+        ev = v[..., 0] * E[0] + v[..., 1] * E[1]
+        return np.concatenate((v, E - ev[..., None] * v), axis=-1)
+
+    rng = np.random.default_rng(8)
+    batch = rng.standard_normal((6, 4))
+    stepped = flows.rk4_step(rhs, batch, 1e-2, rhs(batch))
+    for row, out in zip(batch, stepped):
+        assert np.array_equal(flows.rk4_step(rhs, row, 1e-2, rhs(row)), out)
+
+
+@pytest.mark.parametrize("T, dt", [(0.0005, 0.001), (1.0, 0.0), (1.0, -1e-3),
+                                   (float("nan"), 1e-3)])
+def test_step_count_rejects_bad_steps(example_scenario, T, dt):
+    with pytest.raises(InvalidStepError):
+        flows.step_count(T, dt)
+    with pytest.raises(InvalidStepError):
+        flows.integrate(example_scenario, PhaseState([0.1, 0.2], [1.0, 0.0]), T=T, dt=dt)

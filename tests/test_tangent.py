@@ -182,30 +182,30 @@ def test_time_reversal_negates_spectrum(torus3_reports):
 
 def test_pairing_check_torus3(torus3_reports):
     fwd, _ = torus3_reports
-    assert tangent.pairing_check(fwd) < 0.02
+    assert fwd.pairing_residual < 0.02
     exps = fwd.exponents
     assert abs((exps[0] + exps[3]) - (exps[1] + exps[2])) < 0.02
 
 
 def test_pairing_two_dimensional_is_trace_identity(attractor_report):
     rep = attractor_report
-    assert tangent.pairing_check(rep) == pytest.approx(rep.trace_residual, abs=1e-12)
+    assert rep.pairing_residual == pytest.approx(rep.trace_residual, abs=1e-12)
 
 
 def test_pairing_chart_with_small_potential():
     sc = presets.scenario_preset("hyperbolic_potential")
     rep = tangent.lyapunov_spectrum(sc, PhaseState([0.05, -0.1], [1.0, 0.0]),
                                     T=20.0, dt=2e-3)
-    assert tangent.pairing_check(rep) < 0.02
+    assert rep.pairing_residual < 0.02
 
 
 def test_splitting_volume_rates(hyperbolic_report, attractor_report):
     rep = hyperbolic_report
-    growth, decay = tangent.splitting_volume_rates(rep)
+    growth, decay = rep.volume_growth, rep.volume_decay
     assert growth == pytest.approx(1.0, abs=0.03)
     assert decay == pytest.approx(-1.0, abs=0.03)
     # on the Example 1.2 attractor the rates are (0, -a): not sign-definite
-    g2, d2 = tangent.splitting_volume_rates(attractor_report)
+    g2, d2 = attractor_report.volume_growth, attractor_report.volume_decay
     assert abs(g2) < 0.02
     assert d2 == pytest.approx(-1.0, abs=0.02)
 
@@ -217,5 +217,5 @@ def test_corollary_sign_check_negative_curvature_runs():
                                     T=20.0, dt=2e-3)
     assert rep.exponents[0] > 0
     assert rep.exponents[-1] < 0
-    growth, decay = tangent.splitting_volume_rates(rep)
+    growth, decay = rep.volume_growth, rep.volume_decay
     assert growth > 0 > decay
