@@ -2,8 +2,9 @@
 
 Free flight follows the exact thermostat curves (in field-aligned
 coordinates the translates of  a x = -ln cos(a y), or the two straight lines
-along +-E).  Collisions are located by sign-bracketing the distance to each
-candidate circle image on arc subdivisions, then bisection to 1e-12 in time.
+along +-E).  Collisions are located by sign-bracketing the distance to every
+candidate circle image at once on arc subdivisions, then refined to 1e-12 in
+time by a safeguarded Newton method (``_rtsafe``) with analytic derivatives.
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
 at each specular reflection.
@@ -43,21 +44,35 @@ class BilliardTable:
     happens in field-aligned coordinates (rotation recorded in field_angle).
     """
 
-    def __init__(self, periods=(1.0, 1.0), scatterers=(), field_magnitude=0.0,
-                 field_angle=0.0):
+    def __init__(self, periods, scatterers, field_magnitude=0.0, field_angle=0.0):
         self.periods = np.asarray(periods, dtype=float)
         self.scatterers = [Scatterer(np.asarray(c, dtype=float), float(r))
                            for c, r in scatterers]
         self.a = float(field_magnitude)
         self.field_angle = float(field_angle)
-        if self.a < 0:
-            raise ValueError("field magnitude must be >= 0")
+        if self.periods.shape != (2,) or not np.all(np.isfinite(self.periods) & (self.periods > 0)):
+            raise InvalidStateError(f"periods must be two positive numbers, got {periods!r}")
+        if not 0.0 <= self.a < np.inf:
+            raise InvalidStateError(f"field magnitude must be >= 0, got {field_magnitude!r}")
+        if not self.scatterers:
+            raise InvalidStateError("a table needs at least one scatterer")
         for s in self.scatterers:
-            if s.radius <= 0:
-                raise ValueError("scatterer radius must be positive")
+            if s.center.shape != (2,):
+                raise InvalidStateError(f"scatterer centre must have 2 entries, got {s.center}")
+            if not 0.0 < s.radius < np.inf:
+                raise InvalidStateError(f"scatterer radius must be positive, got {s.radius}")
         self._check_disjoint()
         ca, sa = np.cos(self.field_angle), np.sin(self.field_angle)
         self._rot = np.array([[ca, sa], [-sa, ca]])      # world -> aligned
+        self._centers = np.array([s.center for s in self.scatterers])
+        self._radii = np.array([s.radius for s in self.scatterers])
+        shifts = np.array([(mx, my) for mx in (-1, 0, 1) for my in (-1, 0, 1)]) * self.periods
+        self._image_centers = (self._centers[:, None, :] + shifts).reshape(-1, 2)
+        self._image_radii = np.repeat(self._radii, len(shifts))
+        # search cell width: h <= r_min/4 and h <= 1/(4|E|) (see _search_window)
+        self.cell = self._radii.min() / 4.0
+        if self.a > 0:
+            self.cell = min(self.cell, 0.25 / self.a)
         self.horizon_finite = self._compute_horizon()
 
     @property
@@ -89,8 +104,6 @@ class BilliardTable:
 
     def _compute_horizon(self, max_index=4):
         """True when every primitive lattice corridor up to |p|,|q| <= max_index is blocked."""
-        if not self.scatterers:
-            return False
         Lx, Ly = self.periods
         dirs = []
         for p in range(-max_index, max_index + 1):
@@ -115,14 +128,8 @@ class BilliardTable:
         return True
 
     def outside(self, q, tol=0.0):
-        qw = self.wrap(q)
-        for s in self.scatterers:
-            for mx in (-1, 0, 1):
-                for my in (-1, 0, 1):
-                    c = s.center + np.array([mx * self.periods[0], my * self.periods[1]])
-                    if np.linalg.norm(qw - c) < s.radius - tol:
-                        return False
-        return True
+        off = self.wrap(q) - self._image_centers
+        return not (np.hypot(off[:, 0], off[:, 1]) < self._image_radii - tol).any()
 
 
 def _intervals_cover_circle(intervals, period):
@@ -160,7 +167,7 @@ class ThermostatFlight:
         self.straight = self.a == 0.0 or abs(np.sin(self.theta0)) < 1e-12
         self.v0 = np.asarray(v0, dtype=float)
         if not self.straight:
-            self.T0 = np.tan(0.5 * self.theta0)
+            self.T0 = float(np.tan(0.5 * self.theta0))
 
     def tanhalf(self, t):
         return self.T0 * np.exp(-self.a * np.asarray(t, dtype=float))
@@ -170,23 +177,24 @@ class ThermostatFlight:
             return np.full_like(np.asarray(t, dtype=float), self.theta0)
         return 2.0 * np.arctan(self.tanhalf(t))
 
-    def vel(self, t):
+    def pos_vel(self, t):
+        """Positions and unit velocities at the times t (each t.shape + (2,))."""
         t = np.asarray(t, dtype=float)
         if self.straight:
-            return np.broadcast_to(self.v0, t.shape + (2,)).copy()
+            return (self.q0 + t[..., None] * self.v0,
+                    np.broadcast_to(self.v0, t.shape + (2,)).copy())
         T = self.tanhalf(t)
         den = 1.0 + T * T
-        return np.stack([(1.0 - T * T) / den, 2.0 * T / den], axis=-1)
+        x = self.q0[0] + t + np.log(den / (1.0 + self.T0**2)) / self.a
+        y = self.q0[1] + (self.theta0 - 2.0 * np.arctan(T)) / self.a
+        return (np.stack([x, y], axis=-1),
+                np.stack([(1.0 - T * T) / den, 2.0 * T / den], axis=-1))
 
     def pos(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.straight:
-            return self.q0 + t[..., None] * self.v0
-        T = self.tanhalf(t)
-        th = 2.0 * np.arctan(T)
-        x = self.q0[0] + t + np.log((1.0 + T * T) / (1.0 + self.T0**2)) / self.a
-        y = self.q0[1] + (self.theta0 - th) / self.a
-        return np.stack([x, y], axis=-1)
+        return self.pos_vel(t)[0]
+
+    def vel(self, t):
+        return self.pos_vel(t)[1]
 
     def pos_vel_scalar(self, t):
         """Scalar fast path for root refinement."""
@@ -258,26 +266,25 @@ def free_flight(table, q, v, t_cap=None):
             break
         t_lo = t_hi
     if best is None:
-        end_a = flight.pos(np.array([t_cap]))[0]
-        end_va = flight.vel(np.array([t_cap]))[0]
+        end_a, end_va = flight.pos_vel(t_cap)
         return OpenFlight(t_cap, table.from_aligned(end_a), table.from_aligned(end_va))
 
     t_star, idx, c, shift = best
-    p = table.from_aligned(flight.pos(np.array([t_star]))[0])
-    v_in = table.from_aligned(flight.vel(np.array([t_star]))[0])
+    x, y, vx, vy = flight.pos_vel_scalar(t_star)
+    p = table.from_aligned(np.array([x, y]))
+    v_in = table.from_aligned(np.array([vx, vy]))
     N = (p - c) / np.linalg.norm(p - c)
     cos_in = float(-(v_in @ N))
     grazing = abs(cos_in) < GRAZING_TOL
     v_out = v_in - 2.0 * (v_in @ N) * N
-    va_in = table.to_aligned(v_in)
     va_out = table.to_aligned(v_out)
     return CollisionEvent(
         time_of_flight=float(t_star), scatterer=idx, point=p, normal=N,
         v_in=v_in, v_out=v_out,
-        impact_angle=float(np.arccos(np.clip(cos_in, -1.0, 1.0))),
+        impact_angle=math.acos(min(1.0, max(-1.0, cos_in))),
         cos_incidence=cos_in, image_shift=shift, grazing=grazing,
-        theta_in_aligned=float(np.arctan2(va_in[1], va_in[0])),
-        theta_out_aligned=float(np.arctan2(va_out[1], va_out[0])),
+        theta_in_aligned=math.atan2(vy, vx),
+        theta_out_aligned=math.atan2(va_out[1], va_out[0]),
     )
 
 
@@ -292,87 +299,156 @@ def _stages(span, t_cap):
 
 
 def _search_window(flight, table, t_lo, t_hi):
-    """Earliest crossing in [t_lo, t_hi] over all candidate circle images."""
-    r_min = min(s.radius for s in table.scatterers)
-    h = r_min / 4.0
-    if table.a > 0:
-        h = min(h, 0.25 / table.a)
+    """Earliest crossing in [t_lo, t_hi] over all candidate circle images.
+
+    Every image of every scatterer within a padded bounding box of the arc is
+    tested in one array pass: a ``(m_images, n_grid)`` table of signed
+    distances d = |p - c| - r at the grid points.  Rows that come no closer
+    than one cell are ruled out; the rest go to ``_first_crossing``.
+
+    Completeness.  The grid cell is at most h = ``table.cell`` with
+    h <= r_min/4 and h <= 1/(4|E|).
+
+    * The flight has unit speed, so every point of the arc lies within half
+      a cell of a grid point.  An image whose grid distances all exceed one
+      cell is therefore more than half a cell away from the whole arc and
+      cannot be hit.
+    * Let u = |p - c| and g = <p - c, v> = u u'.  Since |v| = 1 and
+      |v'| = |E sin(theta)| <= |E|, u'' = (1 - g^2/u^2 + <p - c, v'>)/u
+      >= -|E|.  Where g falls through zero (the arc turns back towards c),
+      g' = 1 + <p - c, v'> <= 0 forces u >= 1/|E|, and within time h of that
+      point u >= 1/|E| - |E| h^2/2 > r whenever 1 - r|E| > (h|E|)^2/2.  The
+      cell width guarantees this for every r|E| < 0.97 (h|E| <= r|E|/4 and
+      <= 1/4).  Then on every cell that meets the disc g changes sign at
+      most once, from - to +, so |p - c| first falls and then rises: an
+      entry shows either as a sign change of d between two grid points or,
+      when the arc enters and leaves inside one cell, as a dip (both ends
+      outside, g < 0 at the start and > 0 at the end) whose closest
+      approach lies inside the circle, and each bracket holds one root.
+    """
+    h = table.cell
     n_seg = max(2, int(np.ceil((t_hi - t_lo) / h)))
-    t_grid = np.linspace(t_lo, t_hi, n_seg + 1)
-    pos_w = flight.pos(t_grid) @ table._rot
-    vel_w = flight.vel(t_grid) @ table._rot
-    lo = pos_w.min(axis=0)
-    hi = pos_w.max(axis=0)
+    cell = (t_hi - t_lo) / n_seg
+    t_grid = t_lo + cell * np.arange(n_seg + 1)
+    pos_a, vel_a = flight.pos_vel(t_grid)
+    pos_w = pos_a @ table._rot
+    vel_w = vel_a @ table._rot
+    # image boxes [floor((lo - c - pad)/L), ceil((hi - c + pad)/L)] per scatterer
+    L0, L1 = table.periods.tolist()
+    lo0, lo1 = pos_w.min(axis=0).tolist()
+    hi0, hi1 = pos_w.max(axis=0).tolist()
+    images = []
+    for i, ((cx, cy), r) in enumerate(zip(table._centers.tolist(), table._radii.tolist())):
+        pad = r + 2 * h
+        ys = range(math.floor((lo1 - cy - pad) / L1), math.ceil((hi1 - cy + pad) / L1) + 1)
+        for mx in range(math.floor((lo0 - cx - pad) / L0), math.ceil((hi0 - cx + pad) / L0) + 1):
+            for my in ys:
+                images += (i, mx, my)
+    images = np.array(images).reshape(-1, 3)
+    owner = images[:, 0]
+    shifts = images[:, 1:] * table.periods
+    centers = table._centers[owner] + shifts
+    radii = table._radii[owner]
+    dx = pos_w[:, 0] - centers[:, :1]
+    dy = pos_w[:, 1] - centers[:, 1:]
+    reach = radii + (cell + 1e-9)      # the early exit d > cell, on |p - c|^2
+    near = np.nonzero((dx * dx + dy * dy).min(axis=1) <= reach * reach)[0]
+    if not len(near):
+        return None
+
+    # candidate cells of the rows left: outside at the start and either inside
+    # at the end (a sign change of d) or a dip (outside at both ends, radial
+    # velocity g = <p - c, v> going from - to +)
+    dx, dy = dx[near], dy[near]
+    d = np.hypot(dx, dy) - radii[near, None]
+    g = dx * vel_w[:, 0] + dy * vel_w[:, 1]
+    outside = d > BISECT_TOL
+    dip = (g[:, :-1] < 0.0) & (g[:, 1:] > 0.0)
+    rows, cells = np.nonzero(outside[:, :-1] & (dip | ~outside[:, 1:]))
+    centers_a = centers[near] @ table._rot.T
 
     best = None
-    for idx, s in enumerate(table.scatterers):
-        pad = s.radius + 2 * h
-        mx_lo = int(np.floor((lo[0] - s.center[0] - pad) / table.periods[0]))
-        mx_hi = int(np.ceil((hi[0] - s.center[0] + pad) / table.periods[0]))
-        my_lo = int(np.floor((lo[1] - s.center[1] - pad) / table.periods[1]))
-        my_hi = int(np.ceil((hi[1] - s.center[1] + pad) / table.periods[1]))
-        for mx in range(mx_lo, mx_hi + 1):
-            for my in range(my_lo, my_hi + 1):
-                shift = np.array([mx * table.periods[0], my * table.periods[1]])
-                c = s.center + shift
-                t_star = _first_crossing(flight, table, c, s.radius, t_grid,
-                                         pos_w, vel_w,
-                                         t_best=None if best is None else best[0])
-                if t_star is not None and (best is None or t_star < best[0]):
-                    best = (t_star, idx, c, shift)
+    settled = -1        # a row is settled by its first hit or by passing best
+    for k, j in zip(rows.tolist(), cells.tolist()):
+        if k == settled:
+            continue
+        if best is not None and t_grid[j] > best[0]:
+            settled = k
+            continue
+        t_star = _first_crossing(flight, centers_a[k].tolist(), radii.item(near[k]),
+                                 t_grid.item(j), t_grid.item(j + 1), d.item(k, j),
+                                 d.item(k, j + 1), g.item(k, j), g.item(k, j + 1))
+        if t_star is None:
+            continue
+        settled = k
+        if best is None or t_star < best[0]:
+            m = near[k]
+            best = (t_star, int(owner[m]), centers[m], shifts[m])
     return best
 
 
-def _first_crossing(flight, table, c, r, t_grid, pos_w, vel_w, t_best=None):
-    dx = pos_w[:, 0] - c[0]
-    dy = pos_w[:, 1] - c[1]
-    d = np.hypot(dx, dy) - r
-    if d.min() > (t_grid[1] - t_grid[0]) + 1e-9:
-        return None
-    radial = dx * vel_w[:, 0] + dy * vel_w[:, 1]
+def _first_crossing(flight, c_a, r, t0, t1, d0, d1, g0, g1):
+    """First entry into the circle of radius r about c_a (aligned frame)
+    within the candidate cell [t0, t1], or None when a dip stays outside.
 
-    rot = table._rot
+    d0, d1 and g0, g1 are the signed distance and the radial velocity
+    <p - c, v> at the cell ends.
+    """
+    bend = 0.0 if flight.straight else flight.a
+    cx, cy = c_a
 
-    def f(t):
-        x, y, _, _ = flight.pos_vel_scalar(t)
-        px = rot[0, 0] * x + rot[1, 0] * y
-        py = rot[0, 1] * x + rot[1, 1] * y
-        return math.hypot(px - c[0], py - c[1]) - r
-
-    def g(t):
+    def distance(t):
+        # f = |p - c| - r, f' = g/|p - c|; also g = <p - c, v> and
+        # g' = 1 + <p - c, v'> with v' = -a sin(theta) (-sin(theta), cos(theta))
         x, y, vx, vy = flight.pos_vel_scalar(t)
-        px = rot[0, 0] * x + rot[1, 0] * y
-        py = rot[0, 1] * x + rot[1, 1] * y
-        wx = rot[0, 0] * vx + rot[1, 0] * vy
-        wy = rot[0, 1] * vx + rot[1, 1] * vy
-        return (px - c[0]) * wx + (py - c[1]) * wy
+        px, py = x - cx, y - cy
+        rho = math.hypot(px, py)
+        g = px * vx + py * vy
+        return rho - r, g / rho, g, 1.0 + bend * vy * (px * vy - py * vx)
 
-    outside = d > BISECT_TOL
-    crossing = outside[:-1] & (d[1:] <= BISECT_TOL)
-    dip = outside[:-1] & outside[1:] & (radial[:-1] < 0.0) & (radial[1:] > 0.0)
-    candidates = np.nonzero(crossing | dip)[0]
-    for j in candidates:
-        if t_best is not None and t_grid[j] > t_best:
-            return None
-        if crossing[j]:
-            return _bisect(f, t_grid[j], t_grid[j + 1])
-        # closest approach: g (radial velocity) goes from - to + across the cell
-        t_min = _bisect(lambda t: -g(t), t_grid[j], t_grid[j + 1])
-        if f(t_min) <= -BISECT_TOL:
-            return _bisect(f, t_grid[j], t_min)
+    def approach(t):
+        f, _, g, dg = distance(t)
+        return -g, -dg, f
+
+    if d1 <= BISECT_TOL:
+        return _rtsafe(distance, t0, t1, d0, d1)[0]
+    # dip: the closest approach (g from - to +) decides whether the arc enters
+    t_min, (_, _, f_min) = _rtsafe(approach, t0, t1, -g0, -g1)
+    if f_min <= -BISECT_TOL:
+        return _rtsafe(distance, t0, t_min, d0, f_min)[0]
     return None
 
 
-def _bisect(f, lo, hi):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECT_TOL:
+def _rtsafe(fdf, xl, xh, fl, fh):
+    """Root of a function falling from fl > 0 at xl to fh <= 0 at xh.
+
+    Safeguarded Newton (Numerical Recipes ``rtsafe``): fdf(x) returns the
+    value and the derivative first.  The iteration starts at the secant point
+    and keeps the bracket; a Newton step that would leave it, or that does not
+    at least halve the step before last, becomes a bisection step.  Stops
+    once a step is below BISECT_TOL.  Returns the root and fdf's tuple at the
+    last point evaluated.
+    """
+    x = xl + (xh - xl) * fl / (fl - fh)
+    if not xl < x < xh:
+        x = 0.5 * (xl + xh)
+    step = step_old = xh - xl
+    for _ in range(100):
+        vals = fdf(x)
+        f, df = vals[0], vals[1]
+        if f == 0.0:
             break
-    return 0.5 * (lo + hi)
+        if f > 0:
+            xl = x
+        else:
+            xh = x
+        newton = df != 0.0 and xl < x - f / df < xh and abs(2.0 * f) <= abs(step_old * df)
+        step_old = step
+        step = f / df if newton else x - 0.5 * (xl + xh)
+        x -= step
+        if abs(step) < BISECT_TOL:
+            break
+    return x, vals
 
 
 def reflect(event):
@@ -510,11 +586,9 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
         if ev.grazing:
             grazing += 1
             # restart just past the tangency, keeping the incoming direction
-            qa = table.to_aligned(q)
-            fl = ThermostatFlight(qa, table.to_aligned(v), table.a)
-            t_skip = ev.time_of_flight + 1e-9
-            q = table.from_aligned(fl.pos(np.array([t_skip]))[0])
-            v = table.from_aligned(fl.vel(np.array([t_skip]))[0])
+            fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
+            qa, va = fl.pos_vel(ev.time_of_flight + 1e-9)
+            q, v = table.from_aligned(qa), table.from_aligned(va)
             continue
         if with_tangent:
             th0 = float(np.arctan2(table.to_aligned(v)[1], table.to_aligned(v)[0]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -80,8 +81,8 @@ def _number(obj, key, path, errors, default=None, positive=False, integer=False,
     if key not in obj:
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{path}.{key}: expected a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
         return default
     if integer and not float(val).is_integer():
         errors.append(f"{path}.{key}: expected an integer, got {val!r}")
@@ -102,8 +103,9 @@ def _vector(obj, key, path, errors, required=False):
         return None
     val = obj[key]
     if (not isinstance(val, list) or not val
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val)):
-        errors.append(f"{path}.{key}: expected a list of numbers")
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in val)):
+        errors.append(f"{path}.{key}: expected a list of finite numbers")
         return None
     return [float(x) for x in val]
 
@@ -261,26 +263,52 @@ def _parse_table(doc, path, errors):
     _check_keys(doc, {"periods", "scatterers", "field_magnitude", "field_angle"},
                 path, errors)
     periods = _vector(doc, "periods", path, errors) or [1.0, 1.0]
+    if len(periods) != 2 or min(periods) <= 0:
+        errors.append(f"{path}.periods: expected two positive numbers, got {periods!r}")
     mag = _number(doc, "field_magnitude", path, errors, nonnegative=True, default=0.0)
     angle = _number(doc, "field_angle", path, errors, default=0.0)
     scats = []
-    for i, s in enumerate(doc.get("scatterers", [])):
+    scat_docs = doc.get("scatterers")
+    if not isinstance(scat_docs, list) or not scat_docs:
+        errors.append(f"{path}.scatterers: expected a non-empty list of scatterers")
+        scat_docs = []
+    for i, s in enumerate(scat_docs):
         spath = f"{path}.scatterers[{i}]"
         if not isinstance(s, dict):
             errors.append(f"{spath}: expected an object")
             continue
         _check_keys(s, {"center", "radius"}, spath, errors)
         center = _vector(s, "center", spath, errors, required=True)
+        if center is not None and len(center) != 2:
+            errors.append(f"{spath}.center: expected 2 numbers, got {len(center)}")
+            center = None
         radius = _number(s, "radius", spath, errors, positive=True)
+        if radius is None and "radius" not in s:
+            errors.append(f"{spath}.radius: missing")
         if center is not None and radius is not None:
             scats.append((center, radius))
     if errors:
         return None
     try:
         return billiards.BilliardTable(periods, scats, mag, angle)
-    except (WeylflowError, ValueError) as exc:
+    except WeylflowError as exc:
         errors.append(f"{path}: {exc}")
         return None
+
+
+def _check_initial(initial, scenario, table, errors):
+    """Initial q and v: the dimension of the space, v nonzero, q outside the scatterers."""
+    dim = 2 if table is not None else scenario.dim
+    q, v = initial.get("q"), initial.get("v")
+    if q is not None and len(q) != dim:
+        errors.append(f"initial.q: expected {dim} numbers, got {len(q)}")
+        q = None
+    if v is not None and len(v) != dim:
+        errors.append(f"initial.v: expected {dim} numbers, got {len(v)}")
+    elif v is not None and not any(v):
+        errors.append("initial.v: must be nonzero")
+    if table is not None and q is not None and not table.outside(np.asarray(q), tol=1e-12):
+        errors.append(f"initial.q: {q} lies inside a scatterer")
 
 
 def parse_config(document):
@@ -332,6 +360,9 @@ def parse_config(document):
     if numerics["T"] < numerics["dt"]:
         errors.append(f"numerics.T: must be >= numerics.dt, got T={numerics['T']!r}"
                       f" and dt={numerics['dt']!r}")
+    if numerics["burn_in"] >= numerics["T"]:
+        errors.append(f"numerics.burn_in: must be < numerics.T, got burn_in="
+                      f"{numerics['burn_in']!r} and T={numerics['T']!r}")
 
     output = {"directory": ".", "formats": ["csv", "json"]}
     odoc = doc.get("output", {})
@@ -378,6 +409,8 @@ def parse_config(document):
         initial["q"] = _vector(idoc, "q", "initial", errors, required=True)
     if "v" in idoc:
         initial["v"] = _vector(idoc, "v", "initial", errors, required=True)
+    if scenario is not None or table is not None:
+        _check_initial(initial, scenario, table, errors)
 
     if task in ("simulate", "lyapunov", "curvature-scan") and scenario is None and not errors:
         errors.append(f"{task}: needs a scenario or a geometry preset")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from weylflow import billiards as bl
 from weylflow import presets
@@ -338,3 +340,194 @@ def test_grazing_reflection_rejected():
     ev.cos_incidence = 1e-12
     with pytest.raises(GrazingCollisionError):
         bl.reflect(ev)
+
+
+# -- event engine: completeness, oracle agreement, evaluation budget -----------
+EXPLICIT = dict(periods=(1.0, 1.0), scatterers=[((0.25, 0.25), 0.38), ((0.75, 0.75), 0.19)],
+                field_magnitude=0.9 / 0.38, field_angle=0.7)
+
+
+def _explicit():
+    return bl.BilliardTable(**EXPLICIT)
+
+
+@pytest.mark.parametrize("table", [presets.sinai_thermostat(), _explicit(),
+                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0)],
+                         ids=["sinai_thermostat", "explicit_rE_0.9", "zero_field"])
+def test_search_grid_obeys_completeness_bounds(table, monkeypatch):
+    r_min = min(s.radius for s in table.scatterers)
+    assert table.cell <= r_min / 4
+    assert table.cell * table.a <= 0.25
+    # the condition under which a chord cannot hide between grid points
+    for s in table.scatterers:
+        assert 1.0 - s.radius * table.a > 0.5 * (table.cell * table.a) ** 2
+    widths = []
+    pos_vel = bl.ThermostatFlight.pos_vel
+
+    def recording(self, t):
+        if np.ndim(t) == 1 and len(t) > 2:
+            widths.append(float(np.diff(t).max()))
+        return pos_vel(self, t)
+
+    monkeypatch.setattr(bl.ThermostatFlight, "pos_vel", recording)
+    bl.run_billiard(table, np.array([0.7, 0.25]), np.array([np.cos(0.6), np.sin(0.6)]), 30)
+    assert widths and max(widths) <= table.cell * (1 + 1e-12)
+
+
+def test_evaluation_budget_per_collision(monkeypatch):
+    table = presets.sinai_thermostat()
+    calls = [0]
+    scalar = bl.ThermostatFlight.pos_vel_scalar
+
+    def counting(self, t):
+        calls[0] += 1
+        return scalar(self, t)
+
+    monkeypatch.setattr(bl.ThermostatFlight, "pos_vel_scalar", counting)
+    run = bl.run_billiard(table, np.array([0.7, 0.25]),
+                          np.array([np.cos(0.6), np.sin(0.6)]), 200)
+    assert len(run.events) == 200
+    assert calls[0] / 200 <= 12
+
+
+def _oracle_first_hit(table, q, v, t_max, step=5e-5):
+    """First scatterer entry by dense sampling of the closed-form flight.
+
+    Samples ThermostatFlight.pos every ``step``, refines sign changes by
+    bisection and sampled near-misses by golden-section minimisation of the
+    distance; returns (time, scatterer) or None, and ``"ambiguous"`` when a
+    closest approach lies within 1e-9 of a circle.
+    """
+    fl = bl.ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
+
+    def dist(t, j):
+        p = table.from_aligned(fl.pos(np.array([t]))[0])
+        s = table.scatterers[j]
+        off = p - s.center
+        off -= table.periods * np.round(off / table.periods)
+        return float(np.hypot(*off)) - s.radius
+
+    ts = np.arange(0.0, t_max, step)
+    pts = fl.pos(ts) @ table._rot
+    events = []
+    for j, s in enumerate(table.scatterers):
+        off = pts - s.center
+        off -= table.periods * np.round(off / table.periods)
+        d = np.hypot(off[:, 0], off[:, 1]) - s.radius
+        inside = np.nonzero(d[1:] <= 0.0)[0]
+        stop = inside[0] + 1 if len(inside) else len(d) - 1
+        if len(inside):
+            lo, hi = ts[stop - 1], ts[stop]
+            while hi - lo > 1e-14:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if dist(mid, j) > 0 else (lo, mid)
+            events.append((hi, j))
+        # sampled local minima close to the circle before the first sign change
+        dips = np.nonzero((d[1:stop] < d[:stop - 1]) & (d[1:stop] <= d[2:stop + 1])
+                          & (d[1:stop] < 1e-6))[0] + 1
+        for i in dips:
+            a, b = ts[i - 1], ts[i + 1]
+            gr = 0.5 * (np.sqrt(5.0) - 1.0)
+            while b - a > 1e-12:
+                c1, c2 = b - gr * (b - a), a + gr * (b - a)
+                a, b = (a, c2) if dist(c1, j) < dist(c2, j) else (c1, b)
+            t_min = 0.5 * (a + b)
+            d_min = dist(t_min, j)
+            if abs(d_min) <= 1e-9:
+                return "ambiguous"
+            if d_min < 0:
+                lo, hi = ts[i - 1], t_min
+                while hi - lo > 1e-14:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if dist(mid, j) > 0 else (lo, mid)
+                events.append((hi, j))
+                break
+    return min(events) if events else None
+
+
+def _check_against_oracle(table, q, v):
+    assume(table.outside(q, tol=-1e-9))
+    ev = bl.free_flight(table, q, v)
+    got = None if isinstance(ev, bl.OpenFlight) else (ev.time_of_flight, ev.scatterer)
+    t_max = (got[0] if got else ev.time_of_flight) + 1e-3
+    want = _oracle_first_hit(table, q, v, t_max)
+    assume(want != "ambiguous")
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert got[1] == want[1]
+        assert abs(got[0] - want[0]) < 1e-10, (got, want)
+
+
+TABLES = {"sinai": presets.sinai_thermostat(), "explicit": _explicit()}
+ENGINE = settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+unit = st.floats(0.0, 1.0, exclude_max=True)
+angle = st.floats(0.0, 2 * np.pi)
+
+
+@ENGINE
+@given(name=st.sampled_from(sorted(TABLES)), x=unit, y=unit, th=angle)
+def test_first_flight_matches_dense_oracle(name, x, y, th):
+    _check_against_oracle(TABLES[name], np.array([x, y]), np.array([np.cos(th), np.sin(th)]))
+
+
+@ENGINE
+@given(name=st.sampled_from(sorted(TABLES)), j=st.integers(0, 1), psi=angle,
+       side=st.sampled_from([-1.0, 1.0]), depth=st.floats(-7.0, -3.0),
+       back=st.floats(0.01, 0.3))
+def test_near_grazing_flights_match_dense_oracle(name, j, psi, side, depth, back):
+    # aim tangentially at a circle, passing 10**depth inside or outside it, and
+    # start `back` earlier on the same thermostat curve (the flow is reversible
+    # under v -> -v)
+    table = TABLES[name]
+    s = table.scatterers[j]
+    n = np.array([np.cos(psi), np.sin(psi)])
+    p = s.center + (s.radius + side * 10.0 ** depth) * n
+    u = np.array([-n[1], n[0]])
+    rev = bl.ThermostatFlight(table.to_aligned(p), table.to_aligned(-u), table.a)
+    q = table.from_aligned(rev.pos(np.array([back]))[0])
+    v = -table.from_aligned(rev.vel(np.array([back]))[0])
+    _check_against_oracle(table, q, v)
+
+
+@ENGINE
+@given(frac=st.floats(0.05, 0.95), off=st.floats(-0.02, 0.02), th=angle)
+def test_starts_between_two_circles_match_dense_oracle(frac, off, th):
+    # start inside the gap between the two scatterers of the explicit table
+    table = TABLES["explicit"]
+    c0, c1 = (s.center for s in table.scatterers)
+    r0, r1 = (s.radius for s in table.scatterers)
+    axis = (c1 - c0) / np.linalg.norm(c1 - c0)
+    gap = np.linalg.norm(c1 - c0) - r0 - r1
+    q = c0 + (r0 + frac * gap) * axis + off * np.array([-axis[1], axis[0]])
+    _check_against_oracle(table, q, np.array([np.cos(th), np.sin(th)]))
+
+
+@ENGINE
+@given(re=st.floats(0.9, 0.99), r=st.floats(0.1, 0.3), phi=angle, x=unit, y=unit,
+       th=angle)
+def test_flights_near_convexity_threshold_match_dense_oracle(re, r, phi, x, y, th):
+    table = bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), r)], re / r, phi)
+    _check_against_oracle(table, np.array([x, y]), np.array([np.cos(th), np.sin(th)]))
+
+
+@pytest.mark.parametrize("periods, scatterers, field", [
+    ((1, 1), [((0.5, 0.5), 0.2)], -1.0),
+    ((1, 1), [((0.5, 0.5), 0.0)], 0.0),
+    ((1, 0), [((0.5, 0.5), 0.2)], 0.0),
+    ((1, 1), [], 0.0),
+], ids=["negative_field", "zero_radius", "zero_period", "no_scatterers"])
+def test_table_preconditions_raise_invalid_state(periods, scatterers, field):
+    with pytest.raises(InvalidStateError):
+        bl.BilliardTable(periods, scatterers, field)
+
+
+def test_outside_matches_image_loop():
+    # the vectorised test against a loop over the nine images of each scatterer
+    table = _explicit()
+    rng = np.random.default_rng(8)
+    for q in rng.uniform(-1.0, 2.0, (400, 2)):
+        qw = table.wrap(q)
+        inside = any(np.hypot(*(qw - s.center - (mx, my))) < s.radius - 1e-6
+                     for s in table.scatterers for mx in (-1, 0, 1) for my in (-1, 0, 1))
+        assert table.outside(q, tol=1e-6) == (not inside)

@@ -202,3 +202,50 @@ def test_float_formatting_17_digits():
     assert cli.fmt(1.0 / 3.0) == "0.33333333333333331"
     assert cli.fmt(7) == "7"
     assert cli.fmt(True) == "1"
+
+
+BILLIARD = {"periods": [1.0, 1.0],
+            "scatterers": [{"center": [0.25, 0.25], "radius": 0.36},
+                           {"center": [0.75, 0.75], "radius": 0.2}],
+            "field_magnitude": 0.5}
+
+
+@pytest.mark.parametrize("billiard, initial, key", [
+    (dict(BILLIARD, scatterers=[]), {}, "billiard.scatterers"),
+    (dict(BILLIARD, periods=[1, 0]), {}, "billiard.periods"),
+    (BILLIARD, {"q": [0.5, 0.95], "v": [0, 0]}, "initial.v"),
+    (BILLIARD, {"q": [0.5, 0.95, 0.1]}, "initial.q"),
+    (BILLIARD, {"q": [0.25, 0.3]}, "initial.q"),
+], ids=["empty_scatterers", "zero_period", "zero_velocity", "q_of_length_3",
+        "q_inside_scatterer"])
+def test_main_rejects_bad_billiard_config(tmp_path, capsys, billiard, initial, key):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": "billiard", "billiard": billiard,
+                                    "initial": initial, "numerics": {"n_collisions": 5}}))
+    rc = cli.main(["billiard", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_burn_in_past_T(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": "lyapunov", "preset": "example_1_2",
+                                    "numerics": {"T": 0.1, "dt": 0.001, "burn_in": 0.2}}))
+    rc = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerics.burn_in" in err and "numerics.T" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_rejects_non_finite_numbers():
+    # Python's json module reads NaN and Infinity
+    doc = {"task": "billiard", "numerics": {"T": float("inf")},
+           "billiard": dict(BILLIARD, scatterers=[{"center": [0.5, float("nan")],
+                                                   "radius": 0.2}])}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps(doc))
+    msgs = "\n".join(err.value.errors)
+    assert "numerics.T" in msgs
+    assert "billiard.scatterers[0].center" in msgs
