@@ -8,6 +8,7 @@ final criterion)."""
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,23 +413,38 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11]
 
 
-def run_pass():
-    """One pass over criteria 1-11 plus the round-trip half of criterion 12."""
+def run_pass(progress=None):
+    """One pass over criteria 1-11 plus the round-trip half of criterion 12.
+
+    progress, when given, is called with one line per criterion: its number,
+    PASS/FAIL and elapsed seconds.  Timings never enter the results.
+    """
     ctx = {}
-    results = [fn(ctx) for fn in CRITERIA]
-    rt = criterion_12_roundtrips(ctx)
-    results.append(CriterionResult(12, "reversibility_roundtrips", rt < 1e-6,
-                                   f"involution round trips within {rt:.3e} < 1e-6 (all flow kinds)",
-                                   {"roundtrip_worst": rt}))
+    steps = [lambda fn=fn: fn(ctx) for fn in CRITERIA] + [lambda: _roundtrip_result(ctx)]
+    results = []
+    for step in steps:
+        t0 = time.perf_counter()
+        res = step()
+        results.append(res)
+        if progress:
+            progress(f"criterion {res.criterion:2d} {'PASS' if res.passed else 'FAIL'}"
+                     f" {time.perf_counter() - t0:7.2f} s")
     return results
+
+
+def _roundtrip_result(ctx):
+    rt = criterion_12_roundtrips(ctx)
+    return CriterionResult(12, "reversibility_roundtrips", rt < 1e-6,
+                           f"involution round trips within {rt:.3e} < 1e-6 (all flow kinds)",
+                           {"roundtrip_worst": rt})
 
 
 def run_all(progress=None):
     """Two full passes; criterion 12 additionally requires byte-identical results."""
-    first = run_pass()
+    first = run_pass(progress)
     if progress:
         progress("first pass complete")
-    second = run_pass()
+    second = run_pass(progress)
     identical = serialize_results(first) == serialize_results(second)
     rt = first[-1]
     first[-1] = CriterionResult(

@@ -29,6 +29,7 @@ GRAZING_TOL = 1e-10
 FLIGHT_CAP_FACTOR = 10.0
 BISECT_TOL = 1e-12
 MAX_CONSECUTIVE_CAPS = 100   # capped flights in a row before an infinite-horizon abort
+HORIZON_MAX_INDEX = 4        # largest lattice-direction index the horizon test checks
 
 
 @dataclass
@@ -102,12 +103,13 @@ class BilliardTable:
                         raise InvalidStateError(
                             f"scatterers {i} and {j} (shift {sh}) overlap or touch")
 
-    def _compute_horizon(self, max_index=4):
-        """True when every primitive lattice corridor up to |p|,|q| <= max_index is blocked."""
+    def _compute_horizon(self):
+        """True when every primitive lattice corridor with |p|, |q| <= HORIZON_MAX_INDEX
+        is blocked."""
         Lx, Ly = self.periods
         dirs = []
-        for p in range(-max_index, max_index + 1):
-            for q_ in range(0, max_index + 1):
+        for p in range(-HORIZON_MAX_INDEX, HORIZON_MAX_INDEX + 1):
+            for q_ in range(0, HORIZON_MAX_INDEX + 1):
                 if p == 0 and q_ == 0:
                     continue
                 if q_ == 0 and p != 1:
@@ -238,7 +240,7 @@ class OpenFlight:
     end_v: np.ndarray
 
 
-def free_flight(table, q, v, t_cap=None):
+def free_flight(table, q, v):
     """Advance along the exact thermostat curve to the first scatterer crossing.
 
     Returns a CollisionEvent (v_out filled with the specular image) or an
@@ -250,8 +252,7 @@ def free_flight(table, q, v, t_cap=None):
     v = v / np.linalg.norm(v)
     if not table.outside(q, tol=1e-12):
         raise InvalidStateError(f"flight starts inside a scatterer at q={q}")
-    if t_cap is None:
-        t_cap = FLIGHT_CAP_FACTOR * float(table.periods.max())
+    t_cap = FLIGHT_CAP_FACTOR * float(table.periods.max())
 
     qa = table.to_aligned(q)
     va = table.to_aligned(v)

@@ -39,6 +39,8 @@ from .scenario import WeylScenario, product_scenario
 TASKS = ("simulate", "lyapunov", "curvature-scan", "billiard",
          "orbit-stability", "verify")
 
+MAX_DIM = 8   # largest manifold dimension a config may ask for (arrays grow as n^4)
+
 NUMERIC_DEFAULTS = {
     "dt": 1e-3, "T": 100.0, "renorm_every": 10, "seed": 0,
     "n_collisions": 1000, "n_points": 100, "n_planes": 100, "burn_in": 0.0,
@@ -76,12 +78,22 @@ def _check_keys(obj, allowed, path, errors):
             errors.append(f"{path}: unknown key {key!r}")
 
 
+def _finite(x):
+    """True for an int or float (not a bool) that converts to a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _number(obj, key, path, errors, default=None, positive=False, integer=False,
             nonnegative=False):
     if key not in obj:
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    if not _finite(val):
         errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
         return default
     if integer and not float(val).is_integer():
@@ -102,40 +114,71 @@ def _vector(obj, key, path, errors, required=False):
             errors.append(f"{path}.{key}: missing")
         return None
     val = obj[key]
-    if (not isinstance(val, list) or not val
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in val)):
+    if not isinstance(val, list) or not val or not all(_finite(x) for x in val):
         errors.append(f"{path}.{key}: expected a list of finite numbers")
         return None
     return [float(x) for x in val]
 
 
-def _parse_fourier(doc, path, errors):
+def _dimension(obj, key, path, errors, default=None):
+    """A manifold dimension: an integer in 1..MAX_DIM."""
+    n = _number(obj, key, path, errors, default=default, positive=True, integer=True)
+    if n is not None and n > MAX_DIM:
+        errors.append(f"{path}.{key}: at most {MAX_DIM}, got {n}")
+        return None
+    return n
+
+
+def _periods(obj, path, errors, dim=None):
+    """Optional torus periods: positive numbers, dim of them when dim is given."""
+    periods = _vector(obj, "periods", path, errors)
+    if periods is None:
+        return None
+    if ((dim is not None and len(periods) != dim) or len(periods) > MAX_DIM
+            or min(periods) <= 0):
+        want = dim if dim is not None else f"1 to {MAX_DIM}"
+        errors.append(f"{path}.periods: expected {want} positive numbers, got {periods!r}")
+        return None
+    return periods
+
+
+def _parse_fourier(doc, path, errors, dim=None):
+    """Fourier series object; dim, when given, is the dimension it must have."""
     if not isinstance(doc, dict):
         errors.append(f"{path}: expected an object")
         return None
+    n_errors = len(errors)
     _check_keys(doc, {"dim", "terms", "periods"}, path, errors)
-    dim = _number(doc, "dim", path, errors, positive=True, integer=True)
-    if dim is None:
-        errors.append(f"{path}.dim: missing")
+    fdim = _dimension(doc, "dim", path, errors)
+    if fdim is None:
+        if "dim" not in doc:
+            errors.append(f"{path}.dim: missing")
+        return None
+    if dim is not None and fdim != dim:
+        errors.append(f"{path}.dim: expected {dim}, got {fdim}")
         return None
     terms = []
-    for i, term in enumerate(doc.get("terms", [])):
+    term_docs = doc.get("terms", [])
+    if not isinstance(term_docs, list):
+        errors.append(f"{path}.terms: expected a list of term objects")
+        term_docs = []
+    for i, term in enumerate(term_docs):
         tpath = f"{path}.terms[{i}]"
         if not isinstance(term, dict):
             errors.append(f"{tpath}: expected an object")
             continue
         _check_keys(term, {"k", "cos", "sin"}, tpath, errors)
         k = _vector(term, "k", tpath, errors, required=True)
-        if k is None or len(k) != dim:
-            errors.append(f"{tpath}.k: expected {dim} integers")
+        if k is None or len(k) != fdim or not all(x.is_integer() for x in k):
+            errors.append(f"{tpath}.k: expected {fdim} integers")
             continue
         terms.append((tuple(int(x) for x in k),
-                      float(term.get("cos", 0.0)), float(term.get("sin", 0.0))))
-    periods = _vector(doc, "periods", path, errors)
-    if errors:
+                      _number(term, "cos", tpath, errors, default=0.0),
+                      _number(term, "sin", tpath, errors, default=0.0)))
+    periods = _periods(doc, path, errors, fdim)
+    if len(errors) > n_errors:
         return None
-    return FourierField(dim, terms, periods=periods)
+    return FourierField(fdim, terms, periods=periods)
 
 
 def _parse_field(doc, dim, path, errors):
@@ -165,7 +208,7 @@ def _parse_field(doc, dim, path, errors):
         if "potential" not in doc:
             errors.append(f"{path}.potential: missing")
             return None
-        U = _parse_fourier(doc["potential"], f"{path}.potential", errors)
+        U = _parse_fourier(doc["potential"], f"{path}.potential", errors, dim)
         return None if U is None else GradientField(U)
     if ftype == "fourier":
         _check_keys(doc, {"type", "components"}, path, errors)
@@ -173,7 +216,7 @@ def _parse_field(doc, dim, path, errors):
         if not isinstance(comps, list) or len(comps) != dim:
             errors.append(f"{path}.components: expected {dim} fourier objects")
             return None
-        fields = [_parse_fourier(c, f"{path}.components[{i}]", errors)
+        fields = [_parse_fourier(c, f"{path}.components[{i}]", errors, dim)
                   for i, c in enumerate(comps)]
         if any(f is None for f in fields):
             return None
@@ -190,6 +233,9 @@ def _parse_field(doc, dim, path, errors):
         c = _vector(doc, "coefficients", path, errors, required=True)
         if c is not None and len(c) != 3:
             errors.append(f"{path}.coefficients: expected length 3")
+            return None
+        if dim != 3:
+            errors.append(f"{path}.type: sol_left_invariant needs a 3-dimensional metric")
             return None
         return None if c is None else SolLeftInvariantField(*c)
     errors.append(f"{path}.type: unknown field type {ftype!r}")
@@ -210,15 +256,16 @@ def _parse_scenario(doc, path, errors):
     fam = None
     if family == "flat_torus":
         _check_keys(metric_doc, {"family", "periods"}, mpath, errors)
-        periods = _vector(metric_doc, "periods", mpath, errors) or [1.0, 1.0]
-        fam = FlatTorus(periods)
+        periods = _periods(metric_doc, mpath, errors)
+        if periods is not None or "periods" not in metric_doc:
+            fam = FlatTorus(periods or [1.0, 1.0])
     elif family == "constant_curvature_chart":
         _check_keys(metric_doc, {"family", "curvature", "dim"}, mpath, errors)
         K = _number(metric_doc, "curvature", mpath, errors)
-        n = _number(metric_doc, "dim", mpath, errors, positive=True, integer=True) or 2
-        if K is None:
+        n = _dimension(metric_doc, "dim", mpath, errors, default=2)
+        if K is None and "curvature" not in metric_doc:
             errors.append(f"{mpath}.curvature: missing")
-        else:
+        elif K is not None and n is not None:
             fam = ConstantCurvatureChart(K, n)
     elif family == "sol_group":
         _check_keys(metric_doc, {"family"}, mpath, errors)
@@ -229,8 +276,9 @@ def _parse_scenario(doc, path, errors):
             errors.append(f"{mpath}.sigma: missing")
         else:
             sigma = _parse_fourier(metric_doc["sigma"], f"{mpath}.sigma", errors)
-            if sigma is not None:
-                fam = ConformalTorus(sigma, _vector(metric_doc, "periods", mpath, errors))
+            periods = None if sigma is None else _periods(metric_doc, mpath, errors, sigma.dim)
+            if sigma is not None and (periods is not None or "periods" not in metric_doc):
+                fam = ConformalTorus(sigma, periods)
     elif family == "product":
         _check_keys(metric_doc, {"family", "factors"}, mpath, errors)
         factors = metric_doc.get("factors")
@@ -240,6 +288,10 @@ def _parse_scenario(doc, path, errors):
             s1 = _parse_scenario(factors[0], f"{mpath}.factors[0]", errors)
             s2 = _parse_scenario(factors[1], f"{mpath}.factors[1]", errors)
             if s1 is not None and s2 is not None:
+                if s1.dim + s2.dim > MAX_DIM:
+                    errors.append(f"{mpath}.factors: at most {MAX_DIM} dimensions in all,"
+                                  f" got {s1.dim + s2.dim}")
+                    return None
                 return product_scenario(s1, s2)
         return None
     else:
@@ -314,15 +366,25 @@ def _check_initial(initial, scenario, table, errors):
 def parse_config(document):
     """Validate a JSON config document (text or dict); returns a RunConfig.
 
-    Raises ConfigError carrying the full list of validation errors.
+    Raises ConfigError carrying the full list of validation errors, and no
+    other exception.
     """
     if isinstance(document, str):
         try:
             doc = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"])
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError([f"unreadable document: {exc}"])
     else:
         doc = document
+    try:
+        return _parse_document(doc)
+    except RecursionError:
+        raise ConfigError(["document nested too deeply"]) from None
+
+
+def _parse_document(doc):
     errors = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected a JSON object"])
@@ -377,7 +439,7 @@ def parse_config(document):
             output["directory"] = odoc["directory"]
     if "formats" in odoc:
         if (not isinstance(odoc["formats"], list)
-                or not set(odoc["formats"]) <= {"csv", "json"}):
+                or not all(f in ("csv", "json") for f in odoc["formats"])):
             errors.append("output.formats: expected a sublist of ['csv', 'json']")
         else:
             output["formats"] = list(odoc["formats"])
@@ -388,7 +450,9 @@ def parse_config(document):
     if preset is not None and "scenario" in doc:
         errors.append("preset and scenario are mutually exclusive")
     if preset is not None:
-        if preset in presets.GEOMETRY_PRESETS:
+        if not isinstance(preset, str):
+            errors.append(f"preset: expected a preset name, got {preset!r}")
+        elif preset in presets.GEOMETRY_PRESETS:
             scenario = presets.scenario_preset(preset)
         elif preset in presets.BILLIARD_PRESETS:
             table = presets.billiard_preset(preset)
@@ -606,7 +670,8 @@ def _task_orbit_stability(cfg, outdir):
 
 
 def _task_verify(cfg, outdir):
-    results = acceptance.run_all()
+    results = acceptance.run_all(
+        progress=lambda line: print(line, file=sys.stderr, flush=True))
     header = ["criterion", "name", "passed", "detail"]
     rows = [[r.criterion, r.name, "PASS" if r.passed else "FAIL",
              '"' + r.detail.replace('"', "'") + '"'] for r in results]
@@ -637,7 +702,8 @@ RUNNERS = {
 
 def dispatch(cfg, out_override=None):
     """Run the configured task, write outputs and the manifest; returns the
-    manifest dict (failures are serialized into it before re-raising)."""
+    manifest dict.  A failure of any kind is serialized into the manifest
+    (error class and message) before it is re-raised."""
     outdir = Path(out_override or cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -648,7 +714,7 @@ def dispatch(cfg, out_override=None):
     }
     try:
         files, summary = RUNNERS[cfg.task](cfg, outdir)
-    except WeylflowError as exc:
+    except Exception as exc:
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
         manifest["wall_time_s"] = time.perf_counter() - start
         (outdir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
@@ -696,7 +762,7 @@ def main(argv=None):
 
     try:
         manifest = dispatch(cfg, out_override=args.out)
-    except WeylflowError as exc:
+    except Exception as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
     if cfg.task == "verify" and manifest["summary"]["failed"] > 0:

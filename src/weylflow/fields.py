@@ -1,7 +1,9 @@
 """Scalar and vector field families with closed-form derivatives.
 
-Scalar fields expose value/grad/hess; vector (thermostat) fields expose
-contravariant components and their Jacobian.  Everything is evaluated in
+Scalar fields expose value/grad/hess; vector (thermostat) fields expose one
+``jet(q, metric)`` that returns the contravariant components and their
+Jacobian together, raising indices with the metric's jet at q (see
+metrics.MetricJet), so a point costs one evaluation.  Everything is evaluated in
 chart coordinates and is deterministic: the same point always returns the
 same bits.
 """
@@ -10,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMetricError
+from .metrics import check_periods
 
 
 class FourierField:
     """Finite trigonometric sum  f(q) = sum_k a_k cos(2pi k.q/L) + b_k sin(2pi k.q/L).
 
-    Wavevectors k are integer tuples; periods default to 1 per axis.
-    First and second derivatives are closed form.
+    Wavevectors k are integer tuples; periods default to 1 per axis and must be
+    positive and finite.  First and second derivatives are closed form.
     """
 
     def __init__(self, dim, terms=(), periods=None):
@@ -32,7 +35,7 @@ class FourierField:
             self.b = np.zeros(0)
         if self.ks.shape[1:] != (self.dim,):
             raise ValueError("wavevector dimension mismatch")
-        periods = np.ones(self.dim) if periods is None else np.asarray(periods, dtype=float)
+        periods = np.ones(self.dim) if periods is None else check_periods(periods, self.dim)
         self.freq = 2.0 * np.pi * self.ks / periods  # per-term angular frequency vector
 
     def value(self, q):
@@ -53,7 +56,7 @@ class FourierField:
             return np.zeros((self.dim, self.dim))
         arg = self.freq @ np.asarray(q, dtype=float)
         coef = -self.a * np.cos(arg) - self.b * np.sin(arg)
-        return np.einsum("m,mi,mj->ij", coef, self.freq, self.freq)
+        return (self.freq.T * coef) @ self.freq
 
     @property
     def is_zero(self):
@@ -92,17 +95,15 @@ class HalfLogField:
 
 
 # ---------------------------------------------------------------------------
-# Thermostat (vector) fields.  Components are contravariant; jacobian(q)[k, m]
-# is d E^k / d q_m.  Fields that raise an index receive the owning scenario.
+# Thermostat (vector) fields.  jet(q, metric) returns (E, dE): contravariant
+# components E^k and dE[k, m] = d E^k / d q_m, given the MetricJet at q, from
+# one evaluation of the field's data.
 # ---------------------------------------------------------------------------
 
 class VectorField:
     is_constant = False
 
-    def components(self, q, scenario):
-        raise NotImplementedError
-
-    def jacobian(self, q, scenario):
+    def jet(self, q, metric):
         raise NotImplementedError
 
     def constant_on(self, scenario):
@@ -126,11 +127,8 @@ class ConstantField(VectorField):
         self.c = np.asarray(components, dtype=float)
         self._jac = np.zeros((len(self.c), len(self.c)))
 
-    def components(self, q, scenario):
-        return self.c
-
-    def jacobian(self, q, scenario):
-        return self._jac
+    def jet(self, q, metric):
+        return self.c, self._jac
 
     @property
     def is_zero(self):
@@ -148,11 +146,9 @@ class FourierComponentsField(VectorField):
     def __init__(self, components):
         self.fields = tuple(components)
 
-    def components(self, q, scenario):
-        return np.array([f.value(q) for f in self.fields])
-
-    def jacobian(self, q, scenario):
-        return np.array([f.grad(q) for f in self.fields])
+    def jet(self, q, metric):
+        return (np.array([f.value(q) for f in self.fields]),
+                np.array([f.grad(q) for f in self.fields]))
 
     @property
     def is_zero(self):
@@ -165,15 +161,8 @@ class GradientField(VectorField):
     def __init__(self, potential):
         self.potential = potential
 
-    def components(self, q, scenario):
-        ginv = scenario.metric_inv(q)
-        return -ginv @ self.potential.grad(q)
-
-    def jacobian(self, q, scenario):
-        ginv = scenario.metric_inv(q)
-        gu = self.potential.grad(q)
-        hu = self.potential.hess(q)
-        return -((scenario.metric_inv_d1(q, ginv) @ gu).T + ginv @ hu)
+    def jet(self, q, metric):
+        return metric.raise_index(-self.potential.grad(q), -self.potential.hess(q))
 
     @property
     def is_zero(self):
@@ -185,12 +174,10 @@ class ClosedOneFormField(VectorField):
 
     def __init__(self, covector):
         self.cov = np.asarray(covector, dtype=float)
+        self._dcov = np.zeros((len(self.cov), len(self.cov)))
 
-    def components(self, q, scenario):
-        return scenario.metric_inv(q) @ self.cov
-
-    def jacobian(self, q, scenario):
-        return (scenario.metric_inv_d1(q) @ self.cov).T
+    def jet(self, q, metric):
+        return metric.raise_index(self.cov, self._dcov)
 
     def constant_on(self, scenario):
         return scenario.metric_family.is_constant_metric
@@ -206,18 +193,12 @@ class SolLeftInvariantField(VectorField):
     def __init__(self, c1=0.0, c2=0.0, c3=1.0):
         self.c = np.array([c1, c2, c3], dtype=float)
 
-    def components(self, q, scenario):
-        z = q[2]
-        c1, c2, c3 = self.c
-        return np.array([c1 * np.exp(-z), c2 * np.exp(z), c3])
-
-    def jacobian(self, q, scenario):
-        z = q[2]
-        c1, c2, c3 = self.c
+    def jet(self, q, metric):
+        a, b = self.c[0] * np.exp(-q[2]), self.c[1] * np.exp(q[2])
         jac = np.zeros((3, 3))
-        jac[0, 2] = -c1 * np.exp(-z)
-        jac[1, 2] = c2 * np.exp(z)
-        return jac
+        jac[0, 2] = -a
+        jac[1, 2] = b
+        return np.array([a, b, self.c[2]]), jac
 
     @property
     def is_zero(self):
@@ -233,17 +214,9 @@ class RotationalField(VectorField):
     def __init__(self, c):
         self.cnorm = float(c)
 
-    def components(self, q, scenario):
-        lam = scenario.metric_family.conformal_factor(q)
-        r = float(np.hypot(q[0], q[1]))
-        if r < 1e-12:
-            raise DegenerateMetricError("rotational field undefined at the chart origin")
-        return (self.cnorm / (lam * r)) * np.array([-q[1], q[0]])
-
-    def jacobian(self, q, scenario):
-        fam = scenario.metric_family
-        lam = fam.conformal_factor(q)
-        dlam = fam.conformal_factor_grad(q)
+    def jet(self, q, metric):
+        lam = np.sqrt(metric.g[0, 0])
+        dlam = metric.dg[:, 0, 0] / (2.0 * lam)
         r = float(np.hypot(q[0], q[1]))
         if r < 1e-12:
             raise DegenerateMetricError("rotational field undefined at the chart origin")
@@ -251,7 +224,8 @@ class RotationalField(VectorField):
         dperp = np.array([[0.0, -1.0], [1.0, 0.0]])
         # E = c * perp / (lam r): product rule on 1/(lam r)
         dinv = -(dlam * r + lam * np.asarray(q) / r) / (lam * r) ** 2
-        return self.cnorm * (dperp / (lam * r) + np.outer(perp, dinv))
+        return ((self.cnorm / (lam * r)) * perp,
+                self.cnorm * (dperp / (lam * r) + np.outer(perp, dinv)))
 
     @property
     def is_zero(self):
@@ -265,24 +239,18 @@ class ProductField(VectorField):
         self.f1, self.n1 = f1, n1
         self.f2, self.n2 = f2, n2
 
-    def components(self, q, scenario):
-        s1, s2 = scenario.metric_family.factor_scenarios(scenario)
-        return np.concatenate([
-            self.f1.components(q[: self.n1], s1),
-            self.f2.components(q[self.n1:], s2),
-        ])
+    def jet(self, q, metric):
+        n1, n = self.n1, self.n1 + self.n2
+        E1, dE1 = self.f1.jet(q[:n1], metric.block(0, n1))
+        E2, dE2 = self.f2.jet(q[n1:], metric.block(n1, n))
+        jac = np.zeros((n, n))
+        jac[:n1, :n1] = dE1
+        jac[n1:, n1:] = dE2
+        return np.concatenate([E1, E2]), jac
 
     def constant_on(self, scenario):
         s1, s2 = scenario.metric_family.factor_scenarios(scenario)
         return self.f1.constant_on(s1) and self.f2.constant_on(s2)
-
-    def jacobian(self, q, scenario):
-        s1, s2 = scenario.metric_family.factor_scenarios(scenario)
-        n = self.n1 + self.n2
-        jac = np.zeros((n, n))
-        jac[: self.n1, : self.n1] = self.f1.jacobian(q[: self.n1], s1)
-        jac[self.n1:, self.n1:] = self.f2.jacobian(q[self.n1:], s2)
-        return jac
 
     @property
     def is_zero(self):
@@ -297,19 +265,12 @@ class ReducedField(VectorField):
         self.base = base_field
         self.h = float(h)
 
-    def components(self, q, scenario):
+    def jet(self, q, metric):
         m = self.h - self.potential.value(q)
-        ginv = scenario.metric_inv(q)
-        num = -ginv @ self.potential.grad(q) + self.base.components(q, scenario)
-        return num / (2.0 * m)
-
-    def jacobian(self, q, scenario):
-        m = self.h - self.potential.value(q)
-        ginv = scenario.metric_inv(q)
         gw = self.potential.grad(q)
-        hw = self.potential.hess(q)
-        num = -ginv @ gw + self.base.components(q, scenario)
-        dnum = (-(scenario.metric_inv_d1(q, ginv) @ gw).T - ginv @ hw
-                + self.base.jacobian(q, scenario))
+        grad_w, dgrad_w = metric.raise_index(gw, self.potential.hess(q))
+        E, dE = self.base.jet(q, metric)
+        num = E - grad_w
+        dnum = dE - dgrad_w
         # d/dq_m [num_k / (2m)] = dnum/(2m) + num_k * W_m / (2 m^2)
-        return dnum / (2.0 * m) + np.outer(num, gw) / (2.0 * m**2)
+        return num / (2.0 * m), dnum / (2.0 * m) + np.outer(num, gw) / (2.0 * m**2)

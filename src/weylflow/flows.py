@@ -32,6 +32,7 @@ from .errors import (
 from .fields import ReducedField
 
 KINETIC_FLOOR = 1e-6
+REDUCE_CHECK_POINTS = 64     # seeded sample points at which reduce_to_wflow checks h > W
 
 
 @dataclass
@@ -92,14 +93,10 @@ def isokinetic_rhs(scenario, state):
 
 
 def _isokinetic_rhs(scenario, q, v):
-    E = scenario.field(q)
+    loc = scenario.local(q)
     if scenario.metric_family.is_flat:
-        phi_v = float(E @ v)
-        return v, E - phi_v * v
-    g = scenario.metric(q)
-    phi_v = float(v @ g @ E)
-    gamma = scenario.christoffel(q)
-    return v, E - phi_v * v - np.einsum("kij,i,j->k", gamma, v, v)
+        return v, loc.E - float(loc.E @ v) * v
+    return v, loc.E - float(loc.phi @ v) * v - np.einsum("kij,i,j->k", loc.gamma, v, v)
 
 
 def isoenergetic_rhs(scenario, spec, state):
@@ -108,7 +105,8 @@ def isoenergetic_rhs(scenario, spec, state):
 
 
 def _isoenergetic_rhs(scenario, spec, q, v):
-    E = spec.field.components(q, scenario)
+    jet = scenario.metric_family.jet(q)
+    E = spec.field.jet(q, jet)[0]
     gw = spec.potential.grad(q)
     if scenario.metric_family.is_flat:
         v2 = float(v @ v)
@@ -116,14 +114,13 @@ def _isoenergetic_rhs(scenario, spec, q, v):
             raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
         phi_v = float(E @ v)
         return v, -gw + E - (phi_v / v2) * v
-    g = scenario.metric(q)
-    v2 = float(v @ g @ v)
+    gv = jet.g @ v
+    v2 = float(v @ gv)
     if v2 < spec.kinetic_floor:
         raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
-    phi_v = float(v @ g @ E)
-    grad_w = np.linalg.inv(g) @ gw
-    gamma = scenario.christoffel(q)
-    return v, -grad_w + E - (phi_v / v2) * v - np.einsum("kij,i,j->k", gamma, v, v)
+    phi_v = float(gv @ E)
+    return v, (-jet.ginv @ gw + E - (phi_v / v2) * v
+               - np.einsum("kij,i,j->k", jet.gamma, v, v))
 
 
 def weyl_geodesic_rhs(scenario, q, w):
@@ -141,11 +138,13 @@ def covariant_accel(scenario, q, v, dv):
     return dv + np.einsum("kij,i,j->k", gamma, v, v)
 
 
-def reduce_to_wflow(scenario, spec, n_check=64, seed=0):
+def reduce_to_wflow(scenario, spec):
     """Field E_tilde = (-grad W + E) / (2 (h - W)) whose W-flow matches the
-    arc-length-reparametrized isoenergetic flow."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_check):
+    arc-length-reparametrized isoenergetic flow.
+
+    Checks h > W at REDUCE_CHECK_POINTS seeded sample points of the scenario."""
+    rng = np.random.default_rng(0)
+    for _ in range(REDUCE_CHECK_POINTS):
         q = scenario.sample_point(rng)
         if spec.h - spec.potential.value(q) <= 0.0:
             raise InvalidEnergyLevelError(f"h - W <= 0 at q={q}")
@@ -227,14 +226,17 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
     speed = np.empty(m)
     energy_residual = np.zeros(m)
     for i in range(m):
-        g = scenario.metric(qs[i])
-        speed[i] = np.sqrt(vs[i] @ g @ vs[i])
         if kind == "isoenergetic":
-            E = spec.field.components(qs[i], scenario)
-            phi_v[i] = vs[i] @ g @ E
-            energy_residual[i] = 0.5 * speed[i] ** 2 + spec.potential.value(qs[i]) - spec.h
+            jet = scenario.metric_family.jet(qs[i])
+            g, E = jet.g, spec.field.jet(qs[i], jet)[0]
         else:
-            phi_v[i] = vs[i] @ g @ scenario.field(qs[i])
+            loc = scenario.local(qs[i])
+            g, E = loc.g, loc.E
+        gv = g @ vs[i]
+        speed[i] = np.sqrt(vs[i] @ gv)
+        phi_v[i] = gv @ E
+        if kind == "isoenergetic":
+            energy_residual[i] = 0.5 * speed[i] ** 2 + spec.potential.value(qs[i]) - spec.h
     int_phi = cumulative_simpson(phi_v, x=times, initial=0.0)
     arc_length = cumulative_simpson(speed, x=times, initial=0.0)
     if kind == "isokinetic":
@@ -290,8 +292,9 @@ def dettmann_morriss(traj, U):
     worst = 0.0
     for i in range(0, len(traj.times), max(1, len(traj.times) // 64)):
         q = traj.q[i]
-        resid = np.abs(sc.field(q) + U.grad(q)).max()
-        jac = sc.field_jac(q)
+        loc = sc.local(q)
+        resid = np.abs(loc.E + U.grad(q)).max()
+        jac = loc.dE
         closed = np.abs(jac - jac.T).max()
         worst = max(worst, resid, closed)
     if worst > 1e-8:
@@ -369,8 +372,8 @@ def transport_tangent_pairs(scenario, initial, pairs, T, dt):
         q, v = y[:n], y[n:2 * n]
         xi = y[2 * n:o_eta].reshape(k, n)
         eta = y[o_eta:].reshape(k, n)
-        E = scenario.field(q)
-        A = scenario.field_jac(q)
+        loc = scenario.local(q)
+        E, A = loc.E, loc.dE
         ev = float(E @ v)
         Axi = xi @ A.T
         dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ E, v) - ev * eta)

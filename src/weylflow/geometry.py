@@ -86,9 +86,8 @@ def weyl_connection(scenario, q):
 
 def antisymmetric_split(scenario, q, A):
     """Split operator A into g-antisymmetric and g-symmetric parts at q."""
-    g = scenario.metric(q)
-    ginv = np.linalg.inv(g)
-    adjoint = ginv @ A.T @ g
+    loc = scenario.local(q)
+    adjoint = loc.ginv @ A.T @ loc.g
     return 0.5 * (A - adjoint), 0.5 * (A + adjoint)
 
 
@@ -111,7 +110,8 @@ def sectional_weyl(scenario, q, X, Y):
     """Sectional Weyl curvature of span{X, Y} by both routes."""
     q = np.asarray(q, dtype=float)
     X, Y = gram_schmidt_plane(scenario, q, np.asarray(X, float), np.asarray(Y, float))
-    g = scenario.metric(q)
+    loc = scenario.local(q)
+    g = loc.g
 
     op = curvature_operator(scenario, q, X, Y, connection="weyl")
     op_a, op_s = antisymmetric_split(scenario, q, op)
@@ -120,7 +120,7 @@ def sectional_weyl(scenario, q, X, Y):
     R_lc = scenario.curvature_lc_tensor(q)
     K = float(X @ g @ np.einsum("dcab,c,a,b->d", R_lc, Y, X, Y))
 
-    E = scenario.field(q)
+    E = loc.E
     e_x = float(X @ g @ E)
     e_y = float(Y @ g @ E)
     E_plane = e_x * X + e_y * Y
@@ -128,11 +128,7 @@ def sectional_weyl(scenario, q, X, Y):
     E_perp_sq = float(E_perp @ g @ E_perp)
     E_plane_sq = e_x**2 + e_y**2
 
-    gamma = scenario.christoffel(q)
-    dE = scenario.field_jac(q)
-    grad_X_E = dE @ X + np.einsum("kij,i,j->k", gamma, X, E)
-    grad_Y_E = dE @ Y + np.einsum("kij,i,j->k", gamma, Y, E)
-    div_plane = float(X @ g @ grad_X_E + Y @ g @ grad_Y_E)
+    div_plane = float(X @ g @ (loc.N @ X) + Y @ g @ (loc.N @ Y))
 
     khat_formula = K - E_perp_sq - div_plane
     return CurvatureSample(
@@ -144,36 +140,29 @@ def sectional_weyl(scenario, q, X, Y):
     )
 
 
-def jacobi_operator(scenario, q, v, frame, E=None, g=None, gamma=None):
+def jacobi_operator(scenario, q, loc, v, frame):
     """Jacobi matrix R[a, b] = < Rhat_a(e_b, v) v, e_a > in closed form.
 
-    frame holds g-orthonormal vectors e_1..e_{n-1} completing the unit vector v.
-    With the Levi-Civita R and grad, phi_c = phi(e_c) and N X = grad_X E:
+    loc is scenario.local(q); frame holds g-orthonormal vectors e_1..e_{n-1}
+    completing the unit vector v.  With the Levi-Civita R and grad,
+    phi_c = phi(e_c) and N X = grad_X E:
 
         R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
                   + phi_a phi_b - < grad_{e_b} E, e_a >
 
     The last term is not symmetrized: for a non-closed E the matrix is not
-    symmetric.  E, g and gamma (the field, metric and Christoffels at q) may be
-    passed by a caller that already holds them; g and gamma are unused on a
-    flat family.
+    symmetric.  N is identically 0 on a zero field and on a homogeneous
+    scenario; its terms are skipped there, where they would cost about a
+    quarter of a kernel call.
     """
     flat = scenario.metric_family.is_flat
-    if E is None:
-        E = scenario.field(q)
-    if not flat:
-        g = scenario.metric(q) if g is None else g
-    ge = frame if flat else frame @ g       # rows: <e_a, .>
-    phi_e = ge @ E
+    ge = frame if flat else frame @ loc.g       # rows: <e_a, .>
+    phi_e = ge @ loc.E
     Rmat = np.outer(phi_e, phi_e)
     shift = float(phi_e @ phi_e)
     if not (scenario.is_homogeneous or scenario.field_is_zero):
-        N = scenario.field_jac(q)
-        if not flat:
-            gamma = scenario.christoffel(q) if gamma is None else gamma
-            N = N + gamma @ E
-        shift += float((v if flat else g @ v) @ (N @ v))
-        Rmat -= ge @ (N @ frame.T)
+        shift += float((v if flat else loc.g @ v) @ (loc.N @ v))
+        Rmat -= ge @ (loc.N @ frame.T)
     Rmat.flat[:: len(Rmat) + 1] -= shift
     if not flat:
         n = scenario.dim

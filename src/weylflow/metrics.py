@@ -1,19 +1,55 @@
-"""Metric families: g, its first two coordinate derivatives, and chart bookkeeping.
+"""Metric families: the metric's 1-jet, the Christoffel derivatives, chart bookkeeping.
 
-Every family supplies closed-form metric derivatives; finite differences exist
-only as a cross-check in the tests.  Index conventions:
+Each family evaluates its local data once per point in ``jet(q)``, which
+returns a ``MetricJet`` sharing the family's intermediates (the conformal
+factor and its gradient, e^{+-2z} on SOL, the factors' jets on a product).
+Every family has closed-form Christoffel symbols and derivatives; finite
+differences exist only as a cross-check in the tests.  Index conventions:
 
-    metric(q)[i, j]          = g_ij
-    metric_d1(q)[m, i, j]    = d_m g_ij
-    metric_d2(q)[m, k, i, j] = d_m d_k g_ij
+    jet(q).g[i, j]              = g_ij
+    jet(q).ginv[i, j]           = g^ij
+    jet(q).dg[m, i, j]          = d_m g_ij
+    jet(q).gamma[k, i, j]       = Gamma^k_ij
+    christoffel_d1(q)[m, k, i, j] = d_m Gamma^k_ij
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMetricError, UnsupportedConfigurationError
+from .errors import DegenerateMetricError, InvalidStateError, UnsupportedConfigurationError
+
+
+class MetricJet(NamedTuple):
+    """g, g^{-1}, dg and the Levi-Civita Gamma at one point (shared arrays: do not mutate)."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    gamma: np.ndarray
+
+    def raise_index(self, w, dw):
+        """E = g^{-1} w and its Jacobian dE[k, m] = d_m E^k, for a covector w
+        with dw[l, m] = d_m w_l:  d_m E = g^{-1} (d_m w - d_m g E)."""
+        E = self.ginv @ w
+        return E, self.ginv @ (dw - (self.dg @ E).T)
+
+    def block(self, lo, hi):
+        """The jet of the factor spanning coordinates lo:hi of a block-diagonal metric."""
+        s = slice(lo, hi)
+        return MetricJet(self.g[s, s], self.ginv[s, s], self.dg[s, s, s], self.gamma[s, s, s])
+
+
+def check_periods(periods, dim=None):
+    """Periods as a float array; raises InvalidStateError unless all are positive and finite."""
+    p = np.asarray(periods, dtype=float)
+    if p.ndim != 1 or len(p) == 0 or (dim is not None and len(p) != dim):
+        raise InvalidStateError(f"expected {dim or 'at least one'} periods, got {periods!r}")
+    if not (np.isfinite(p).all() and (p > 0).all()):
+        raise InvalidStateError(f"periods must be positive and finite, got {periods!r}")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -29,41 +65,53 @@ def _curvature_basis(n):
     return basis
 
 
+@lru_cache(maxsize=None)
+def _conformal_basis(n):
+    """delta^k_i delta_jl + delta^k_j delta_il - delta_ij delta_kl as [k, i, j, l] (read-only).
+
+    For g = w I with h = d ln sqrt(w), Gamma^k_ij = (this tensor) @ h.
+    """
+    eye = np.eye(n)
+    basis = (eye[:, :, None, None] * eye[None, None, :, :]
+             + eye[:, None, :, None] * eye[None, :, None, :]
+             - eye[None, :, :, None] * eye[:, None, None, :])
+    basis.flags.writeable = False
+    return basis
+
+
+def _conformal_jet(w, h, eye):
+    """Jet of g = w I, given w and h = d ln sqrt(w)."""
+    return MetricJet(w * eye, eye / w, np.multiply.outer((2.0 * w) * h, eye),
+                     _conformal_basis(len(h)) @ h)
+
+
+def _conformal_christoffel_d1(dh):
+    """d_m Gamma^k_ij of g = w I from dh[m, i] = d_m h_i."""
+    n = len(dh)
+    return (dh @ _conformal_basis(n).reshape(-1, n).T).reshape(n, n, n, n)
+
+
 class MetricFamily:
     dim = None
     is_flat = False            # identically zero curvature and zero Christoffels
     is_constant_metric = False # g does not depend on q
 
-    def metric(self, q):
+    def jet(self, q):
+        """MetricJet (g, g^{-1}, dg, Gamma) at q."""
         raise NotImplementedError
 
-    def metric_d1(self, q):
-        n = self.dim
-        return np.zeros((n, n, n))
+    def christoffel_d1(self, q):
+        raise NotImplementedError
 
-    def metric_d2(self, q):
-        n = self.dim
-        return np.zeros((n, n, n, n))
+    def riemann_tensor(self, q):
+        """Closed-form R^d_{cab} of the Levi-Civita connection, or None."""
+        return None
 
     def check_point(self, q):
         """Raise DegenerateMetricError if q is outside the chart domain."""
 
     def sample_point(self, rng):
         raise NotImplementedError
-
-    # Optional closed-form hooks; None means "use the generic assembly".
-    def christoffel(self, q):
-        return None
-
-    def christoffel_d1(self, q):
-        return None
-
-    def riemann_tensor(self, q):
-        """Closed-form R^d_{cab} of the Levi-Civita connection, or None."""
-        return None
-
-    def metric_inv(self, q):
-        return np.linalg.inv(self.metric(q))
 
 
 class FlatTorus(MetricFamily):
@@ -76,20 +124,14 @@ class FlatTorus(MetricFamily):
     is_constant_metric = True
 
     def __init__(self, periods=(1.0, 1.0)):
-        self.periods = np.asarray(periods, dtype=float)
+        self.periods = check_periods(periods)
         self.dim = n = len(self.periods)
-        self._eye = np.eye(n)
-        self._z3 = np.zeros((n, n, n))
+        eye = np.eye(n)
+        self._jet = MetricJet(eye, eye, np.zeros((n, n, n)), np.zeros((n, n, n)))
         self._z4 = np.zeros((n, n, n, n))
 
-    def metric(self, q):
-        return self._eye
-
-    def metric_inv(self, q):
-        return self._eye
-
-    def christoffel(self, q):
-        return self._z3
+    def jet(self, q):
+        return self._jet
 
     def christoffel_d1(self, q):
         return self._z4
@@ -108,7 +150,7 @@ class ConstantCurvatureChart(MetricFamily):
     """Conformal model of constant sectional curvature K.
 
     g = F(q)^2 I with F = 1 / (1 + (K/4) |q|^2).  For K < 0 the chart is the
-    ball of radius 2/sqrt(-K).
+    ball of radius 2/sqrt(-K).  With c = K/4, h = d ln F = -2c q F.
     """
 
     def __init__(self, curvature, dim=2):
@@ -124,63 +166,20 @@ class ConstantCurvatureChart(MetricFamily):
             raise DegenerateMetricError(f"chart degenerate at q={np.asarray(q)}")
         return 1.0 / d
 
-    def conformal_factor(self, q):
-        return self._factor(q)
-
-    def conformal_factor_grad(self, q):
-        F = self._factor(q)
-        return -2.0 * self.c * np.asarray(q, dtype=float) * F**2
-
     def check_point(self, q):
-        self._factor(q)
+        self._factor(np.asarray(q, dtype=float))
 
-    def metric(self, q):
-        F = self._factor(q)
-        return F**2 * self._eye
-
-    def metric_inv(self, q):
-        F = self._factor(q)
-        return self._eye / F**2
-
-    def metric_d1(self, q):
+    def jet(self, q):
         q = np.asarray(q, dtype=float)
         F = self._factor(q)
-        Fm = -2.0 * self.c * q * F**2
-        return 2.0 * F * Fm[:, None, None] * self._eye[None]
-
-    def metric_d2(self, q):
-        q = np.asarray(q, dtype=float)
-        n = self.dim
-        F = self._factor(q)
-        Fm = -2.0 * self.c * q * F**2
-        Fmk = -2.0 * self.c * np.eye(n) * F**2 - 4.0 * self.c * np.einsum("k,m->mk", q, Fm) * F
-        block = 2.0 * (np.einsum("m,k->mk", Fm, Fm) + F * Fmk)
-        return np.einsum("mk,ij->mkij", block, np.eye(n))
-
-    def _h(self, q):
-        # h_i = d_i ln F
-        q = np.asarray(q, dtype=float)
-        F = self._factor(q)
-        return -2.0 * self.c * q * F
-
-    def christoffel(self, q):
-        h = self._h(q)
-        eye = self._eye
-        # Gamma^k_ij = delta^k_i h_j + delta^k_j h_i - delta_ij h_k
-        return (eye[:, :, None] * h[None, None, :]
-                + eye[:, None, :] * h[None, :, None]
-                - eye[None, :, :] * h[:, None, None])
+        return _conformal_jet(F**2, -2.0 * self.c * q * F, self._eye)
 
     def christoffel_d1(self, q):
         q = np.asarray(q, dtype=float)
         F = self._factor(q)
-        Fm = -2.0 * self.c * q * F**2
-        # dh[m, i] = d_m h_i = -2c (delta_mi F + q_i F_m)
-        dh = -2.0 * self.c * (self._eye * F + np.outer(Fm, q))
-        eye = self._eye
-        return (eye[None, :, :, None] * dh[:, None, None, :]
-                + eye[None, :, None, :] * dh[:, None, :, None]
-                - eye[None, None, :, :] * dh[:, :, None, None])
+        # dh[m, i] = d_m h_i = -2c (delta_mi F + q_i d_m F),  d_m F = -2c q_m F^2
+        dh = -2.0 * self.c * (self._eye * F + np.outer(-2.0 * self.c * q * F**2, q))
+        return _conformal_christoffel_d1(dh)
 
     def riemann_tensor(self, q):
         return (self.K * self._factor(q) ** 2) * _curvature_basis(self.dim)
@@ -222,42 +221,22 @@ class SolGroup(MetricFamily):
 
     dim = 3
 
-    def metric(self, q):
-        z = q[2]
-        return np.diag([np.exp(2 * z), np.exp(-2 * z), 1.0])
-
-    def metric_inv(self, q):
-        z = q[2]
-        return np.diag([np.exp(-2 * z), np.exp(2 * z), 1.0])
-
-    def metric_d1(self, q):
-        z = q[2]
-        d = np.zeros((3, 3, 3))
-        d[2, 0, 0] = 2 * np.exp(2 * z)
-        d[2, 1, 1] = -2 * np.exp(-2 * z)
-        return d
-
-    def metric_d2(self, q):
-        z = q[2]
-        d = np.zeros((3, 3, 3, 3))
-        d[2, 2, 0, 0] = 4 * np.exp(2 * z)
-        d[2, 2, 1, 1] = 4 * np.exp(-2 * z)
-        return d
-
-    def christoffel(self, q):
-        z = q[2]
+    def jet(self, q):
+        a, b = np.exp(2 * q[2]), np.exp(-2 * q[2])
+        dg = np.zeros((3, 3, 3))
+        dg[2, 0, 0] = 2 * a
+        dg[2, 1, 1] = -2 * b
         G = np.zeros((3, 3, 3))
         G[0, 0, 2] = G[0, 2, 0] = 1.0
         G[1, 1, 2] = G[1, 2, 1] = -1.0
-        G[2, 0, 0] = -np.exp(2 * z)
-        G[2, 1, 1] = np.exp(-2 * z)
-        return G
+        G[2, 0, 0] = -a
+        G[2, 1, 1] = b
+        return MetricJet(np.diag([a, b, 1.0]), np.diag([b, a, 1.0]), dg, G)
 
     def christoffel_d1(self, q):
-        z = q[2]
         D = np.zeros((3, 3, 3, 3))
-        D[2, 2, 0, 0] = -2 * np.exp(2 * z)
-        D[2, 2, 1, 1] = -2 * np.exp(-2 * z)
+        D[2, 2, 0, 0] = -2 * np.exp(2 * q[2])
+        D[2, 2, 1, 1] = -2 * np.exp(-2 * q[2])
         return D
 
     def sample_point(self, rng):
@@ -270,40 +249,14 @@ class ConformalTorus(MetricFamily):
     def __init__(self, sigma, periods=None):
         self.sigma = sigma
         self.dim = sigma.dim
-        self.periods = np.ones(self.dim) if periods is None else np.asarray(periods, dtype=float)
+        self.periods = np.ones(self.dim) if periods is None else check_periods(periods, self.dim)
         self._eye = np.eye(self.dim)
 
-    def metric(self, q):
-        return np.exp(2 * self.sigma.value(q)) * self._eye
-
-    def metric_inv(self, q):
-        return np.exp(-2 * self.sigma.value(q)) * self._eye
-
-    def metric_d1(self, q):
-        s = self.sigma.value(q)
-        gs = self.sigma.grad(q)
-        return 2 * np.exp(2 * s) * gs[:, None, None] * self._eye[None]
-
-    def metric_d2(self, q):
-        s = self.sigma.value(q)
-        gs = self.sigma.grad(q)
-        hs = self.sigma.hess(q)
-        block = np.exp(2 * s) * (4 * np.einsum("m,k->mk", gs, gs) + 2 * hs)
-        return np.einsum("mk,ij->mkij", block, np.eye(self.dim))
-
-    def christoffel(self, q):
-        gs = self.sigma.grad(q)
-        eye = self._eye
-        return (eye[:, :, None] * gs[None, None, :]
-                + eye[:, None, :] * gs[None, :, None]
-                - eye[None, :, :] * gs[:, None, None])
+    def jet(self, q):
+        return _conformal_jet(np.exp(2 * self.sigma.value(q)), self.sigma.grad(q), self._eye)
 
     def christoffel_d1(self, q):
-        hs = self.sigma.hess(q)
-        eye = self._eye
-        return (eye[None, :, :, None] * hs[:, None, None, :]
-                + eye[None, :, None, :] * hs[:, None, :, None]
-                - eye[None, None, :, :] * hs[:, :, None, None])
+        return _conformal_christoffel_d1(self.sigma.hess(q))
 
     def riemann_tensor(self, q):
         """Closed form in dim 2 only: Gauss curvature K = -e^{-2 sigma} lap sigma."""
@@ -317,7 +270,11 @@ class ConformalTorus(MetricFamily):
 
 
 class ProductMetric(MetricFamily):
-    """Block-diagonal metric of two factor scenarios."""
+    """Block-diagonal metric of two factor scenarios.
+
+    g, dg, Gamma and dGamma are the block diagonals of the factors' tensors:
+    every component whose indices mix the factors is 0.
+    """
 
     def __init__(self, scenario1, scenario2):
         self.s1 = scenario1
@@ -328,6 +285,7 @@ class ProductMetric(MetricFamily):
         self.is_flat = scenario1.metric_family.is_flat and scenario2.metric_family.is_flat
         self.is_constant_metric = (scenario1.metric_family.is_constant_metric
                                    and scenario2.metric_family.is_constant_metric)
+        self._jet = None   # the q-independent jet of a constant metric, once built
 
     def factor_scenarios(self, scenario):
         return self.s1, self.s2
@@ -335,33 +293,26 @@ class ProductMetric(MetricFamily):
     def split(self, q):
         return q[: self.n1], q[self.n1:]
 
-    def metric(self, q):
-        q1, q2 = self.split(q)
-        g = np.zeros((self.dim, self.dim))
-        g[: self.n1, : self.n1] = self.s1.metric(q1)
-        g[self.n1:, self.n1:] = self.s2.metric(q2)
-        return g
+    def _blocks(self, a1, a2):
+        out = np.zeros((self.dim,) * a1.ndim)
+        out[(slice(None, self.n1),) * a1.ndim] = a1
+        out[(slice(self.n1, None),) * a1.ndim] = a2
+        return out
 
-    def metric_inv(self, q):
+    def jet(self, q):
+        if self._jet is not None:
+            return self._jet
         q1, q2 = self.split(q)
-        g = np.zeros((self.dim, self.dim))
-        g[: self.n1, : self.n1] = self.s1.metric_inv(q1)
-        g[self.n1:, self.n1:] = self.s2.metric_inv(q2)
-        return g
+        j1 = self.s1.metric_family.jet(q1)
+        j2 = self.s2.metric_family.jet(q2)
+        jet = MetricJet(*(self._blocks(a1, a2) for a1, a2 in zip(j1, j2)))
+        if self.is_constant_metric:
+            self._jet = jet
+        return jet
 
-    def metric_d1(self, q):
+    def christoffel_d1(self, q):
         q1, q2 = self.split(q)
-        d = np.zeros((self.dim,) * 3)
-        d[: self.n1, : self.n1, : self.n1] = self.s1.metric_d1(q1)
-        d[self.n1:, self.n1:, self.n1:] = self.s2.metric_d1(q2)
-        return d
-
-    def metric_d2(self, q):
-        q1, q2 = self.split(q)
-        d = np.zeros((self.dim,) * 4)
-        d[: self.n1, : self.n1, : self.n1, : self.n1] = self.s1.metric_d2(q1)
-        d[self.n1:, self.n1:, self.n1:, self.n1:] = self.s2.metric_d2(q2)
-        return d
+        return self._blocks(self.s1.christoffel_d1(q1), self.s2.christoffel_d1(q2))
 
     def check_point(self, q):
         q1, q2 = self.split(q)

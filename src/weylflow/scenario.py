@@ -3,14 +3,37 @@
 The pair (g, E) defines the Weyl structure; phi = g E is the associated
 1-form.  The scenario is the single entry point the rest of the package uses
 to evaluate metric data, field data, connection coefficients and curvature.
+
+``local(q)`` is the one evaluation of a point: the metric family's jet and the
+field's jet, computed once, with phi = g E and N = grad E (the Levi-Civita
+derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j) assembled from them.  On
+a homogeneous scenario the record is q-independent and built once.  The
+per-quantity methods (metric, field, christoffel, ...) are thin views kept for
+callers that need one quantity and as oracles in the tests.  Curvature is a
+separate call, made only where it is used.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .fields import ZeroField
+from .fields import ProductField, ZeroField
 from .metrics import ConstantCurvatureChart, FlatTorus, ProductMetric
+
+
+class LocalGeometry(NamedTuple):
+    """Metric and field data at one point (shared arrays: do not mutate)."""
+
+    g: np.ndarray       # g_ij
+    ginv: np.ndarray    # g^ij
+    dg: np.ndarray      # d_m g_ij, [m, i, j]
+    gamma: np.ndarray   # Gamma^k_ij, [k, i, j]
+    E: np.ndarray       # E^k
+    dE: np.ndarray      # d_m E^k, [k, m]
+    phi: np.ndarray     # phi_j = g_jk E^k
+    N: np.ndarray       # grad_m E^k = d_m E^k + Gamma^k_mj E^j, [k, m]
 
 
 class WeylScenario:
@@ -19,6 +42,9 @@ class WeylScenario:
         self.dim = metric_family.dim
         self.field_spec = ZeroField(self.dim) if field is None else field
         self.name = name
+        # constant metric and constant field components: all Weyl data is q-independent
+        self.is_homogeneous = (metric_family.is_constant_metric
+                               and self.field_spec.constant_on(self))
         self._cache = {}
         self._validate()
 
@@ -27,33 +53,37 @@ class WeylScenario:
         for _ in range(4):
             q = self.metric_family.sample_point(rng)
             g = self.metric(q)
+            if not np.isfinite(g).all():
+                raise DegenerateMetricError(f"metric not finite at q={q}")
             try:
                 np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
                 raise DegenerateMetricError(f"metric not positive definite at q={q}")
 
+    def local(self, q):
+        """LocalGeometry at q from one pass over the metric and field data."""
+        loc = self._cache.get("local")
+        if loc is not None:
+            return loc
+        jet = self.metric_family.jet(q)
+        E, dE = self.field_spec.jet(q, jet)
+        loc = LocalGeometry(*jet, E, dE, jet.g @ E, dE + jet.gamma @ E)
+        if self.is_homogeneous:
+            self._cache["local"] = loc
+        return loc
+
     # -- metric data --------------------------------------------------------
 
     def metric(self, q):
-        return self.metric_family.metric(q)
+        return self.metric_family.jet(q).g
 
     def metric_inv(self, q):
-        return self.metric_family.metric_inv(q)
+        return self.metric_family.jet(q).ginv
 
-    def metric_d1(self, q):
-        return self.metric_family.metric_d1(q)
-
-    def metric_d2(self, q):
-        return self.metric_family.metric_d2(q)
-
-    def metric_inv_d1(self, q, ginv=None):
-        """d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}, shape [m, k, l].
-
-        ginv: the inverse metric at q, when the caller already holds it.
-        """
-        if ginv is None:
-            ginv = self.metric_inv(q)
-        return -(ginv @ self.metric_d1(q) @ ginv)
+    def metric_inv_d1(self, q):
+        """d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}, shape [m, k, l]."""
+        jet = self.metric_family.jet(q)
+        return -(jet.ginv @ jet.dg @ jet.ginv)
 
     def inner(self, q, X, Y):
         return float(X @ self.metric(q) @ Y)
@@ -64,21 +94,17 @@ class WeylScenario:
     # -- field data ----------------------------------------------------------
 
     def field(self, q):
-        return self.field_spec.components(q, self)
+        return self.local(q).E
 
     def field_jac(self, q):
-        return self.field_spec.jacobian(q, self)
+        return self.local(q).dE
 
     def one_form(self, q):
-        return self.metric(q) @ self.field(q)
+        return self.local(q).phi
 
     def one_form_d1(self, q):
         """dphi[m, j] = d_m phi_j with phi = g E."""
-        dg = self.metric_d1(q)
-        E = self.field(q)
-        dE = self.field_jac(q)
-        g = self.metric(q)
-        return np.einsum("mjl,l->mj", dg, E) + np.einsum("jl,lm->mj", g, dE)
+        return _one_form_d1(self.local(q))
 
     def phi(self, q, X):
         return float(self.one_form(q) @ X)
@@ -87,62 +113,23 @@ class WeylScenario:
     def field_is_zero(self):
         return self.field_spec.is_zero
 
-    @property
-    def is_homogeneous(self):
-        """Constant metric and constant field components: all Weyl data is q-independent."""
-        return (self.metric_family.is_constant_metric
-                and self.field_spec.constant_on(self))
-
     def sample_point(self, rng):
         return self.metric_family.sample_point(rng)
 
-    # -- connection and curvature arrays (hot-path helpers) ------------------
+    # -- connection and curvature arrays --------------------------------------
 
     def christoffel(self, q):
-        closed = self.metric_family.christoffel(q)
-        if closed is not None:
-            return closed
-        g = self.metric(q)
-        dg = self.metric_d1(q)
-        ginv = np.linalg.inv(g)
-        S = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
-        return np.einsum("kl,lij->kij", ginv, S)
+        return self.metric_family.jet(q).gamma
 
     def christoffel_d1(self, q):
-        closed = self.metric_family.christoffel_d1(q)
-        if closed is not None:
-            return closed
-        dg = self.metric_d1(q)
-        ddg = self.metric_d2(q)
-        ginv = self.metric_inv(q)
-        dginv = self.metric_inv_d1(q, ginv)
-        S = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
-        dS = 0.5 * (np.einsum("milj->mlij", ddg) + np.einsum("mjli->mlij", ddg)
-                    - np.einsum("mlij->mlij", ddg))
-        return (np.einsum("mkl,lij->mkij", dginv, S)
-                + np.einsum("kl,mlij->mkij", ginv, dS))
+        return self.metric_family.christoffel_d1(q)
 
     def weyl_correction(self, q):
         """C^k_ij = delta^k_i phi_j + delta^k_j phi_i - g_ij E^k."""
-        phi = self.one_form(q)
-        E = self.field(q)
-        g = self.metric(q)
-        eye = np.eye(self.dim)
-        return (np.einsum("ki,j->kij", eye, phi)
-                + np.einsum("kj,i->kij", eye, phi)
-                - np.einsum("ij,k->kij", g, E))
+        return _weyl_correction(self.local(q))
 
     def weyl_correction_d1(self, q):
-        dphi = self.one_form_d1(q)
-        dg = self.metric_d1(q)
-        E = self.field(q)
-        dE = self.field_jac(q)
-        g = self.metric(q)
-        eye = np.eye(self.dim)
-        return (np.einsum("ki,mj->mkij", eye, dphi)
-                + np.einsum("kj,mi->mkij", eye, dphi)
-                - np.einsum("mij,k->mkij", dg, E)
-                - np.einsum("ij,km->mkij", g, dE))
+        return _weyl_correction_d1(self.local(q))
 
     def weyl_christoffel(self, q):
         if self.is_homogeneous:
@@ -179,8 +166,9 @@ class WeylScenario:
 
     def _curvature_tensor(self, q, weyl):
         if weyl:
-            G = self.weyl_christoffel(q)
-            dG = self.weyl_christoffel_d1(q)
+            loc = self.local(q)
+            G = loc.gamma + _weyl_correction(loc)
+            dG = self.christoffel_d1(q) + _weyl_correction_d1(loc)
         else:
             G = self.christoffel(q)
             dG = self.christoffel_d1(q)
@@ -189,6 +177,27 @@ class WeylScenario:
         t3 = np.einsum("dae,ebc->dcab", G, G)
         t4 = np.einsum("dbe,eac->dcab", G, G)
         return t1 - t2 + t3 - t4
+
+
+def _one_form_d1(loc):
+    # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
+    return loc.dg @ loc.E + (loc.g @ loc.dE).T
+
+
+def _weyl_correction(loc):
+    eye = np.eye(len(loc.E))
+    return (np.einsum("ki,j->kij", eye, loc.phi)
+            + np.einsum("kj,i->kij", eye, loc.phi)
+            - np.einsum("ij,k->kij", loc.g, loc.E))
+
+
+def _weyl_correction_d1(loc):
+    dphi = _one_form_d1(loc)
+    eye = np.eye(len(loc.E))
+    return (np.einsum("ki,mj->mkij", eye, dphi)
+            + np.einsum("kj,mi->mkij", eye, dphi)
+            - np.einsum("mij,k->mkij", loc.dg, loc.E)
+            - np.einsum("ij,km->mkij", loc.g, loc.dE))
 
 
 def flat_torus_scenario(periods=(1.0, 1.0), field=None, name=""):
@@ -201,8 +210,6 @@ def constant_curvature_scenario(K, dim=2, field=None, name=""):
 
 def product_scenario(s1, s2, name=""):
     """Cartesian product with block metric and concatenated field (E1, E2)."""
-    from .fields import ProductField
-
     fam = ProductMetric(s1, s2)
     field = ProductField(s1.field_spec, s1.dim, s2.field_spec, s2.dim)
     return WeylScenario(fam, field, name=name or f"product({s1.name},{s2.name})")

@@ -11,8 +11,9 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-The kernel takes R from geometry.jacobi_operator, in closed form from the
-Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
+Each kernel call evaluates its point once, as scenario.local(q), and passes
+that record to geometry.jacobi_operator, which builds R in closed form from
+the Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
               + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -141,29 +142,21 @@ class _Kernel:
         self.flat = scenario.metric_family.is_flat
 
     def __call__(self, q, v, frame, need_R=True):
-        sc = self.sc
-        E = sc.field(q)
-        if self.flat:
-            g = gamma = None
-            phi_vec = E
-            phi_v = float(E @ v)
-            dv = E - phi_v * v
-            ve = frame @ v
-        else:
-            g = sc.metric(q)
-            phi_vec = g @ E
-            phi_v = float(phi_vec @ v)
-            gamma = sc.christoffel(q)
-            # gv[k, j] = Gamma^k_{ij} v^i
-            gv = gamma.transpose(0, 2, 1) @ v
-            dv = E - phi_v * v - gv @ v
-            ve = frame @ (g @ v)
+        loc = self.sc.local(q)
+        E = loc.E
+        phi_vec = E if self.flat else loc.phi
+        phi_v = float(phi_vec @ v)
         phi_e = frame @ phi_vec
+        ve = frame @ (v if self.flat else loc.g @ v)
+        dv = E - phi_v * v
         # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
         de = phi_e[:, None] * (-v)[None, :] + ve[:, None] * E[None, :]
         if not self.flat:
+            # gv[k, j] = Gamma^k_{ij} v^i
+            gv = loc.gamma.transpose(0, 2, 1) @ v
+            dv = dv - gv @ v
             de = de - frame @ gv.T
-        Rmat = jacobi_operator(sc, q, v, frame, E=E, g=g, gamma=gamma) if need_R else None
+        Rmat = jacobi_operator(self.sc, q, loc, v, frame) if need_R else None
         return phi_v, phi_e, dv, de, Rmat
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,185 @@ def test_parse_rejects_non_finite_numbers():
     msgs = "\n".join(err.value.errors)
     assert "numerics.T" in msgs
     assert "billiard.scatterers[0].center" in msgs
+
+
+def _gradient_on_flat(potential):
+    return {"metric": {"family": "flat_torus", "periods": [1.0, 1.0]},
+            "field": {"type": "gradient_of_potential", "potential": potential}}
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (_gradient_on_flat({"dim": 2, "terms": [{"k": [1, 0], "cos": "x"}]}),
+     "scenario.field.potential.terms[0].cos"),
+    (_gradient_on_flat({"dim": 2, "terms": [{"k": [1, 0], "cos": [1]}]}),
+     "scenario.field.potential.terms[0].cos"),
+    (_gradient_on_flat({"dim": 2, "terms": [{"k": [1.5, 0], "cos": 0.1}]}),
+     "scenario.field.potential.terms[0].k"),
+    (_gradient_on_flat({"dim": 2, "terms": [{"k": [1, 0], "cos": 0.1}], "periods": [1, 0]}),
+     "scenario.field.potential.periods"),
+    ({"metric": {"family": "flat_torus", "periods": [1, 0]}}, "scenario.metric.periods"),
+    ({"metric": {"family": "conformal_torus", "periods": [0, 1],
+                 "sigma": {"dim": 2, "terms": [{"k": [1, 0], "cos": 0.1}]}}},
+     "scenario.metric.periods"),
+    ({"metric": {"family": "flat_torus", "periods": [1, -2]}}, "scenario.metric.periods"),
+    (_gradient_on_flat({"dim": 3, "terms": []}), "scenario.field.potential.dim"),
+    ({"metric": {"family": "flat_torus"},
+      "field": {"type": "sol_left_invariant", "coefficients": [0, 0, 1]}},
+     "scenario.field.type"),
+    ({"metric": {"family": "conformal_torus",
+                 "sigma": {"dim": 2, "terms": [{"k": [0, 0], "cos": 1000}]}}},
+     "metric not finite"),
+    ({"metric": {"family": "constant_curvature_chart", "curvature": -1, "dim": 9}},
+     "scenario.metric.dim"),
+], ids=["cos_string", "cos_list", "k_fractional", "fourier_zero_period",
+        "flat_zero_period", "conformal_zero_period", "flat_negative_period",
+        "potential_dim_mismatch", "sol_field_off_sol", "metric_overflow", "dim_too_large"])
+def test_main_rejects_bad_fourier_and_torus_data(tmp_path, capsys, scenario, key):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": "simulate", "scenario": scenario,
+                                    "numerics": {"T": 0.01, "dt": 0.001}}))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000],
+                         ids=["nested_too_deeply", "integer_too_long"])
+def test_parse_rejects_unreadable_documents(text):
+    with pytest.raises(ConfigError):
+        cli.parse_config(text)
+
+
+def test_runtime_failure_writes_manifest_and_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(cfg, outdir):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli.RUNNERS, "simulate", broken)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeError" in err and "runner broke" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == {"class": "RuntimeError", "message": "runner broke"}
+    with pytest.raises(RuntimeError):
+        cli.dispatch(cli.parse_config(MINIMAL), out_override=tmp_path / "again")
+    assert (tmp_path / "again" / "manifest.json").exists()
+
+
+def test_verify_streams_one_line_per_criterion(tmp_path, capsys, monkeypatch):
+    from weylflow import acceptance
+
+    def fake(number, passed):
+        return lambda ctx: acceptance.CriterionResult(number, f"fake_{number}", passed,
+                                                      f"detail {number}", {"x": 1.0})
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [fake(1, True), fake(2, False)])
+    monkeypatch.setattr(acceptance, "criterion_12_roundtrips", lambda ctx: 0.0)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("criterion")]
+    pattern = r"criterion +(\d+) (PASS|FAIL) +\d+\.\d\d s"
+    parsed = [re.fullmatch(pattern, ln).groups() for ln in lines]
+    assert parsed == [("1", "PASS"), ("2", "FAIL"), ("12", "PASS")] * 2
+    rows = json.loads((out / "results.json").read_text())
+    assert [sorted(r) for r in rows] == [["criterion", "detail", "measured.x", "name",
+                                          "passed"]] * 2 + [
+        ["criterion", "detail", "measured.reruns_identical", "measured.roundtrip_worst",
+         "name", "passed"]]
+    for name in ("results.json", "criteria.csv"):
+        assert not re.search(r"\d\.\d\d s", (out / name).read_text())
+
+
+# -- the parser raises ConfigError and nothing else -----------------------------
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from weylflow import presets  # noqa: E402
+
+_FOURIER = {"dim": 2, "terms": [{"k": [1, 0], "cos": 0.2, "sin": 0.1}], "periods": [1.0, 1.0]}
+_NUMERICS = {"T": 1.0, "dt": 0.01, "renorm_every": 10, "seed": 3, "burn_in": 0.0,
+             "n_points": 2, "n_planes": 2, "n_collisions": 5}
+PRESET_CONFIGS = (
+    [{"task": "lyapunov", "preset": name, "numerics": _NUMERICS,
+      "output": {"directory": "out", "formats": ["csv", "json"]}}
+     for name in sorted(presets.GEOMETRY_PRESETS)]
+    + [{"task": "billiard", "preset": name, "initial": {"q": [0.5, 0.95], "v": [1, 0]},
+        "numerics": _NUMERICS} for name in sorted(presets.BILLIARD_PRESETS)]
+    + [{"task": "simulate", "initial": {"q": [0.1, 0.2], "v": [0.6, 0.8]},
+        "numerics": _NUMERICS, "scenario": doc} for doc in (
+        MINIMAL["scenario"],
+        {"metric": {"family": "constant_curvature_chart", "curvature": -1.0, "dim": 2},
+         "field": {"type": "gradient_of_potential", "potential": _FOURIER}},
+        {"metric": {"family": "conformal_torus", "sigma": _FOURIER, "periods": [1.0, 2.0]},
+         "field": {"type": "fourier", "components": [_FOURIER, _FOURIER]}},
+        {"metric": {"family": "product", "factors": [
+            {"metric": {"family": "flat_torus", "periods": [1.0]},
+             "field": {"type": "zero"}},
+            {"metric": {"family": "flat_torus", "periods": [1.0]},
+             "field": {"type": "closed_one_form", "covector": [0.3]}}]}},
+    )]
+    + [{"task": "simulate", "initial": {"q": [0.1, 0.2, 0.3]}, "scenario": {
+        "metric": {"family": "sol_group"},
+        "field": {"type": "sol_left_invariant", "coefficients": [0.0, 0.0, 1.0]}}},
+       {"task": "orbit-stability", "billiard": BILLIARD}]
+)
+
+_leaf = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.text(max_size=6) | st.sampled_from(["flat_torus", "product", "zero", "csv"]))
+_json = st.recursive(_leaf, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+                     max_leaves=16)
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _parse_only_config_error(doc):
+    try:
+        cli.parse_config(doc)
+    except ConfigError:
+        pass
+
+
+def _slots(node):
+    """Every (container, key) in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _mutated_preset(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(PRESET_CONFIGS))))
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "insert"]))
+        if action == "replace":
+            node[key] = draw(_json)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=6))] = draw(_json)
+        else:
+            node.insert(key, draw(_json))
+        if not doc:
+            break
+    return doc
+
+
+@FUZZ
+@given(doc=_json)
+def test_parse_config_raises_only_config_error_on_arbitrary_documents(doc):
+    _parse_only_config_error(doc)
+    _parse_only_config_error(json.dumps(doc))
+
+
+@FUZZ
+@given(doc=_mutated_preset())
+def test_parse_config_raises_only_config_error_on_mutated_presets(doc):
+    _parse_only_config_error(doc)

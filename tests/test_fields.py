@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weylflow.errors import DegenerateMetricError
+from weylflow.errors import DegenerateMetricError, InvalidStateError
 from weylflow.fields import (
     ClosedOneFormField,
     ConstantField,
@@ -156,3 +156,14 @@ def test_reduced_field_formula():
             e[m] = 1e-6
             ref = (sc.field(q + e) - sc.field(q - e)) / 2e-6
             assert np.abs(jac[:, m] - ref).max() < 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: FlatTorus(p),
+    lambda p: ConformalTorus(FourierField(2, [((1, 0), 0.1, 0.0)]), periods=p),
+    lambda p: FourierField(2, [((1, 0), 0.1, 0.0)], periods=p),
+], ids=["flat_torus", "conformal_torus", "fourier"])
+@pytest.mark.parametrize("periods", [(1.0, 0.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 1.0)])
+def test_periods_must_be_positive_and_finite(make, periods):
+    with pytest.raises(InvalidStateError):
+        make(periods)

@@ -20,7 +20,7 @@ from weylflow.scenario import WeylScenario, product_scenario
 def generic_christoffel(scenario, q):
     """Reference assembly straight from the metric derivatives."""
     g = scenario.metric(q)
-    dg = scenario.metric_d1(q)
+    dg = scenario.local(q).dg
     ginv = np.linalg.inv(g)
     S = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
     return np.einsum("kl,lij->kij", ginv, S)
@@ -386,7 +386,7 @@ def test_jacobi_operator_matches_tensor_route(name):
         v = rng.standard_normal(sc.dim)
         v = v / sc.norm(q, v)
         frame = tangent.complete_frame(sc, q, v)
-        closed = geo.jacobi_operator(sc, q, v, frame)
+        closed = geo.jacobi_operator(sc, q, sc.local(q), v, frame)
         oracle = _jacobi_tensor_route(sc, q, v, frame)
         scale = max(np.abs(oracle).max(), 1.0)
         assert np.abs(closed - oracle).max() <= 1e-12 * scale
@@ -398,7 +398,7 @@ def test_jacobi_operator_non_closed_field_is_not_symmetric():
     q = sc.sample_point(rng)
     v = rng.standard_normal(3)
     v = v / sc.norm(q, v)
-    Rmat = geo.jacobi_operator(sc, q, v, tangent.complete_frame(sc, q, v))
+    Rmat = geo.jacobi_operator(sc, q, sc.local(q), v, tangent.complete_frame(sc, q, v))
     assert np.abs(Rmat - Rmat.T).max() > 1e-2
 
 
@@ -425,3 +425,73 @@ def test_cached_weyl_christoffel_matches_fresh_assembly(name):
     cached = sc.weyl_christoffel(q0)
     assert sc.weyl_christoffel(q1) is cached
     assert np.array_equal(cached, sc.christoffel(q1) + sc.weyl_correction(q1))
+
+
+def _chart_x_sol():
+    return product_scenario(presets.hyperbolic_potential(), presets.sol_scan())
+
+
+def _chart_x_conformal():
+    return product_scenario(WeylScenario(ConstantCurvatureChart(0.7, 2)),
+                            presets.conformal_gradient())
+
+
+FAMILY_CASES = {
+    "flat_torus": lambda: WeylScenario(FlatTorus((1.0, 2.0, 1.5))),
+    "chart2": lambda: WeylScenario(ConstantCurvatureChart(-1.0, 2)),
+    "chart3_positive": lambda: WeylScenario(ConstantCurvatureChart(0.7, 3)),
+    "sol": lambda: WeylScenario(SolGroup()),
+    "conformal_torus": lambda: WeylScenario(ConformalTorus(
+        FourierField(2, [((1, 0), 0.15, 0.0), ((1, 1), 0.0, 0.06)]), periods=(1.0, 2.0))),
+    "maupertuis": lambda: WeylScenario(ConformalTorus(
+        HalfLogField(1.0, FourierField(2, [((1, 0), 0.2, 0.0)])))),
+    "chart_x_sol": _chart_x_sol,
+    "chart_x_conformal": _chart_x_conformal,
+}
+
+
+def _central(fn, q, m, h):
+    e = np.zeros(len(q))
+    e[m] = h
+    return (fn(q + e) - fn(q - e)) / (2 * h)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_christoffel_d1_matches_finite_differences(name):
+    sc = FAMILY_CASES[name]()
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        q = sc.sample_point(rng)
+        closed = sc.christoffel_d1(q)
+        fd = geo.christoffel_d1_fd(sc, q)
+        assert np.abs(closed - fd).max() < 1e-8 * max(np.abs(fd).max(), 1.0), name
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_metric_jet_dg_matches_finite_differences(name):
+    sc = FAMILY_CASES[name]()
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        q = sc.sample_point(rng)
+        dg = sc.metric_family.jet(q).dg
+        fd = np.array([_central(sc.metric, q, m, 1e-5) for m in range(sc.dim)])
+        assert np.abs(dg - fd).max() < 1e-8 * max(np.abs(fd).max(), 1.0), name
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_local_matches_independent_references(name):
+    sc = presets.scenario_preset(name)
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        q = sc.sample_point(rng)
+        loc = sc.local(q)
+        g = sc.metric(q)
+        gamma = generic_christoffel(sc, q)
+        dE = np.array([_central(sc.field, q, m, 1e-6) for m in range(sc.dim)]).T
+        scale = max(np.abs(dE).max(), 1.0)
+        assert np.array_equal(loc.g, g)
+        assert np.abs(loc.ginv - np.linalg.inv(g)).max() < 1e-12 * np.abs(loc.ginv).max()
+        assert np.abs(loc.gamma - gamma).max() < 1e-12
+        assert np.abs(loc.phi - g @ loc.E).max() < 1e-14 * max(np.abs(loc.phi).max(), 1.0)
+        assert np.abs(loc.dE - dE).max() < 1e-7 * scale
+        assert np.abs(loc.N - (dE + gamma @ loc.E)).max() < 1e-7 * scale
