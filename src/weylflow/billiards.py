@@ -30,6 +30,9 @@ FLIGHT_CAP_FACTOR = 10.0
 BISECT_TOL = 1e-12
 MAX_CONSECUTIVE_CAPS = 100   # capped flights in a row before an infinite-horizon abort
 HORIZON_MAX_INDEX = 4        # largest lattice-direction index the horizon test checks
+PARABOLIC_TOL = 1e-9         # |trace| within this of 2 classifies a monodromy as parabolic
+ELLIPTIC_PHASES = np.linspace(2.7, 3.6, 7)   # separations |E| d tried by find_first_elliptic
+ELLIPTIC_SEEDS = 12          # boundary-angle seeds per circle in find_first_elliptic
 
 
 @dataclass
@@ -225,7 +228,6 @@ class CollisionEvent:
     normal: np.ndarray          # outward unit normal of the hit image circle
     v_in: np.ndarray
     v_out: np.ndarray
-    impact_angle: float         # angle between -v_in and the normal
     cos_incidence: float
     image_shift: np.ndarray
     grazing: bool
@@ -281,9 +283,7 @@ def free_flight(table, q, v):
     va_out = table.to_aligned(v_out)
     return CollisionEvent(
         time_of_flight=float(t_star), scatterer=idx, point=p, normal=N,
-        v_in=v_in, v_out=v_out,
-        impact_angle=math.acos(min(1.0, max(-1.0, cos_in))),
-        cos_incidence=cos_in, image_shift=shift, grazing=grazing,
+        v_in=v_in, v_out=v_out, cos_incidence=cos_in, image_shift=shift, grazing=grazing,
         theta_in_aligned=math.atan2(vy, vx),
         theta_out_aligned=math.atan2(va_out[1], va_out[0]),
     )
@@ -464,7 +464,6 @@ def reflect(event):
 class ConvexityReport:
     convex: bool
     margin: float
-    per_scatterer: list
     strict_boundary: bool  # margin == 0: the sharp case r|E| = 1
 
 
@@ -473,10 +472,8 @@ def weyl_convexity(table):
 
     Positive margin (r|E| < 1) keeps every scatterer image strictly convex.
     """
-    per = [1.0 / s.radius - table.a for s in table.scatterers]
-    margin = min(per) if per else float("inf")
-    return ConvexityReport(convex=margin > 0, margin=margin, per_scatterer=per,
-                           strict_boundary=margin == 0.0)
+    margin = min((1.0 / s.radius - table.a for s in table.scatterers), default=float("inf"))
+    return ConvexityReport(convex=margin > 0, margin=margin, strict_boundary=margin == 0.0)
 
 
 def exp_map_check(samples_aligned, field_magnitude):
@@ -528,8 +525,13 @@ def reflection_tangent_matrix(table, event):
     """
     if abs(event.cos_incidence) < GRAZING_TOL:
         raise GrazingCollisionError("tangent map undefined at grazing incidence")
-    r = table.scatterers[event.scatterer].radius
-    kick = 2.0 * (1.0 / r + float(table.field @ event.normal)) / event.cos_incidence
+    return _reflection_matrix(table, table.scatterers[event.scatterer].radius,
+                              event.normal, event.cos_incidence)
+
+
+def _reflection_matrix(table, r, normal, cos_incidence=1.0):
+    """The kick of reflection_tangent_matrix off a circle of radius r; cos 1 is normal incidence."""
+    kick = 2.0 * (1.0 / r + float(table.field @ normal)) / cos_incidence
     return -np.array([[1.0, 0.0], [kick, 1.0]])
 
 
@@ -626,10 +628,10 @@ class OrbitStability:
     re_product: float        # r |E| of the smaller scatterer involved
 
 
-def _classify(trace, tol=1e-9):
-    if abs(trace) < 2.0 - tol:
+def _classify(trace):
+    if abs(trace) < 2.0 - PARABOLIC_TOL:
         return "elliptic"
-    if abs(trace) > 2.0 + tol:
+    if abs(trace) > 2.0 + PARABOLIC_TOL:
         return "hyperbolic"
     return "parabolic"
 
@@ -664,10 +666,8 @@ def periodic_orbit_stability(table):
     F_bwd = flight_tangent_matrix(table.a, th_bwd, th_bwd, L)
     N2 = -dhat
     N1 = dhat
-    k2 = 2.0 / s2.radius + 2.0 * float(table.field @ N2)
-    k1 = 2.0 / s1.radius + 2.0 * float(table.field @ N1)
-    R2 = -np.array([[1.0, 0.0], [k2, 1.0]])
-    R1 = -np.array([[1.0, 0.0], [k1, 1.0]])
+    R2 = _reflection_matrix(table, s2.radius, N2)
+    R1 = _reflection_matrix(table, s1.radius, N1)
     M = R1 @ F_bwd @ R2 @ F_fwd
     tr = float(np.trace(M))
     return OrbitStability(
@@ -685,7 +685,6 @@ class PeriodTwoOrbit:
     normals: list
     stability: OrbitStability
     image_trace: float        # classical trace in the straightened picture
-    flight_time: float
     normal_residual: float
 
 
@@ -700,7 +699,7 @@ def _image_data(table, center_w, radius, psi):
     return z, w, n_im_angle, kappa_im
 
 
-def find_period_two_orbit(table, pair, seed_psis, image_shift=(0, 0)):
+def find_period_two_orbit(table, pair, seed_psis):
     """Locate a period-2 orbit hitting both circles normally.
 
     Solved in the exponential-straightened picture: the image chord must be
@@ -712,14 +711,11 @@ def find_period_two_orbit(table, pair, seed_psis, image_shift=(0, 0)):
         raise ZeroFieldError("period-2 search in the image picture needs a > 0")
     i, j = pair
     s1, s2 = table.scatterers[i], table.scatterers[j]
-    shift = np.array([image_shift[0] * table.periods[0],
-                      image_shift[1] * table.periods[1]])
-    c2_w = s2.center + shift
 
     def eqs(x):
         psi1, psi2 = x
         _, w1, n1, _ = _image_data(table, s1.center, s1.radius, psi1)
-        _, w2, n2, _ = _image_data(table, c2_w, s2.radius, psi2)
+        _, w2, n2, _ = _image_data(table, s2.center, s2.radius, psi2)
         ch = w2 - w1
         return [np.imag(np.conj(ch) * np.exp(1j * n1)),
                 np.imag(np.conj(ch) * np.exp(1j * n2))]
@@ -729,7 +725,7 @@ def find_period_two_orbit(table, pair, seed_psis, image_shift=(0, 0)):
         raise NoOrbitError("period-2 root solve failed")
     psi1, psi2 = sol.x
     z1, w1, n1, kim1 = _image_data(table, s1.center, s1.radius, psi1)
-    z2, w2, n2, kim2 = _image_data(table, c2_w, s2.radius, psi2)
+    z2, w2, n2, kim2 = _image_data(table, s2.center, s2.radius, psi2)
     ch = w2 - w1
     # orientation: leave circle 1 along its outward normal, arrive against 2's
     if np.real(np.conj(ch) * np.exp(1j * n1)) < 0:
@@ -757,11 +753,9 @@ def find_period_two_orbit(table, pair, seed_psis, image_shift=(0, 0)):
     th_out2 = np.arctan2(-np.sin(th_in2), -np.cos(th_in2))
     th_in1 = np.arctan2(-np.sin(th_out1), -np.cos(th_out1))
     F21 = flight_tangent_matrix(table.a, th_out2, th_in1, tof)
-    k1 = 2.0 / s1.radius + 2.0 * float(table.field @ N1_w)
     N2_w = table.from_aligned(np.array([np.cos(psi2), np.sin(psi2)]))
-    k2 = 2.0 / s2.radius + 2.0 * float(table.field @ N2_w)
-    R1 = -np.array([[1.0, 0.0], [k1, 1.0]])
-    R2 = -np.array([[1.0, 0.0], [k2, 1.0]])
+    R1 = _reflection_matrix(table, s1.radius, N1_w)
+    R2 = _reflection_matrix(table, s2.radius, N2_w)
     M = R1 @ F21 @ R2 @ F12
     tr = float(np.trace(M))
 
@@ -778,22 +772,20 @@ def find_period_two_orbit(table, pair, seed_psis, image_shift=(0, 0)):
     return PeriodTwoOrbit(psi=(float(psi1), float(psi2)),
                           points=[p1_w, ev.point], normals=[N1_w, ev.normal],
                           stability=stab, image_trace=tr_image,
-                          flight_time=tof, normal_residual=normal_residual)
+                          normal_residual=normal_residual)
 
 
-def find_first_elliptic(radius, re_values, phase_grid=None, seed_grid=12):
+def find_first_elliptic(radius, re_values):
     """Scan r|E| values for an elliptic period-2 orbit between a scatterer and
     its perpendicular translate (separation perpendicular to E, spacing chosen
     so the concave image arcs face each other)."""
-    if phase_grid is None:
-        phase_grid = np.linspace(2.7, 3.6, 7)
     records = []
     for re in re_values:
         if re <= 1.0:
             continue
         a = re / radius
         found = None
-        for phase in phase_grid:
+        for phase in ELLIPTIC_PHASES:
             d = phase / a
             if d < 2 * radius + 0.05:
                 continue
@@ -801,7 +793,7 @@ def find_first_elliptic(radius, re_values, phase_grid=None, seed_grid=12):
             table = BilliardTable(periods, [((0.3, 0.3), radius),
                                             ((0.3, 0.3 + d), radius)],
                                   field_magnitude=a)
-            psis = np.linspace(0, 2 * np.pi, seed_grid, endpoint=False)
+            psis = np.linspace(0, 2 * np.pi, ELLIPTIC_SEEDS, endpoint=False)
             for ps1 in psis:
                 for ps2 in psis:
                     try:

@@ -60,7 +60,6 @@ class IsoenergeticSpec:
     potential: object
     field: object
     h: float
-    kinetic_floor: float = KINETIC_FLOOR
 
 
 @dataclass
@@ -110,13 +109,13 @@ def _isoenergetic_rhs(scenario, spec, q, v):
     gw = spec.potential.grad(q)
     if scenario.metric_family.is_flat:
         v2 = float(v @ v)
-        if v2 < spec.kinetic_floor:
+        if v2 < KINETIC_FLOOR:
             raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
         phi_v = float(E @ v)
         return v, -gw + E - (phi_v / v2) * v
     gv = jet.g @ v
     v2 = float(v @ gv)
-    if v2 < spec.kinetic_floor:
+    if v2 < KINETIC_FLOOR:
         raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
     phi_v = float(gv @ E)
     return v, (-jet.ginv @ gw + E - (phi_v / v2) * v
@@ -214,7 +213,7 @@ def _project(scenario, spec, kind, q, v):
     if kind == "isokinetic":
         return v / speed
     kinetic = 2.0 * (spec.h - spec.potential.value(q))
-    if kinetic < spec.kinetic_floor:
+    if kinetic < KINETIC_FLOOR:
         raise KineticFloorError(f"kinetic energy {kinetic:.3e} below floor at q={q}")
     return v * (np.sqrt(kinetic) / speed)
 

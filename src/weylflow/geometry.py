@@ -40,9 +40,6 @@ class CurvatureSample:
     Khat: float            # formula route (the reported value)
     Khat_tensor: float     # tensor route
     route_discrepancy: float
-    operator: np.ndarray   # Rhat(X, Y)
-    operator_antisym: np.ndarray
-    operator_sym: np.ndarray
     E_perp_sq: float
     div_plane: float
     E_plane_sq: float
@@ -91,19 +88,15 @@ def antisymmetric_split(scenario, q, A):
     return 0.5 * (A - adjoint), 0.5 * (A + adjoint)
 
 
-def curvature_operator(scenario, q, X, Y, connection="weyl"):
-    """Matrix of R(X, Y) acting on tangent vectors at q."""
+def curvature_operator(scenario, q, X, Y):
+    """Matrix of the Weyl curvature operator Rhat(X, Y) acting on tangent vectors at q."""
     q = np.asarray(q, dtype=float)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     gram = (X @ X) * (Y @ Y) - (X @ Y) ** 2
     if gram < 1e-20:
         raise DegeneratePlaneError(f"X, Y linearly dependent at q={q}")
-    if connection == "weyl":
-        R = scenario.curvature_hat_tensor(q)
-    else:
-        R = scenario.curvature_lc_tensor(q)
-    return np.einsum("dcab,a,b->dc", R, X, Y)
+    return np.einsum("dcab,a,b->dc", scenario.curvature_hat_tensor(q), X, Y)
 
 
 def sectional_weyl(scenario, q, X, Y):
@@ -113,8 +106,7 @@ def sectional_weyl(scenario, q, X, Y):
     loc = scenario.local(q)
     g = loc.g
 
-    op = curvature_operator(scenario, q, X, Y, connection="weyl")
-    op_a, op_s = antisymmetric_split(scenario, q, op)
+    op_a, _ = antisymmetric_split(scenario, q, curvature_operator(scenario, q, X, Y))
     khat_tensor = float(X @ g @ (op_a @ Y))
 
     R_lc = scenario.curvature_lc_tensor(q)
@@ -135,17 +127,15 @@ def sectional_weyl(scenario, q, X, Y):
         q=q, X=X, Y=Y, K=K,
         Khat=khat_formula, Khat_tensor=khat_tensor,
         route_discrepancy=abs(khat_formula - khat_tensor),
-        operator=op, operator_antisym=op_a, operator_sym=op_s,
         E_perp_sq=E_perp_sq, div_plane=div_plane, E_plane_sq=E_plane_sq,
     )
 
 
-def jacobi_operator(scenario, q, loc, v, frame):
+def jacobi_operator(scenario, q, v, frame):
     """Jacobi matrix R[a, b] = < Rhat_a(e_b, v) v, e_a > in closed form.
 
-    loc is scenario.local(q); frame holds g-orthonormal vectors e_1..e_{n-1}
-    completing the unit vector v.  With the Levi-Civita R and grad,
-    phi_c = phi(e_c) and N X = grad_X E:
+    frame holds g-orthonormal vectors e_1..e_{n-1} completing the unit vector
+    v.  With the Levi-Civita R and grad, phi_c = phi(e_c) and N X = grad_X E:
 
         R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
                   + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -155,6 +145,7 @@ def jacobi_operator(scenario, q, loc, v, frame):
     scenario; its terms are skipped there, where they would cost about a
     quarter of a kernel call.
     """
+    loc = scenario.local(q)
     flat = scenario.metric_family.is_flat
     ge = frame if flat else frame @ loc.g       # rows: <e_a, .>
     phi_e = ge @ loc.E

@@ -6,14 +6,21 @@ to evaluate metric data, field data, connection coefficients and curvature.
 
 ``local(q)`` is the one evaluation of a point: the metric family's jet and the
 field's jet, computed once, with phi = g E and N = grad E (the Levi-Civita
-derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j) assembled from them.  On
-a homogeneous scenario the record is q-independent and built once.  The
-per-quantity methods (metric, field, christoffel, ...) are thin views kept for
-callers that need one quantity and as oracles in the tests.  Curvature is a
-separate call, made only where it is used.
+derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j) assembled from them.  The
+per-quantity methods (metric, field, christoffel, ...) are thin views of it.
+
+One caching rule covers the per-point quantities (``local``,
+``weyl_christoffel``, ``curvature_hat_tensor``, ``curvature_lc_tensor``): each
+is remembered for the last point it was computed at, keyed by the bytes of
+q, or for every point on a homogeneous scenario, where it is q-independent.
+So the views, the kernel's Jacobi operator and the ~100 planes of a census
+point share one evaluation, and a caller may mutate its q freely between
+calls.  Remembered arrays are shared with every later caller: read-only by
+contract, never mutated.
 """
 from __future__ import annotations
 
+from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +43,26 @@ class LocalGeometry(NamedTuple):
     N: np.ndarray       # grad_m E^k = d_m E^k + Gamma^k_mj E^j, [k, m]
 
 
+def _point_key(q):
+    return np.asarray(q, dtype=float).tobytes()
+
+
+def _per_point(build):
+    """Remember build(self, q) for the last q, or for all q on a homogeneous scenario."""
+    name = build.__name__
+
+    @wraps(build)
+    def method(self, q):
+        # a homogeneous hit is one dict read: the flows look up q-independent data every stage
+        hit = self._memo.get(name)
+        if hit is not None and (self.is_homogeneous or hit[0] == _point_key(q)):
+            return hit[1]
+        hit = self._memo[name] = _point_key(q), build(self, q)
+        return hit[1]
+
+    return method
+
+
 class WeylScenario:
     def __init__(self, metric_family, field=None, name=""):
         self.metric_family = metric_family
@@ -45,14 +72,15 @@ class WeylScenario:
         # constant metric and constant field components: all Weyl data is q-independent
         self.is_homogeneous = (metric_family.is_constant_metric
                                and self.field_spec.constant_on(self))
-        self._cache = {}
+        self._memo = {}    # quantity name -> (key, value), see _per_point
         self._validate()
 
     def _validate(self):
+        # the family jet alone: construction does not evaluate the field
         rng = np.random.default_rng(0)
         for _ in range(4):
             q = self.metric_family.sample_point(rng)
-            g = self.metric(q)
+            g = self.metric_family.jet(q).g
             if not np.isfinite(g).all():
                 raise DegenerateMetricError(f"metric not finite at q={q}")
             try:
@@ -60,30 +88,25 @@ class WeylScenario:
             except np.linalg.LinAlgError:
                 raise DegenerateMetricError(f"metric not positive definite at q={q}")
 
+    @_per_point
     def local(self, q):
         """LocalGeometry at q from one pass over the metric and field data."""
-        loc = self._cache.get("local")
-        if loc is not None:
-            return loc
         jet = self.metric_family.jet(q)
         E, dE = self.field_spec.jet(q, jet)
-        loc = LocalGeometry(*jet, E, dE, jet.g @ E, dE + jet.gamma @ E)
-        if self.is_homogeneous:
-            self._cache["local"] = loc
-        return loc
+        return LocalGeometry(*jet, E, dE, jet.g @ E, dE + jet.gamma @ E)
 
     # -- metric data --------------------------------------------------------
 
     def metric(self, q):
-        return self.metric_family.jet(q).g
+        return self.local(q).g
 
     def metric_inv(self, q):
-        return self.metric_family.jet(q).ginv
+        return self.local(q).ginv
 
     def metric_inv_d1(self, q):
         """d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}, shape [m, k, l]."""
-        jet = self.metric_family.jet(q)
-        return -(jet.ginv @ jet.dg @ jet.ginv)
+        loc = self.local(q)
+        return -(loc.ginv @ loc.dg @ loc.ginv)
 
     def inner(self, q, X, Y):
         return float(X @ self.metric(q) @ Y)
@@ -104,7 +127,9 @@ class WeylScenario:
 
     def one_form_d1(self, q):
         """dphi[m, j] = d_m phi_j with phi = g E."""
-        return _one_form_d1(self.local(q))
+        # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
+        loc = self.local(q)
+        return loc.dg @ loc.E + (loc.g @ loc.dE).T
 
     def phi(self, q, X):
         return float(self.one_form(q) @ X)
@@ -119,85 +144,55 @@ class WeylScenario:
     # -- connection and curvature arrays --------------------------------------
 
     def christoffel(self, q):
-        return self.metric_family.jet(q).gamma
+        return self.local(q).gamma
 
     def christoffel_d1(self, q):
         return self.metric_family.christoffel_d1(q)
 
     def weyl_correction(self, q):
         """C^k_ij = delta^k_i phi_j + delta^k_j phi_i - g_ij E^k."""
-        return _weyl_correction(self.local(q))
+        loc = self.local(q)
+        eye = np.eye(self.dim)
+        return (np.einsum("ki,j->kij", eye, loc.phi)
+                + np.einsum("kj,i->kij", eye, loc.phi)
+                - np.einsum("ij,k->kij", loc.g, loc.E))
 
     def weyl_correction_d1(self, q):
-        return _weyl_correction_d1(self.local(q))
+        loc = self.local(q)
+        dphi = self.one_form_d1(q)
+        eye = np.eye(self.dim)
+        return (np.einsum("ki,mj->mkij", eye, dphi)
+                + np.einsum("kj,mi->mkij", eye, dphi)
+                - np.einsum("mij,k->mkij", loc.dg, loc.E)
+                - np.einsum("ij,km->mkij", loc.g, loc.dE))
 
+    @_per_point
     def weyl_christoffel(self, q):
-        if self.is_homogeneous:
-            key = "weyl_christoffel"
-            if key not in self._cache:
-                self._cache[key] = self.christoffel(q) + self.weyl_correction(q)
-            return self._cache[key]
         return self.christoffel(q) + self.weyl_correction(q)
 
     def weyl_christoffel_d1(self, q):
         return self.christoffel_d1(q) + self.weyl_correction_d1(q)
 
+    @_per_point
     def curvature_hat_tensor(self, q):
         """Weyl curvature tensor R^d_{cab}: R(X,Y)Z^d = R^d_{cab} Z^c X^a Y^b."""
-        if self.is_homogeneous:
-            key = "curvature_hat"
-            if key not in self._cache:
-                self._cache[key] = self._curvature_tensor(q, weyl=True)
-            return self._cache[key]
-        if self.field_is_zero:
-            closed = self.metric_family.riemann_tensor(q)
-            if closed is not None:
-                return closed
         return self._curvature_tensor(q, weyl=True)
 
+    @_per_point
     def curvature_lc_tensor(self, q):
         closed = self.metric_family.riemann_tensor(q)
-        if closed is not None:
-            return closed
-        if self.metric_family.is_constant_metric:
-            n = self.dim
-            return np.zeros((n, n, n, n))
-        return self._curvature_tensor(q, weyl=False)
+        return self._curvature_tensor(q, weyl=False) if closed is None else closed
 
     def _curvature_tensor(self, q, weyl):
         if weyl:
-            loc = self.local(q)
-            G = loc.gamma + _weyl_correction(loc)
-            dG = self.christoffel_d1(q) + _weyl_correction_d1(loc)
+            G, dG = self.weyl_christoffel(q), self.weyl_christoffel_d1(q)
         else:
-            G = self.christoffel(q)
-            dG = self.christoffel_d1(q)
+            G, dG = self.christoffel(q), self.christoffel_d1(q)
         t1 = np.einsum("adbc->dcab", dG)
         t2 = np.einsum("bdac->dcab", dG)
         t3 = np.einsum("dae,ebc->dcab", G, G)
         t4 = np.einsum("dbe,eac->dcab", G, G)
         return t1 - t2 + t3 - t4
-
-
-def _one_form_d1(loc):
-    # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
-    return loc.dg @ loc.E + (loc.g @ loc.dE).T
-
-
-def _weyl_correction(loc):
-    eye = np.eye(len(loc.E))
-    return (np.einsum("ki,j->kij", eye, loc.phi)
-            + np.einsum("kj,i->kij", eye, loc.phi)
-            - np.einsum("ij,k->kij", loc.g, loc.E))
-
-
-def _weyl_correction_d1(loc):
-    dphi = _one_form_d1(loc)
-    eye = np.eye(len(loc.E))
-    return (np.einsum("ki,mj->mkij", eye, dphi)
-            + np.einsum("kj,mi->mkij", eye, dphi)
-            - np.einsum("mij,k->mkij", loc.dg, loc.E)
-            - np.einsum("ij,km->mkij", loc.g, loc.dE))
 
 
 def flat_torus_scenario(periods=(1.0, 1.0), field=None, name=""):

@@ -11,9 +11,9 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-Each kernel call evaluates its point once, as scenario.local(q), and passes
-that record to geometry.jacobi_operator, which builds R in closed form from
-the Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
+Each kernel call evaluates its point once, as scenario.local(q), and
+geometry.jacobi_operator reads the same remembered record to build R in closed
+form from the Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
               + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -36,6 +36,8 @@ from .errors import FrameCollapseError, NonFiniteStateError
 from .flows import PhaseState, rk4_step, step_count
 from .geometry import jacobi_operator
 from .metrics import ConstantCurvatureChart
+
+CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
 
 
 @dataclass
@@ -156,7 +158,7 @@ class _Kernel:
             gv = loc.gamma.transpose(0, 2, 1) @ v
             dv = dv - gv @ v
             de = de - frame @ gv.T
-        Rmat = jacobi_operator(self.sc, q, loc, v, frame) if need_R else None
+        Rmat = jacobi_operator(self.sc, q, v, frame) if need_R else None
         return phi_v, phi_e, dv, de, Rmat
 
 
@@ -165,7 +167,7 @@ def transport_frame(scenario, trajectory):
     normalized by e^{int phi}; returns the frame history."""
     run = _co_integrate(scenario, trajectory.state(0),
                         T=(len(trajectory.times) - 1) * trajectory.dt,
-                        dt=trajectory.dt, n_cols=0, renorm_every=10)
+                        dt=trajectory.dt, n_cols=0, renorm_every=CLEANUP_EVERY)
     return FrameRun(times=run["times"], q=run["q"], v=run["v"],
                     frames=run["frames"], int_phi=run["int_phi"])
 
@@ -311,11 +313,11 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
     return out
 
 
-def linearized_run(scenario, initial, tangent0, T, dt, renorm_every=10):
+def linearized_run(scenario, initial, tangent0, T, dt):
     """Integrate one quotient tangent vector along the flow; returns the J-form history."""
     n = scenario.dim
     col = np.concatenate([tangent0.xi, tangent0.chi])[:, None]
-    run = _co_integrate(scenario, initial, T, dt, n_cols=1, renorm_every=renorm_every,
+    run = _co_integrate(scenario, initial, T, dt, n_cols=1, renorm_every=CLEANUP_EVERY,
                         tangent0=col, with_xi0=True)
     M = run["M"][:, :, 0]
     nm1 = n - 1

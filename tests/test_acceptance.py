@@ -11,6 +11,8 @@ import pytest
 
 from weylflow import acceptance, cli
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="session")
 def first_pass():

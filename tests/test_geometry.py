@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weylflow import geometry as geo
-from weylflow import presets, tangent
+from weylflow import flows, presets, tangent
 from weylflow.errors import DegenerateMetricError, DegeneratePlaneError
 from weylflow.fields import (
     ConstantField,
@@ -13,6 +13,7 @@ from weylflow.fields import (
     ReducedField,
     RotationalField,
 )
+from weylflow.flows import PhaseState
 from weylflow.metrics import ConformalTorus, ConstantCurvatureChart, FlatTorus, SolGroup
 from weylflow.scenario import WeylScenario, product_scenario
 
@@ -386,7 +387,7 @@ def test_jacobi_operator_matches_tensor_route(name):
         v = rng.standard_normal(sc.dim)
         v = v / sc.norm(q, v)
         frame = tangent.complete_frame(sc, q, v)
-        closed = geo.jacobi_operator(sc, q, sc.local(q), v, frame)
+        closed = geo.jacobi_operator(sc, q, v, frame)
         oracle = _jacobi_tensor_route(sc, q, v, frame)
         scale = max(np.abs(oracle).max(), 1.0)
         assert np.abs(closed - oracle).max() <= 1e-12 * scale
@@ -398,7 +399,7 @@ def test_jacobi_operator_non_closed_field_is_not_symmetric():
     q = sc.sample_point(rng)
     v = rng.standard_normal(3)
     v = v / sc.norm(q, v)
-    Rmat = geo.jacobi_operator(sc, q, sc.local(q), v, tangent.complete_frame(sc, q, v))
+    Rmat = geo.jacobi_operator(sc, q, v, tangent.complete_frame(sc, q, v))
     assert np.abs(Rmat - Rmat.T).max() > 1e-2
 
 
@@ -495,3 +496,107 @@ def test_local_matches_independent_references(name):
         assert np.abs(loc.phi - g @ loc.E).max() < 1e-14 * max(np.abs(loc.phi).max(), 1.0)
         assert np.abs(loc.dE - dE).max() < 1e-7 * scale
         assert np.abs(loc.N - (dE + gamma @ loc.E)).max() < 1e-7 * scale
+
+
+# -- the per-point memo --------------------------------------------------------
+
+NON_HOMOGENEOUS = [name for name in sorted(presets.GEOMETRY_PRESETS)
+                   if not presets.scenario_preset(name).is_homogeneous]
+
+
+def _point_data(sc, q):
+    """Every memoised quantity at q, as a flat list of arrays."""
+    return [*sc.local(q), sc.weyl_christoffel(q), sc.curvature_hat_tensor(q),
+            sc.curvature_lc_tensor(q)]
+
+
+def _all_equal(got, ref):
+    return len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_memo_matches_fresh_scenario_at_alternating_points(name):
+    sc = presets.scenario_preset(name)
+    rng = np.random.default_rng(31)
+    q1, q2 = sc.sample_point(rng), sc.sample_point(rng)
+    for q in (q1, q2, q1):
+        fresh = presets.scenario_preset(name)
+        assert _all_equal(_point_data(sc, q), _point_data(fresh, q.copy()))
+
+
+@pytest.mark.parametrize("name", NON_HOMOGENEOUS)
+def test_memo_sees_in_place_mutation_of_q(name):
+    sc = presets.scenario_preset(name)
+    rng = np.random.default_rng(32)
+    q = sc.sample_point(rng)
+    first = [a.copy() for a in _point_data(sc, q)]
+    q[:] = sc.sample_point(rng)
+    moved = _point_data(sc, q)
+    assert _all_equal(moved, _point_data(presets.scenario_preset(name), q.copy()))
+    assert not _all_equal(moved, first)
+
+
+class _ReadOnlyMemo(dict):
+    """A memo store that makes every array it remembers read-only."""
+
+    def __setitem__(self, name, entry):
+        value = entry[1]
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        super().__setitem__(name, entry)
+
+
+@pytest.fixture
+def read_only_memo(monkeypatch):
+    init = WeylScenario.__init__
+
+    def init_read_only(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._memo = _ReadOnlyMemo()
+
+    monkeypatch.setattr(WeylScenario, "__init__", init_read_only)
+
+
+@pytest.mark.parametrize("name", ["example_1_2", "hyperbolic_potential", "sol_scan",
+                                  "product_mixed", "product_constant"])
+def test_no_caller_mutates_memoised_arrays(read_only_memo, name):
+    sc = presets.scenario_preset(name)
+    assert isinstance(sc._memo, _ReadOnlyMemo)
+    state = PhaseState(*presets.default_initial_state(sc))
+    tangent.lyapunov_spectrum(sc, state, T=0.1, dt=1e-2)
+    n = sc.dim
+    tv = tangent.TangentVector(0.1, np.full(n - 1, 0.1), np.full(n - 1, -0.1))
+    tangent.linearized_run(sc, state, tv, T=0.1, dt=1e-2)
+    traj = flows.integrate(sc, state, T=0.1, dt=1e-2)
+    tangent.transport_frame(sc, traj)
+    flows.integrate(sc, state, T=0.1, dt=1e-2, kind="weyl_geodesic")
+    geo.curvature_sign_scan(sc, 2, 5, 0, include_field_planes=True)
+    assert not sc.local(state.q).g.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_census_builds_at_most_two_tensors_per_point(name):
+    sc = presets.scenario_preset(name)
+    builds = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out is not None:      # riemann_tensor is None without a closed form
+                builds.append(fn)
+            return out
+        return wrapper
+
+    sc._curvature_tensor = counted(sc._curvature_tensor)
+    sc.metric_family.riemann_tensor = counted(sc.metric_family.riemann_tensor)
+    n_points = 3
+    geo.curvature_sign_scan(sc, n_points, 20, 0, include_field_planes=True)
+    assert 0 < len(builds) <= 2 * n_points
+
+
+def test_tensor_route_does_not_read_the_closed_form_riemann_tensor(monkeypatch):
+    sc = presets.hyperbolic_geodesic()
+    closed = sc.metric_family.riemann_tensor
+    monkeypatch.setattr(sc.metric_family, "riemann_tensor", lambda q: 1.01 * closed(q))
+    census = geo.curvature_sign_scan(sc, 2, 5, 0)
+    assert min(s.route_discrepancy for s in census.samples) >= 1e-3
