@@ -7,7 +7,10 @@ candidate circle image at once on arc subdivisions, then refined to 1e-12 in
 time by a safeguarded Newton method (``_rtsafe``) with analytic derivatives.
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
-at each specular reflection.
+at each specular reflection, as scalar arithmetic: a unit vector and two
+log-sums, renormalised by a closed-form 2x2 Gram-Schmidt at every event.  The
+exponents obey the pair identity lambda1 + lambda2 = sbar, the time average
+of -phi(v), which ``run_billiard`` reports as a residual.
 """
 from __future__ import annotations
 
@@ -68,20 +71,21 @@ class BilliardTable:
         self._check_disjoint()
         ca, sa = np.cos(self.field_angle), np.sin(self.field_angle)
         self._rot = np.array([[ca, sa], [-sa, ca]])      # world -> aligned
+        self.field = self.a * np.array([ca, sa])
         self._centers = np.array([s.center for s in self.scatterers])
         self._radii = np.array([s.radius for s in self.scatterers])
         shifts = np.array([(mx, my) for mx in (-1, 0, 1) for my in (-1, 0, 1)]) * self.periods
         self._image_centers = (self._centers[:, None, :] + shifts).reshape(-1, 2)
         self._image_radii = np.repeat(self._radii, len(shifts))
-        # search cell width: h <= r_min/4 and h <= 1/(4|E|) (see _search_window)
+        # search cell width (see _search_window): h <= r_min/4, h <= 1/(4|E|) and
+        # h <= sqrt(1 - r|E|)/|E| on every scatterer with r|E| < 1
         self.cell = self._radii.min() / 4.0
         if self.a > 0:
             self.cell = min(self.cell, 0.25 / self.a)
+            re = self._radii * self.a
+            if (re < 1.0).any():
+                self.cell = min(self.cell, math.sqrt(1.0 - re[re < 1.0].max()) / self.a)
         self.horizon_finite = self._compute_horizon()
-
-    @property
-    def field(self):
-        return self.a * np.array([np.cos(self.field_angle), np.sin(self.field_angle)])
 
     def to_aligned(self, x):
         return self._rot @ x
@@ -240,6 +244,7 @@ class OpenFlight:
     time_of_flight: float
     end_q: np.ndarray
     end_v: np.ndarray
+    theta_end_aligned: float    # velocity angle at the cap, before rotating back to world
 
 
 def free_flight(table, q, v):
@@ -270,7 +275,8 @@ def free_flight(table, q, v):
         t_lo = t_hi
     if best is None:
         end_a, end_va = flight.pos_vel(t_cap)
-        return OpenFlight(t_cap, table.from_aligned(end_a), table.from_aligned(end_va))
+        return OpenFlight(t_cap, table.from_aligned(end_a), table.from_aligned(end_va),
+                          math.atan2(end_va[1], end_va[0]))
 
     t_star, idx, c, shift = best
     x, y, vx, vy = flight.pos_vel_scalar(t_star)
@@ -308,7 +314,8 @@ def _search_window(flight, table, t_lo, t_hi):
     than one cell are ruled out; the rest go to ``_first_crossing``.
 
     Completeness.  The grid cell is at most h = ``table.cell`` with
-    h <= r_min/4 and h <= 1/(4|E|).
+    h <= r_min/4, h <= 1/(4|E|) and, on every scatterer with r|E| < 1,
+    h <= sqrt(1 - r|E|)/|E|.
 
     * The flight has unit speed, so every point of the arc lies within half
       a cell of a grid point.  An image whose grid distances all exceed one
@@ -319,13 +326,16 @@ def _search_window(flight, table, t_lo, t_hi):
       >= -|E|.  Where g falls through zero (the arc turns back towards c),
       g' = 1 + <p - c, v'> <= 0 forces u >= 1/|E|, and within time h of that
       point u >= 1/|E| - |E| h^2/2 > r whenever 1 - r|E| > (h|E|)^2/2.  The
-      cell width guarantees this for every r|E| < 0.97 (h|E| <= r|E|/4 and
-      <= 1/4).  Then on every cell that meets the disc g changes sign at
-      most once, from - to +, so |p - c| first falls and then rises: an
-      entry shows either as a sign change of d between two grid points or,
-      when the arc enters and leaves inside one cell, as a dip (both ends
-      outside, g < 0 at the start and > 0 at the end) whose closest
-      approach lies inside the circle, and each bracket holds one root.
+      last cell bound gives (h|E|)^2/2 <= (1 - r|E|)/2, so this holds on
+      every scatterer with r|E| < 1.  Then on every cell that meets the
+      disc g changes sign at most once, from - to +, so |p - c| first falls
+      and then rises: an entry shows either as a sign change of d between
+      two grid points or, when the arc enters and leaves inside one cell, as
+      a dip (both ends outside, g < 0 at the start and > 0 at the end) whose
+      closest approach lies inside the circle, and each bracket holds one
+      root.
+    * For a scatterer with r|E| >= 1 the second step fails, so completeness
+      is unproven on it; it adds no cell bound of its own.
     """
     h = table.cell
     n_seg = max(2, int(np.ceil((t_hi - t_lo) / h)))
@@ -497,21 +507,36 @@ def exp_map_check(samples_aligned, field_magnitude):
 
 # -- tangent propagation -------------------------------------------------------
 
+def _flight_entries(a, theta0, theta1, tof):
+    """(F00, F01) of the flight map F = [[F00, F01], [0, 1]] from theta0 to theta1.
+
+    F00 = sin(theta1)/sin(theta0) = e^{-int phi}; along +-E it is the decay
+    e^{-+a tof}, and with a = 0 the map is the free shear [[1, tof], [0, 1]].
+    """
+    if a == 0.0:
+        return 1.0, tof
+    s0, s1 = math.sin(theta0), math.sin(theta1)
+    if abs(s0) < 1e-12:  # straight flight along +-E
+        sign = 1.0 if abs(theta0) < np.pi / 2 else -1.0
+        decay = math.exp(-sign * a * tof)
+        return decay, (1.0 - decay) / (sign * a)
+    return s1 / s0, (1.0 / a) * (math.cos(theta1) - s1 * math.cos(theta0) / s0)
+
+
 def flight_tangent_matrix(a, theta0, theta1, tof):
     """Quotient tangent map of a flight in the (xi, chi) frame coordinates.
 
     From the linearized system  xi' = -a cos(theta) xi + chi, chi' = 0
     (zero Weyl curvature on the flat 2-torus with constant field).
     """
-    if a == 0.0:
-        return np.array([[1.0, tof], [0.0, 1.0]])
-    s0, s1 = np.sin(theta0), np.sin(theta1)
-    if abs(s0) < 1e-12:  # straight flight along +-E
-        sign = 1.0 if abs(theta0) < np.pi / 2 else -1.0
-        decay = np.exp(-sign * a * tof)
-        return np.array([[decay, (1.0 - decay) / (sign * a)], [0.0, 1.0]])
-    shear = (1.0 / a) * (np.cos(theta1) - s1 * np.cos(theta0) / s0)
-    return np.array([[s1 / s0, shear], [0.0, 1.0]])
+    f, shear = _flight_entries(a, theta0, theta1, tof)
+    return np.array([[f, shear], [0.0, 1.0]])
+
+
+def _reflection_kick(table, r, normal, cos_incidence=1.0):
+    """Kick 2 (1/r + <N, E>) / cos(theta) of a reflection off a circle of radius r;
+    cos 1 is normal incidence."""
+    return 2.0 * (1.0 / r + float(table.field @ normal)) / cos_incidence
 
 
 def reflection_tangent_matrix(table, event):
@@ -530,8 +555,8 @@ def reflection_tangent_matrix(table, event):
 
 
 def _reflection_matrix(table, r, normal, cos_incidence=1.0):
-    """The kick of reflection_tangent_matrix off a circle of radius r; cos 1 is normal incidence."""
-    kick = 2.0 * (1.0 / r + float(table.field @ normal)) / cos_incidence
+    """-[[1, 0], [kick, 1]], the reflection map off a circle of radius r."""
+    kick = _reflection_kick(table, r, normal, cos_incidence)
     return -np.array([[1.0, 0.0], [kick, 1.0]])
 
 
@@ -544,26 +569,69 @@ class BilliardRun:
     lambda1: float = None
     exponents: np.ndarray = None
     collision_times: np.ndarray = None
+    sbar: float = None             # time average of -phi(v) = -<E, q_end - q0> / total_time
+    pair_residual: float = None    # |lambda1 + lambda2 - sbar|
+
+
+def _aligned_angle(table, v):
+    """Angle of the world vector v from the field direction."""
+    va = table.to_aligned(v)
+    return math.atan2(va[1], va[0])
+
+
+def _tangent_step(tangent, f, shear, kick):
+    """One flight, or flight and reflection, of the quotient tangent map.
+
+    tangent = (u0, u1, l0, l1): u is the first column of Q in the running
+    factorisation M = Q R' (Q orthogonal, diag(R') > 0) and l0, l1 are the
+    log-sums of diag(R').  The step applies A = R F with F = [[f, shear],
+    [0, 1]] and R = [[1, 0], [kick, 1]] (kick 0 for a flight alone; the
+    reflection map is -R, whose sign flips Q only).  Closed-form Gram-Schmidt
+    of A Q: r11 = |A u| and the new u is A u / r11; Q's second column is u
+    turned by a quarter turn and is never needed, since r22 = |det(A Q)| / r11
+    and |det(A Q)| = |f| (det R = 1).  Taking |f| in place of a0 c1 - a1 c0
+    keeps r22's digits on strongly contracting flights.
+    """
+    u0, u1, l0, l1 = tangent
+    a0 = f * u0 + shear * u1
+    c0 = kick * a0 + u1
+    r11 = math.hypot(a0, c0)
+    log_r11 = math.log(r11)
+    return a0 / r11, c0 / r11, l0 + log_r11, l1 + math.log(abs(f)) - log_r11
 
 
 def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
     """Iterate free flight + specular reflection for n_collisions events.
 
-    With tangent propagation, the 2x2 quotient map is accumulated per
-    collision with QR renormalization and the top exponent is reported per
-    unit time.  Grazing collisions are skipped (counted) by restarting the
-    flight just past the impact.
+    With tangent propagation, the 2x2 quotient map is carried as four floats
+    (``_tangent_step``): a unit vector and two log-sums, renormalised by a
+    closed-form Gram-Schmidt after every flight and every collision.  The
+    exponents are the log-sums per unit time.  The flight map needs the
+    aligned velocity angle at each end of each flight: the end angle comes
+    with the event, and the start angle is carried over from the previous
+    event (``theta_out_aligned`` after a reflection).
+
+    Pair identity: det F = sin(theta1)/sin(theta0) = e^{-int phi} and
+    det R = 1, so lambda1 + lambda2 equals ``sbar``, the time average of
+    -phi(v).  The flights' int phi telescope along the unwrapped path to
+    <E, q_end - q0>, so ``sbar`` costs one dot product; ``pair_residual``
+    is the gap between the two.
+
+    Grazing collisions are skipped (counted) by restarting the flight just
+    past the impact; the tangent map composes the flight up to the restart
+    and drops only the reflection.
     """
     q = np.asarray(q0, dtype=float)
     v = np.asarray(v0, dtype=float)
     v = v / np.linalg.norm(v)
+    start = q
     events = []
     t_total = 0.0
     grazing = 0
     open_count = 0
     consecutive_caps = 0
-    M = np.eye(2)
-    lsum = np.zeros(2)
+    tangent = (1.0, 0.0, 0.0, 0.0)
+    th0 = _aligned_angle(table, v)              # aligned angle at the flight's start
     times = []
 
     while len(events) < n_collisions:
@@ -574,14 +642,11 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
             if consecutive_caps > MAX_CONSECUTIVE_CAPS:
                 raise InvalidStateError("infinite-horizon abort: too many capped flights")
             if with_tangent:
-                fm = flight_tangent_matrix(
-                    table.a,
-                    float(np.arctan2(table.to_aligned(v)[1], table.to_aligned(v)[0])),
-                    float(np.arctan2(table.to_aligned(ev.end_v)[1],
-                                     table.to_aligned(ev.end_v)[0])),
-                    ev.time_of_flight)
-                M = fm @ M
+                f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned,
+                                           ev.time_of_flight)
+                tangent = _tangent_step(tangent, f, shear, 0.0)
             q, v = ev.end_q, ev.end_v
+            th0 = _aligned_angle(table, v)
             t_total += ev.time_of_flight
             continue
         consecutive_caps = 0
@@ -589,29 +654,36 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
         if ev.grazing:
             grazing += 1
             # restart just past the tangency, keeping the incoming direction
+            t_skip = ev.time_of_flight + 1e-9
             fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
-            qa, va = fl.pos_vel(ev.time_of_flight + 1e-9)
+            qa, va = fl.pos_vel(t_skip)
+            if with_tangent:
+                f, shear = _flight_entries(table.a, th0, math.atan2(va[1], va[0]), t_skip)
+                tangent = _tangent_step(tangent, f, shear, 0.0)
             q, v = table.from_aligned(qa), table.from_aligned(va)
+            th0 = _aligned_angle(table, v)
             continue
         if with_tangent:
-            th0 = float(np.arctan2(table.to_aligned(v)[1], table.to_aligned(v)[0]))
-            fm = flight_tangent_matrix(table.a, th0, ev.theta_in_aligned,
-                                       ev.time_of_flight)
-            rm = reflection_tangent_matrix(table, ev)
-            M = rm @ fm @ M
-            Q, R = np.linalg.qr(M)
-            lsum += np.log(np.abs(np.diag(R)))
-            M = Q * np.where(np.diag(R) >= 0, 1.0, -1.0)
+            f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
+            kick = _reflection_kick(table, table.scatterers[ev.scatterer].radius,
+                                    ev.normal, ev.cos_incidence)
+            tangent = _tangent_step(tangent, f, shear, kick)
         q, v = reflect(ev)
+        th0 = ev.theta_out_aligned
         events.append(ev)
         times.append(t_total)
 
-    exps = np.sort(lsum / t_total)[::-1] if with_tangent else None
+    sbar = -float(table.field @ (q - start)) / t_total
+    exps = pair_residual = None
+    if with_tangent:
+        exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]
+        pair_residual = abs(float(exps.sum()) - sbar)
     return BilliardRun(events=events, total_time=t_total, grazing_count=grazing,
                        open_count=open_count,
                        lambda1=float(exps[0]) if with_tangent else None,
                        exponents=exps,
-                       collision_times=np.array(times))
+                       collision_times=np.array(times),
+                       sbar=sbar, pair_residual=pair_residual)
 
 
 # -- periodic orbits -----------------------------------------------------------

@@ -623,12 +623,14 @@ def _task_billiard(cfg, outdir):
                                  with_tangent=True)
     header = ["index", "t", "scatterer", "impact_x", "impact_y",
               "angle_in", "angle_out"]
-    rows = []
-    for i, ev in enumerate(run.events):
-        p = table.wrap(ev.point)
-        rows.append([i, run.collision_times[i], ev.scatterer, p[0], p[1],
-                     float(np.arctan2(ev.v_in[1], ev.v_in[0])),
-                     float(np.arctan2(ev.v_out[1], ev.v_out[0]))])
+    events = run.events
+    p = table.wrap(np.array([ev.point for ev in events]))
+    v_in = np.array([ev.v_in for ev in events])
+    v_out = np.array([ev.v_out for ev in events])
+    rows = zip(range(len(events)), run.collision_times.tolist(),
+               [ev.scatterer for ev in events], p[:, 0].tolist(), p[:, 1].tolist(),
+               np.arctan2(v_in[:, 1], v_in[:, 0]).tolist(),
+               np.arctan2(v_out[:, 1], v_out[:, 0]).tolist())
     conv = billiards.weyl_convexity(table)
     summary = {
         "collisions": len(run.events),

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -352,8 +355,11 @@ def _explicit():
 
 
 @pytest.mark.parametrize("table", [presets.sinai_thermostat(), _explicit(),
-                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0)],
-                         ids=["sinai_thermostat", "explicit_rE_0.9", "zero_field"])
+                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0),
+                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.99 / 0.2,
+                                                    0.3)],
+                         ids=["sinai_thermostat", "explicit_rE_0.9", "zero_field",
+                              "rE_0.99"])
 def test_search_grid_obeys_completeness_bounds(table, monkeypatch):
     r_min = min(s.radius for s in table.scatterers)
     assert table.cell <= r_min / 4
@@ -531,3 +537,96 @@ def test_outside_matches_image_loop():
         inside = any(np.hypot(*(qw - s.center - (mx, my))) < s.radius - 1e-6
                      for s in table.scatterers for mx in (-1, 0, 1) for my in (-1, 0, 1))
         assert table.outside(q, tol=1e-6) == (not inside)
+
+
+# -- tangent bookkeeping: pair identity, matrix replay, grazing restart --------
+START_Q = np.array([0.7, 0.25])
+START_V = np.array([np.cos(0.6), np.sin(0.6)])
+
+
+def _open_table(field):
+    """One small scatterer, field at an irrational angle: infinite horizon, open flights."""
+    return bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), 0.05)], field, math.sqrt(2.0))
+
+
+TANGENT_TABLES = {
+    "sinai_thermostat": presets.sinai_thermostat,
+    "explicit_rE_0.9": _explicit,
+    "sinai_zero_field": lambda: presets.sinai_thermostat(re_product=0.0),
+    "open_flights": lambda: _open_table(0.5),
+}
+# |E| = 3 aligns v with E to below roundoff on open flights; the matrix route's
+# r22 then loses digits, so this table is checked by the pair identity only
+PAIR_TABLES = dict(TANGENT_TABLES, open_flights_E3=lambda: _open_table(3.0))
+
+
+def _qr_replay(table, q, v, n_collisions):
+    """Exponents by the matrix route: flight and reflection matrices composed
+    from the engine's events, np.linalg.qr after every flight and every
+    collision, start angles taken from the world velocities."""
+    def angle(w):
+        wa = table.to_aligned(w)
+        return float(np.arctan2(wa[1], wa[0]))
+
+    M, lsum, t, hits = np.eye(2), np.zeros(2), 0.0, 0
+    while hits < n_collisions:
+        ev = bl.free_flight(table, q, v)
+        t += ev.time_of_flight
+        if isinstance(ev, bl.OpenFlight):
+            M = bl.flight_tangent_matrix(table.a, angle(v), ev.theta_end_aligned,
+                                         ev.time_of_flight) @ M
+            q, v = ev.end_q, ev.end_v
+        else:
+            F = bl.flight_tangent_matrix(table.a, angle(v), ev.theta_in_aligned,
+                                         ev.time_of_flight)
+            M = bl.reflection_tangent_matrix(table, ev) @ F @ M
+            q, v = ev.point, ev.v_out
+            hits += 1
+        Q, R = np.linalg.qr(M)
+        lsum += np.log(np.abs(np.diag(R)))
+        M = Q * np.sign(np.diag(R))
+    return np.sort(lsum / t)[::-1]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TABLES))
+def test_billiard_pair_identity(name):
+    # det F = e^{-int phi} and det R = 1: lambda1 + lambda2 = sbar
+    table = PAIR_TABLES[name]()
+    run = bl.run_billiard(table, START_Q, START_V, 300, with_tangent=True)
+    assert run.pair_residual < 1e-10
+    if table.a == 0.0:
+        assert run.sbar == 0.0
+    else:
+        assert run.sbar < 0.0       # the thermostat contracts phase volume
+    if name.startswith("open_flights"):
+        assert run.open_count > 0
+
+
+@pytest.mark.parametrize("name", sorted(TANGENT_TABLES))
+def test_scalar_tangent_bookkeeping_matches_matrix_qr(name):
+    table = TANGENT_TABLES[name]()
+    run = bl.run_billiard(table, START_Q, START_V, 300, with_tangent=True)
+    assert run.grazing_count == 0
+    assert run.lambda1 == run.exponents[0]
+    np.testing.assert_allclose(run.exponents, _qr_replay(table, START_Q, START_V, 300),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_grazing_restart_composes_its_flight_map(monkeypatch):
+    # a fake tangency half-way along the fifth flight: the run restarts there,
+    # outside every scatterer, and drops only the reflection
+    real = bl.free_flight
+    calls = [0]
+
+    def marking(table, q, v):
+        ev = real(table, q, v)
+        calls[0] += 1
+        if calls[0] == 5:
+            return dataclasses.replace(ev, time_of_flight=0.5 * ev.time_of_flight,
+                                       grazing=True)
+        return ev
+
+    monkeypatch.setattr(bl, "free_flight", marking)
+    run = bl.run_billiard(_explicit(), START_Q, START_V, 300, with_tangent=True)
+    assert run.grazing_count == 1
+    assert run.pair_residual < 1e-10

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from weylflow import cli
+from weylflow import billiards, cli
 from weylflow.errors import ConfigError
 
 
@@ -136,6 +136,23 @@ def test_billiard_dispatch(tmp_path):
     assert lines[0].split(",") == ["index", "t", "scatterer", "impact_x",
                                    "impact_y", "angle_in", "angle_out"]
     assert len(lines) == 51
+
+
+def test_billiard_rows_match_per_event_reference(tmp_path):
+    q0, v0 = [0.7, 0.25], [float(np.cos(0.6)), float(np.sin(0.6))]
+    cfg = cli.parse_config({"task": "billiard", "preset": "sinai_thermostat",
+                            "initial": {"q": q0, "v": v0},
+                            "numerics": {"n_collisions": 200}})
+    cli.dispatch(cfg, out_override=tmp_path)
+    table = cfg.table
+    run = billiards.run_billiard(table, np.array(q0), np.array(v0), 200)
+    ref = ["index,t,scatterer,impact_x,impact_y,angle_in,angle_out"]
+    for i, ev in enumerate(run.events):
+        p = table.wrap(ev.point)
+        row = [i, run.collision_times[i], ev.scatterer, p[0], p[1],
+               np.arctan2(ev.v_in[1], ev.v_in[0]), np.arctan2(ev.v_out[1], ev.v_out[0])]
+        ref.append(",".join(cli.fmt(x) for x in row))
+    assert (tmp_path / "collisions.csv").read_text() == "\n".join(ref) + "\n"
 
 
 def test_orbit_stability_dispatch(tmp_path):
