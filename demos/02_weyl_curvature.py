@@ -2,7 +2,8 @@
 
 The curvature of the plane span{X, Y} is computed two ways: from the
 curvature tensor of the connection, and from the closed formula
-K(plane) - |E_perp|^2 - div_plane E.  The sign census is what matters for
+K(plane) - |E_perp|^2 - div_plane E.  The census holds every plane's values
+as stacked arrays (census.samples); the route gap is their largest difference.  The sign census is what matters for
 hyperbolicity: everywhere-negative curvature forces a positive top Lyapunov
 exponent.
 """
@@ -17,7 +18,8 @@ for name in ["torus3_constant", "sol_scan", "flat2_gradient", "product_mixed",
                                           include_field_planes=True)
     print(f"{name:22s} min {census.min:+.4f}  max {census.max:+.4f}  "
           f"neg {census.count_negative:5d}  zero {census.count_zero:4d}  "
-          f"pos {census.count_positive:4d}")
+          f"pos {census.count_positive:4d}  "
+          f"route gap {census.samples.route_discrepancy.max():.1e}")
 
 # worst-case check of the sufficient hyperbolicity margin on the
 # negative-curvature chart with a constant-norm rotational field

@@ -116,8 +116,8 @@ def criterion_4(ctx):
         X, Y = geometry.gram_schmidt_plane(sc, q, E, rng.standard_normal(3))
         worst_eplane = max(worst_eplane, abs(geometry.sectional_weyl(sc, q, X, Y).Khat))
     census = geometry.curvature_sign_scan(sc, n_points=100, n_planes=100, seed=4)
-    others_negative = all(
-        s.Khat < 0 for s in census.samples if abs(s.Khat) > 1e-9)
+    khat = census.samples.Khat
+    others_negative = bool((khat[np.abs(khat) > 1e-9] < 0).all())
     ok = (worst_eplane < 1e-9 and census.count_positive == 0 and others_negative)
     return CriterionResult(4, "torus_curvature_signs", ok,
                            f"|Khat| on E-planes {worst_eplane:.2e} < 1e-9; census +{census.count_positive}"

@@ -12,6 +12,7 @@ files; the manifest records a digest of everything written.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -59,13 +60,16 @@ class RunConfig:
     echo: dict
 
 
+FLOAT_FORMAT = "%.17g"   # 17 significant digits: every float64 reads back exactly
+
+
 def fmt(x):
     """Fixed 17-significant-digit float formatting for reproducible CSV."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return "%.17g" % float(x)
+    return FLOAT_FORMAT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +496,32 @@ def _parse_document(doc):
 # ---------------------------------------------------------------------------
 
 def _write_text(path, text):
-    path.write_text(text, encoding="utf-8", newline="")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"name": path.name, "sha256": digest, "bytes": path.stat().st_size}
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data)}
+
+
+def _cell_format(cls):
+    """The % conversion of one CSV cell type: fmt's rule for numbers, str otherwise."""
+    if issubclass(cls, (int, np.integer)):      # bool too: "%d" % True == "1"
+        return "%d"
+    if issubclass(cls, (float, np.floating)):
+        return FLOAT_FORMAT
+    return "%s"
+
+
+@functools.cache
+def _row_format(types):
+    """One % format string for a whole row, from its tuple of cell types."""
+    return ",".join(map(_cell_format, types))
 
 
 def _csv(rows, header):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(x) if isinstance(x, (int, float, np.floating, np.integer, bool))
-                              else str(x) for x in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     return "\n".join(lines) + "\n"
 
 
@@ -532,11 +552,8 @@ def _task_simulate(cfg, outdir):
     n = cfg.scenario.dim
     header = (["t"] + [f"q{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
               + ["speed_residual", "energy_residual", "int_phi"])
-    rows = [
-        [traj.times[i], *traj.q[i], *traj.v[i], traj.speed_residual[i],
-         traj.energy_residual[i], traj.int_phi[i]]
-        for i in range(len(traj.times))
-    ]
+    rows = np.column_stack([traj.times, traj.q, traj.v, traj.speed_residual,
+                            traj.energy_residual, traj.int_phi]).tolist()
     files = [_write_text(outdir / "trajectory.csv", _csv(rows, header))]
     summary = {
         "samples": len(traj.times),
@@ -590,14 +607,14 @@ def _task_curvature_scan(cfg, outdir):
     header = ([f"q{i}" for i in range(n)] + [f"X{i}" for i in range(n)]
               + [f"Y{i}" for i in range(n)]
               + ["K", "Khat_tensor", "Khat_formula", "margin"])
-    rows = [[*s.q, *s.X, *s.Y, s.K, s.Khat_tensor, s.Khat, s.margin]
-            for s in census.samples]
+    s = census.samples
+    rows = np.column_stack([s.q, s.X, s.Y, s.K, s.Khat_tensor, s.Khat, s.margin]).tolist()
     summary = {
         "min": census.min, "max": census.max,
         "count_negative": census.count_negative,
         "count_zero": census.count_zero,
         "count_positive": census.count_positive,
-        "samples": len(census.samples),
+        "samples": len(rows),
     }
     files = [_write_text(outdir / "curvature_scan.csv", _csv(rows, header)),
              _write_text(outdir / "census.json", _json_text(summary))]

@@ -9,10 +9,16 @@ computed two ways and both are reported:
 where Rhat_a is the g-antisymmetric part of the Weyl curvature operator,
 E_perp the component of E orthogonal to Pi, and div_Pi E the partial
 divergence  <grad_X E, X> + <grad_Y E, Y>  (Levi-Civita).
+
+Shapes: the plane functions take one plane at a point q (shape (n,)) as two
+(n,) vectors, or a stack of P planes at q as two (P, n) arrays.  A stack
+gives (P, n, n) curvature operators and a CurvatureSample of (P,) curvatures
+and (P, n) vectors; one plane gives an (n, n) operator and float curvatures,
+from the same code with P = 1.  No intermediate holds more than P n^2 floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +39,8 @@ class ConnectionCoefficients:
 
 @dataclass
 class CurvatureSample:
+    """One plane (float fields, (n,) vectors) or a stack of P planes ((P,) and (P, n))."""
+
     q: np.ndarray
     X: np.ndarray
     Y: np.ndarray
@@ -50,18 +58,38 @@ class CurvatureSample:
         return self.Khat + 0.25 * self.E_plane_sq
 
 
+def _rows(V):
+    return np.atleast_2d(np.asarray(V, dtype=float))
+
+
+def _dot(U, V):
+    """Row-wise dot products of two (P, n) stacks."""
+    return (U * V).sum(axis=-1)
+
+
+def _orthonormalize(g, X, Y):
+    """g-orthonormalize the rows of (X, Y); also returns the (P,) masks of a zero
+    first vector and of any degenerate row (|X| < 1e-12, or |Y - <X, Y> X| < 1e-10)."""
+    xx = _dot(X @ g, X)
+    X = X / np.sqrt(np.maximum(xx, 1e-24))[:, None]    # the floors only keep bad rows finite
+    Y = Y - _dot(X @ g, Y)[:, None] * X
+    yy = _dot(Y @ g, Y)
+    zero = xx < 1e-24
+    return X, Y / np.sqrt(np.maximum(yy, 1e-20))[:, None], zero, zero | (yy < 1e-20)
+
+
 def gram_schmidt_plane(scenario, q, X, Y):
-    """Orthonormalize (X, Y) w.r.t. g at q; raises on a degenerate plane."""
-    g = scenario.metric(q)
-    nx = np.sqrt(max(X @ g @ X, 0.0))
-    if nx < 1e-12:
+    """Orthonormalize (X, Y) w.r.t. g at q; raises on a degenerate plane.
+
+    X, Y are (n,) vectors or (P, n) stacks of P planes; the result has their shape.
+    """
+    single = np.ndim(X) == 1
+    X, Y, zero, bad = _orthonormalize(scenario.metric(q), _rows(X), _rows(Y))
+    if zero.any():
         raise DegeneratePlaneError(f"zero vector in plane basis at q={q}")
-    X = X / nx
-    Y = Y - (X @ g @ Y) * X
-    ny = np.sqrt(max(Y @ g @ Y, 0.0))
-    if ny < 1e-10:
+    if bad.any():
         raise DegeneratePlaneError(f"vectors do not span a plane at q={q}")
-    return X, Y / ny
+    return (X[0], Y[0]) if single else (X, Y)
 
 
 def christoffel(scenario, q):
@@ -82,53 +110,75 @@ def weyl_connection(scenario, q):
 
 
 def antisymmetric_split(scenario, q, A):
-    """Split operator A into g-antisymmetric and g-symmetric parts at q."""
+    """Split operator A (n, n), or a (P, n, n) stack, into g-antisymmetric and
+    g-symmetric parts at q."""
     loc = scenario.local(q)
-    adjoint = loc.ginv @ A.T @ loc.g
+    adjoint = loc.ginv @ np.swapaxes(A, -1, -2) @ loc.g
     return 0.5 * (A - adjoint), 0.5 * (A + adjoint)
 
 
+def _plane_operator(R, X, Y):
+    """(P, n, n) stack [p, d, c] = R^d_{cab} X_p^a Y_p^b.
+
+    One (P, n^2) x (n^2, n^2) product over the outer products X_p (x) Y_p, so no
+    intermediate is larger than P n^2 floats.
+    """
+    P, n = X.shape
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(P, n * n)
+    return (XY @ R.reshape(n * n, n * n).T).reshape(P, n, n)
+
+
 def curvature_operator(scenario, q, X, Y):
-    """Matrix of the Weyl curvature operator Rhat(X, Y) acting on tangent vectors at q."""
+    """Matrix of the Weyl curvature operator Rhat(X, Y) acting on tangent vectors at q.
+
+    X, Y are (n,) vectors, giving an (n, n) matrix, or (P, n) stacks, giving (P, n, n).
+    """
     q = np.asarray(q, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gram = (X @ X) * (Y @ Y) - (X @ Y) ** 2
-    if gram < 1e-20:
+    single = np.ndim(X) == 1
+    X, Y = _rows(X), _rows(Y)
+    gram = _dot(X, X) * _dot(Y, Y) - _dot(X, Y) ** 2
+    if (gram < 1e-20).any():
         raise DegeneratePlaneError(f"X, Y linearly dependent at q={q}")
-    return np.einsum("dcab,a,b->dc", scenario.curvature_hat_tensor(q), X, Y)
+    A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
+    return A[0] if single else A
 
 
 def sectional_weyl(scenario, q, X, Y):
-    """Sectional Weyl curvature of span{X, Y} by both routes."""
+    """Sectional Weyl curvature of span{X, Y} by both routes.
+
+    X, Y are (n,) vectors, giving float fields, or (P, n) stacks of P planes at
+    the one point q, giving (P,) fields; either way one pass of array operations.
+    """
     q = np.asarray(q, dtype=float)
-    X, Y = gram_schmidt_plane(scenario, q, np.asarray(X, float), np.asarray(Y, float))
+    single = np.ndim(X) == 1
+    X, Y = gram_schmidt_plane(scenario, q, _rows(X), _rows(Y))
     loc = scenario.local(q)
-    g = loc.g
+    gX, gY = X @ loc.g, Y @ loc.g                       # rows: <X_p, .>, <Y_p, .>
 
-    op_a, _ = antisymmetric_split(scenario, q, curvature_operator(scenario, q, X, Y))
-    khat_tensor = float(X @ g @ (op_a @ Y))
+    # Gram-Schmidt has already rejected dependent pairs: no curvature_operator check
+    A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
+    op_a, _ = antisymmetric_split(scenario, q, A)
+    khat_tensor = _dot(gX, np.einsum("pdc,pc->pd", op_a, Y))
 
-    R_lc = scenario.curvature_lc_tensor(q)
-    K = float(X @ g @ np.einsum("dcab,c,a,b->d", R_lc, Y, X, Y))
+    A_lc = _plane_operator(scenario.curvature_lc_tensor(q), X, Y)
+    K = _dot(gX, np.einsum("pdc,pc->pd", A_lc, Y))
 
-    E = loc.E
-    e_x = float(X @ g @ E)
-    e_y = float(Y @ g @ E)
-    E_plane = e_x * X + e_y * Y
-    E_perp = E - E_plane
-    E_perp_sq = float(E_perp @ g @ E_perp)
+    e_x = gX @ loc.E
+    e_y = gY @ loc.E
+    E_perp = loc.E - e_x[:, None] * X - e_y[:, None] * Y
+    E_perp_sq = _dot(E_perp @ loc.g, E_perp)
     E_plane_sq = e_x**2 + e_y**2
 
-    div_plane = float(X @ g @ (loc.N @ X) + Y @ g @ (loc.N @ Y))
+    div_plane = _dot(gX, X @ loc.N.T) + _dot(gY, Y @ loc.N.T)
 
     khat_formula = K - E_perp_sq - div_plane
-    return CurvatureSample(
-        q=q, X=X, Y=Y, K=K,
-        Khat=khat_formula, Khat_tensor=khat_tensor,
-        route_discrepancy=abs(khat_formula - khat_tensor),
-        E_perp_sq=E_perp_sq, div_plane=div_plane, E_plane_sq=E_plane_sq,
-    )
+    values = dict(K=K, Khat=khat_formula, Khat_tensor=khat_tensor,
+                  route_discrepancy=np.abs(khat_formula - khat_tensor),
+                  E_perp_sq=E_perp_sq, div_plane=div_plane, E_plane_sq=E_plane_sq)
+    if single:
+        return CurvatureSample(q=q, X=X[0], Y=Y[0],
+                               **{k: float(v[0]) for k, v in values.items()})
+    return CurvatureSample(q=np.broadcast_to(q, X.shape), X=X, Y=Y, **values)
 
 
 def jacobi_operator(scenario, q, v, frame):
@@ -168,14 +218,22 @@ def anosov_margin(scenario, q, X, Y):
     return sectional_weyl(scenario, q, X, Y).margin
 
 
-def sample_plane(scenario, q, rng):
-    """Orthonormalized pair of standard Gaussian vectors: uniform on the Grassmannian."""
+def sample_plane(scenario, q, rng, count=None):
+    """Orthonormalized pairs of standard Gaussian vectors: uniform on the Grassmannian.
+
+    One plane as two (n,) vectors, or with count=P two (P, n) stacks drawn as
+    one (P, 2, n) block, the same stream as P single draws.  A degenerate row
+    (probability zero) is redrawn after the block.
+    """
+    g = scenario.metric(q)
+    Z = rng.standard_normal((1 if count is None else count, 2, scenario.dim))
+    X, Y, _, bad = _orthonormalize(g, Z[:, 0], Z[:, 1])
     for _ in range(64):
-        Z = rng.standard_normal((2, scenario.dim))
-        try:
-            return gram_schmidt_plane(scenario, q, Z[0], Z[1])
-        except DegeneratePlaneError:
-            continue
+        if not bad.any():
+            return (X[0], Y[0]) if count is None else (X, Y)
+        Z = rng.standard_normal((int(bad.sum()), 2, scenario.dim))
+        X[bad], Y[bad], _, redo = _orthonormalize(g, Z[:, 0], Z[:, 1])
+        bad[bad] = redo
     raise DegeneratePlaneError("could not draw an independent pair")
 
 
@@ -186,7 +244,7 @@ class SignCensus:
     count_negative: int
     count_zero: int
     count_positive: int
-    samples: list
+    samples: CurvatureSample   # every field stacked over all planes of all points
 
 
 def curvature_sign_scan(scenario, n_points, n_planes, seed, include_field_planes=False):
@@ -194,26 +252,26 @@ def curvature_sign_scan(scenario, n_points, n_planes, seed, include_field_planes
 
     With include_field_planes, one plane containing E is added per point
     (skipped where E vanishes).  Zero threshold is ZERO_CENSUS_TOL absolute.
+    Each point's planes go through sectional_weyl as one stack.
     """
     rng = np.random.default_rng(np.random.Philox(seed))
-    values = []
-    samples = []
+    per_point = []
     for _ in range(n_points):
         q = scenario.sample_point(rng)
-        planes = [sample_plane(scenario, q, rng) for _ in range(n_planes)]
+        X, Y = sample_plane(scenario, q, rng, n_planes)
         if include_field_planes:
             E = scenario.field(q)
             if scenario.norm(q, E) > 1e-12:
                 try:
-                    planes.append(gram_schmidt_plane(
-                        scenario, q, E, rng.standard_normal(scenario.dim)))
+                    x, y = gram_schmidt_plane(scenario, q, E, rng.standard_normal(scenario.dim))
                 except DegeneratePlaneError:
                     pass
-        for X, Y in planes:
-            s = sectional_weyl(scenario, q, X, Y)
-            values.append(s.Khat)
-            samples.append(s)
-    values = np.array(values)
+                else:
+                    X, Y = np.vstack([X, x]), np.vstack([Y, y])
+        per_point.append(sectional_weyl(scenario, q, X, Y))
+    samples = CurvatureSample(**{f.name: np.concatenate([getattr(s, f.name) for s in per_point])
+                                 for f in fields(CurvatureSample)})
+    values = samples.Khat
     return SignCensus(
         min=float(values.min()),
         max=float(values.max()),

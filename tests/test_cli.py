@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from weylflow import billiards, cli
+from weylflow import billiards, cli, geometry
 from weylflow.errors import ConfigError
 
 
@@ -220,6 +221,54 @@ def test_float_formatting_17_digits():
     assert cli.fmt(1.0 / 3.0) == "0.33333333333333331"
     assert cli.fmt(7) == "7"
     assert cli.fmt(True) == "1"
+
+
+
+def _reference_csv(rows, header):
+    """The per-cell rule: fmt for Python and numpy numbers and bools, str otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli.fmt(x) if isinstance(x, (int, float, np.floating,
+                                                            np.integer, bool))
+                              else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_cell_reference():
+    rows = [
+        [0.1, np.float64(1 / 3), np.float32(0.1), 7, np.int64(-3), np.int32(2**31 - 1)],
+        [True, False, np.bool_(True), "PASS", '"quoted, text"', None],
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan"), -0.0, 1e-310],
+        [2**70, np.uint64(2**64 - 1), 1e300, np.float16(0.5), "x", 3],
+        (1.5, 2, "tuple row", np.float64(-np.inf), False, 0),
+        [0.1, np.float64(1 / 3), np.float32(0.1), 7, np.int64(-3), np.int32(2**31 - 1)],
+    ]
+    rows.append(np.array([[1.0, 2.5, -1e-20, np.nan, np.inf, 0.0]]).tolist()[0])
+    header = [f"c{i}" for i in range(6)]
+    assert cli._csv(rows, header) == _reference_csv(rows, header)
+    assert cli._csv(iter(rows), header) == _reference_csv(rows, header)
+    assert cli._csv([], header) == "c0,c1,c2,c3,c4,c5\n"
+
+
+def test_write_text_records_the_bytes_written(tmp_path):
+    text = "a,b\r\n\u00e9,\u2202\n"
+    entry = cli._write_text(tmp_path / "out.csv", text)
+    data = (tmp_path / "out.csv").read_bytes()
+    assert data == text.encode("utf-8")
+    assert entry == {"name": "out.csv", "sha256": hashlib.sha256(data).hexdigest(),
+                     "bytes": len(data)}
+
+
+def test_curvature_scan_rows_match_per_plane_reference(tmp_path):
+    cfg = cli.parse_config({"task": "curvature-scan", "preset": "product_mixed",
+                            "numerics": {"n_points": 3, "n_planes": 7, "seed": 2}})
+    cli.dispatch(cfg, out_override=tmp_path)
+    s = geometry.curvature_sign_scan(cfg.scenario, 3, 7, 2, include_field_planes=True).samples
+    rows = [[*s.q[i], *s.X[i], *s.Y[i], s.K[i], s.Khat_tensor[i], s.Khat[i], s.margin[i]]
+            for i in range(len(s.Khat))]
+    header = (tmp_path / "curvature_scan.csv").read_text().splitlines()[0].split(",")
+    assert len(rows) == 24
+    assert (tmp_path / "curvature_scan.csv").read_text() == _reference_csv(rows, header)
 
 
 BILLIARD = {"periods": [1.0, 1.0],

@@ -599,4 +599,187 @@ def test_tensor_route_does_not_read_the_closed_form_riemann_tensor(monkeypatch):
     closed = sc.metric_family.riemann_tensor
     monkeypatch.setattr(sc.metric_family, "riemann_tensor", lambda q: 1.01 * closed(q))
     census = geo.curvature_sign_scan(sc, 2, 5, 0)
-    assert min(s.route_discrepancy for s in census.samples) >= 1e-3
+    assert census.samples.route_discrepancy.min() >= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# batched planes: one stack of P planes per point
+# ---------------------------------------------------------------------------
+
+def _reference_plane(sc, q, X, Y):
+    """(K, Khat_tensor, Khat, margin) of one g-orthonormal plane by plain matrix products."""
+    loc = sc.local(q)
+    g = loc.g
+    A = np.tensordot(sc.curvature_hat_tensor(q), np.outer(X, Y), axes=2)
+    A_anti = 0.5 * (A - np.linalg.inv(g) @ A.T @ g)
+    khat_tensor = X @ g @ A_anti @ Y
+    K = X @ g @ np.tensordot(sc.curvature_lc_tensor(q), np.outer(X, Y), axes=2) @ Y
+    e_x, e_y = X @ g @ loc.E, Y @ g @ loc.E
+    E_perp = loc.E - e_x * X - e_y * Y
+    div = X @ g @ loc.N @ X + Y @ g @ loc.N @ Y
+    khat = K - E_perp @ g @ E_perp - div
+    return K, khat_tensor, khat, khat + 0.25 * (e_x**2 + e_y**2)
+
+
+def _assert_matches_reference(sc, samples):
+    ref = np.array([_reference_plane(sc, q, X, Y)
+                    for q, X, Y in zip(samples.q, samples.X, samples.Y)])
+    got = np.column_stack([samples.K, samples.Khat_tensor, samples.Khat, samples.margin])
+    scale = np.maximum(np.abs(ref).max(axis=0), 1e-12)   # a column of rounding noise is 0
+    assert (np.abs(got - ref) <= 1e-12 * scale).all(), np.abs(got - ref).max(axis=0)
+
+
+def _product8():
+    """An n = 8 product: a curvature -1 chart with a gradient field times a
+    conformal torus with a Fourier field."""
+    U = FourierField(4, [((1, 0, 0, 1), 0.01, 0.0), ((0, 1, 1, 0), 0.0, 0.008)])
+    s1 = WeylScenario(ConstantCurvatureChart(-1.0, 4), GradientField(U))
+    sigma = FourierField(4, [((1, 0, 1, 0), 0.1, 0.0), ((0, 1, 0, 1), 0.0, 0.05)])
+    E2 = FourierComponentsField([FourierField(4, [((0, 0, 1, 0), 0.4, 0.1)]),
+                                 FourierField(4, [((1, 0, 0, 0), 0.0, 0.3)]),
+                                 FourierField(4, [((0, 0, 0, 0), 0.2, 0.0)]),
+                                 FourierField(4)])
+    return product_scenario(s1, WeylScenario(ConformalTorus(sigma), E2))
+
+
+BATCH_CASES = dict(presets.GEOMETRY_PRESETS, product8=_product8)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_census_matches_per_plane_reference(name):
+    sc = BATCH_CASES[name]()
+    census = geo.curvature_sign_scan(sc, 3, 20, 5, include_field_planes=True)
+    s = census.samples
+    n_rows = len(s.Khat)
+    assert 60 <= n_rows <= 63
+    assert s.q.shape == s.X.shape == s.Y.shape == (n_rows, sc.dim)
+    _assert_matches_reference(sc, s)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_of_planes_agrees_with_single_plane_calls(name):
+    sc = BATCH_CASES[name]()
+    rng = np.random.default_rng(np.random.Philox(31))
+    q = sc.sample_point(rng)
+    Z = rng.standard_normal((12, 2, sc.dim))
+    batch = geo.sectional_weyl(sc, q, Z[:, 0], Z[:, 1])
+    singles = [geo.sectional_weyl(sc, q, x, y) for x, y in zip(Z[:, 0], Z[:, 1])]
+    for field in ("X", "Y", "K", "Khat", "Khat_tensor", "E_perp_sq", "div_plane",
+                  "E_plane_sq", "margin"):
+        got = getattr(batch, field)
+        want = np.array([getattr(t, field) for t in singles])
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), field
+    assert all(type(t.Khat) is float and t.X.shape == (sc.dim,) for t in singles)
+    assert np.array_equal(batch.q, np.broadcast_to(q, batch.X.shape))
+
+
+def test_batch_with_one_degenerate_plane_raises():
+    sc = presets.scenario_preset("sol_scan")
+    rng = np.random.default_rng(np.random.Philox(32))
+    q = sc.sample_point(rng)
+    X, Y = rng.standard_normal((2, 6, 3))
+    Y[4] = 2.0 * X[4]                        # exactly dependent: the Gram determinant is 0
+    for fn in (geo.sectional_weyl, geo.gram_schmidt_plane, geo.curvature_operator):
+        with pytest.raises(DegeneratePlaneError):
+            fn(sc, q, X, Y)
+    X[4] = 0.0
+    with pytest.raises(DegeneratePlaneError, match="zero vector"):
+        geo.gram_schmidt_plane(sc, q, X, Y)
+
+
+def test_plane_block_is_the_stream_of_single_draws():
+    sc = presets.scenario_preset("product_mixed")
+    q = sc.sample_point(np.random.default_rng(33))
+    a = np.random.default_rng(np.random.Philox(34))
+    b = np.random.default_rng(np.random.Philox(34))
+    X, Y = geo.sample_plane(sc, q, a, 15)
+    singles = np.array([geo.sample_plane(sc, q, b) for _ in range(15)])
+    assert np.abs(X - singles[:, 0]).max() <= 1e-15
+    assert np.abs(Y - singles[:, 1]).max() <= 1e-15
+    assert a.standard_normal() == b.standard_normal()
+
+
+class _ScriptedNormals:
+    """An rng whose standard_normal returns prescribed blocks in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def standard_normal(self, shape):
+        block = self.blocks.pop(0)
+        assert block.shape == shape
+        return block
+
+
+def test_degenerate_row_of_a_plane_block_is_redrawn():
+    sc = presets.scenario_preset("torus3_constant")
+    q = sc.sample_point(np.random.default_rng(35))
+    block = np.random.default_rng(36).standard_normal((5, 2, 3))
+    block[1, 1] = 3.0 * block[1, 0]          # dependent pair
+    block[3, 0] = 0.0                        # zero first vector
+    redraw = np.random.default_rng(37).standard_normal((2, 2, 3))
+    X, Y = geo.sample_plane(sc, q, _ScriptedNormals(block, redraw), 5)
+    kept = [0, 2, 4]
+    want_X, want_Y = geo.gram_schmidt_plane(sc, q, block[kept, 0], block[kept, 1])
+    assert np.array_equal(X[kept], want_X) and np.array_equal(Y[kept], want_Y)
+    want_X, want_Y = geo.gram_schmidt_plane(sc, q, redraw[:, 0], redraw[:, 1])
+    assert np.array_equal(X[[1, 3]], want_X) and np.array_equal(Y[[1, 3]], want_Y)
+
+
+# ---------------------------------------------------------------------------
+# property tests on random Fourier data
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPERTIES = settings(max_examples=40, deadline=1000, derandomize=True)
+
+
+@st.composite
+def _fourier(draw, dim, amplitude):
+    """A FourierField with 1-3 terms, integer wavevectors in [-2, 2], small amplitudes."""
+    n_terms = draw(st.integers(1, 3))
+    coef = st.floats(-amplitude, amplitude, allow_nan=False)
+    terms = [(tuple(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))),
+              draw(coef), draw(coef)) for _ in range(n_terms)]
+    return FourierField(dim, terms)
+
+
+@st.composite
+def _conformal_scenario(draw):
+    """A conformal torus with random sigma and a gradient, constant or Fourier field."""
+    dim = draw(st.sampled_from([2, 3]))
+    sigma = draw(_fourier(dim, 0.15))
+    kind = draw(st.sampled_from(["gradient", "constant", "fourier"]))
+    if kind == "gradient":
+        field = GradientField(draw(_fourier(dim, 0.3)))
+    elif kind == "constant":
+        field = ConstantField(draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                                            min_size=dim, max_size=dim)))
+    else:
+        field = FourierComponentsField([draw(_fourier(dim, 0.5)) for _ in range(dim)])
+    return WeylScenario(ConformalTorus(sigma), field)
+
+
+@PROPERTIES
+@given(sc=_conformal_scenario(), seed=st.integers(0, 2**16))
+def test_property_curvature_routes_agree_on_a_batch_of_planes(sc, seed):
+    rng = np.random.default_rng(np.random.Philox(seed))
+    q = sc.sample_point(rng)
+    X, Y = geo.sample_plane(sc, q, rng, 8)
+    s = geo.sectional_weyl(sc, q, X, Y)
+    assert s.route_discrepancy.max() < 1e-6
+
+
+@PROPERTIES
+@given(sc=_conformal_scenario(), seed=st.integers(0, 2**16))
+def test_property_jacobi_operator_matches_tensor_route(sc, seed):
+    rng = np.random.default_rng(np.random.Philox(seed))
+    q = sc.sample_point(rng)
+    v = rng.standard_normal(sc.dim)
+    v = v / sc.norm(q, v)
+    frame = tangent.complete_frame(sc, q, v)
+    closed = geo.jacobi_operator(sc, q, v, frame)
+    oracle = _jacobi_tensor_route(sc, q, v, frame)
+    assert np.abs(closed - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
