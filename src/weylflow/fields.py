@@ -1,11 +1,14 @@
 """Scalar and vector field families with closed-form derivatives.
 
-Scalar fields expose value/grad/hess; vector (thermostat) fields expose one
-``jet(q, metric)`` that returns the contravariant components and their
-Jacobian together, raising indices with the metric's jet at q (see
-metrics.MetricJet), so a point costs one evaluation.  Everything is evaluated in
-chart coordinates and is deterministic: the same point always returns the
-same bits.
+Scalar fields expose value/grad/hess.  A FourierField also has grad_hess:
+both derivatives from one cos/sin evaluation, bit for bit equal to grad and
+hess; the gradient and reduced fields read their potential through it.
+
+Vector (thermostat) fields expose one ``jet(q, metric)`` that returns the
+contravariant components and their Jacobian together, raising indices with
+the metric's jet at q (see metrics.MetricJet), so a point costs one
+evaluation.  Everything is evaluated in chart coordinates and is
+deterministic: the same point always returns the same bits.
 """
 from __future__ import annotations
 
@@ -57,6 +60,15 @@ class FourierField:
         arg = self.freq @ np.asarray(q, dtype=float)
         coef = -self.a * np.cos(arg) - self.b * np.sin(arg)
         return (self.freq.T * coef) @ self.freq
+
+    def grad_hess(self, q):
+        """(grad(q), hess(q)) from one evaluation of the cosines and sines."""
+        if len(self.a) == 0:
+            return np.zeros(self.dim), np.zeros((self.dim, self.dim))
+        arg = self.freq @ np.asarray(q, dtype=float)
+        cos, sin = np.cos(arg), np.sin(arg)
+        return ((-self.a * sin + self.b * cos) @ self.freq,
+                (self.freq.T * (-self.a * cos - self.b * sin)) @ self.freq)
 
     @property
     def is_zero(self):
@@ -162,7 +174,8 @@ class GradientField(VectorField):
         self.potential = potential
 
     def jet(self, q, metric):
-        return metric.raise_index(-self.potential.grad(q), -self.potential.hess(q))
+        grad, hess = self.potential.grad_hess(q)
+        return metric.raise_index(-grad, -hess)
 
     @property
     def is_zero(self):
@@ -267,8 +280,8 @@ class ReducedField(VectorField):
 
     def jet(self, q, metric):
         m = self.h - self.potential.value(q)
-        gw = self.potential.grad(q)
-        grad_w, dgrad_w = metric.raise_index(gw, self.potential.hess(q))
+        gw, hw = self.potential.grad_hess(q)
+        grad_w, dgrad_w = metric.raise_index(gw, hw)
         E, dE = self.base.jet(q, metric)
         num = E - grad_w
         dnum = dE - dgrad_w

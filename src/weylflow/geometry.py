@@ -26,6 +26,7 @@ from .errors import DegeneratePlaneError
 from .scenario import WeylScenario, product_scenario  # noqa: F401  (re-export)
 
 ZERO_CENSUS_TOL = 1e-9  # |Khat| below this counts as an analytic zero in scans
+DEPENDENCE_TOL = 1e-12  # curvature_operator rejects X, Y whose angle has sin^2 at most this
 
 
 @dataclass
@@ -136,8 +137,9 @@ def curvature_operator(scenario, q, X, Y):
     q = np.asarray(q, dtype=float)
     single = np.ndim(X) == 1
     X, Y = _rows(X), _rows(Y)
-    gram = _dot(X, X) * _dot(Y, Y) - _dot(X, Y) ** 2
-    if (gram < 1e-20).any():
+    xx_yy = _dot(X, X) * _dot(Y, Y)
+    # relative bound: sin^2 of the angle; an exactly dependent pair leaves ~1e-15 of roundoff
+    if (xx_yy - _dot(X, Y) ** 2 <= DEPENDENCE_TOL * xx_yy).any():
         raise DegeneratePlaneError(f"X, Y linearly dependent at q={q}")
     A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
     return A[0] if single else A
@@ -191,25 +193,38 @@ def jacobi_operator(scenario, q, v, frame):
                   + phi_a phi_b - < grad_{e_b} E, e_a >
 
     The last term is not symmetrized: for a non-closed E the matrix is not
-    symmetric.  N is identically 0 on a zero field and on a homogeneous
-    scenario; its terms are skipped there, where they would cost about a
-    quarter of a kernel call.
+    symmetric.  This is the public wrapper of the formula: it forms the
+    frame's products itself, where the co-integration kernel passes its own.
     """
     loc = scenario.local(q)
+    ge = frame if scenario.metric_family.is_flat else frame @ loc.g
+    return _jacobi(scenario, q, loc, v, frame, ge, ge @ loc.E)
+
+
+def _jacobi(scenario, q, loc, v, frame, ge, phi_e):
+    """The Jacobi matrix at the point record loc = scenario.local(q), given the
+    frame's products ge = frame @ g (rows <e_a, .>; frame itself when flat) and
+    phi_e = ge @ E.
+
+    The curvature and field terms share one sandwich ge @ (W @ frame.T) with
+    W = R(., v) v - N.  N is identically 0 on a zero field and on a
+    homogeneous scenario; its terms are skipped there, where they would cost
+    about a quarter of a kernel call.
+    """
     flat = scenario.metric_family.is_flat
-    ge = frame if flat else frame @ loc.g       # rows: <e_a, .>
-    phi_e = ge @ loc.E
-    Rmat = np.outer(phi_e, phi_e)
+    Rmat = phi_e[:, None] * phi_e
     shift = float(phi_e @ phi_e)
-    if not (scenario.is_homogeneous or scenario.field_is_zero):
-        shift += float((v if flat else loc.g @ v) @ (loc.N @ v))
-        Rmat -= ge @ (loc.N @ frame.T)
-    Rmat.flat[:: len(Rmat) + 1] -= shift
+    W = None
     if not flat:
         n = scenario.dim
         R = scenario.curvature_lc_tensor(q)
-        Rvv = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)  # [d, a] = R^d_{cab} v^c v^b
-        Rmat += ge @ (Rvv @ frame.T)
+        W = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)  # [d, a] = R^d_{cab} v^c v^b
+    if not (scenario.is_homogeneous or scenario.field_is_zero):
+        shift += float((v if flat else loc.g @ v) @ (loc.N @ v))
+        W = -loc.N if W is None else W - loc.N
+    if W is not None:
+        Rmat += ge @ (W @ frame.T)
+    Rmat.flat[:: len(Rmat) + 1] -= shift
     return Rmat
 
 

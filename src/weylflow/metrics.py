@@ -4,7 +4,11 @@ Each family evaluates its local data once per point in ``jet(q)``, which
 returns a ``MetricJet`` sharing the family's intermediates (the conformal
 factor and its gradient, e^{+-2z} on SOL, the factors' jets on a product).
 Every family has closed-form Christoffel symbols and derivatives; finite
-differences exist only as a cross-check in the tests.  Index conventions:
+differences exist only as a cross-check in the tests.  The flat torus, the
+constant-curvature chart, SOL and the 2-dimensional conformal torus also give
+the Levi-Civita curvature tensor in closed form (``riemann_tensor``); the
+others return None there and the scenario assembles R from the Christoffels.
+Index conventions:
 
     jet(q).g[i, j]              = g_ij
     jet(q).ginv[i, j]           = g^ij
@@ -216,6 +220,9 @@ class ConstantCurvatureChart(MetricFamily):
         return move, push
 
 
+_SOL_PLANE_CURVATURE = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])
+
+
 class SolGroup(MetricFamily):
     """SOL geometry chart: e^{2z} dx^2 + e^{-2z} dy^2 + dz^2."""
 
@@ -238,6 +245,12 @@ class SolGroup(MetricFamily):
         D[2, 2, 0, 0] = -2 * np.exp(2 * q[2])
         D[2, 2, 1, 1] = -2 * np.exp(-2 * q[2])
         return D
+
+    def riemann_tensor(self, q):
+        """R^d_{cab} = K_ab g_cc (delta^d_a delta_cb - delta^d_b delta_ca): the coordinate
+        planes have sectional curvature K_xy = 1, K_xz = K_yz = -1 and R is diagonal on them."""
+        g_diag = np.array([np.exp(2 * q[2]), np.exp(-2 * q[2]), 1.0])
+        return _curvature_basis(3) * (g_diag[:, None, None] * _SOL_PLANE_CURVATURE)
 
     def sample_point(self, rng):
         return np.array([rng.uniform(), rng.uniform(), rng.uniform(-1.0, 1.0)])

@@ -72,6 +72,7 @@ class WeylScenario:
         # constant metric and constant field components: all Weyl data is q-independent
         self.is_homogeneous = (metric_family.is_constant_metric
                                and self.field_spec.constant_on(self))
+        self.field_is_zero = self.field_spec.is_zero   # read by every Jacobi evaluation
         self._memo = {}    # quantity name -> (key, value), see _per_point
         self._validate()
 
@@ -133,10 +134,6 @@ class WeylScenario:
 
     def phi(self, q, X):
         return float(self.one_form(q) @ X)
-
-    @property
-    def field_is_zero(self):
-        return self.field_spec.is_zero
 
     def sample_point(self, rng):
         return self.metric_family.sample_point(rng)

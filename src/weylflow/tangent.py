@@ -11,9 +11,12 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-Each kernel call evaluates its point once, as scenario.local(q), and
-geometry.jacobi_operator reads the same remembered record to build R in closed
-form from the Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
+Each kernel call is one pass over its point: one scenario.local(q) lookup,
+one product frame @ g and one phi(e_a) = (frame @ g) @ E, which the kernel
+uses for the transport and hands to the Jacobi core (geometry._jacobi,
+whose public wrapper is geometry.jacobi_operator).  The core builds R in
+closed form from the Levi-Civita curvature and grad E (N X = grad_X E,
+phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
               + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -25,6 +28,11 @@ tensor route there (both give exactly 0 on the flat 2-torus with constant E);
 the other form moves the attractor exponents {0, -1} by about 0.16.  The last
 term is not symmetrized, since R is not symmetric for a non-closed E.  The
 full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
+
+Each RK4 stage writes its derivative into one fresh array.  A QR event makes
+no kernel call of its own: its J-separation margin is read from the next
+step's k1, which evaluates the same post-cleanup, post-QR (q, v, frame), so a
+Lyapunov run of n steps makes 4 n + 1 kernel calls.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ import numpy as np
 
 from .errors import FrameCollapseError, NonFiniteStateError
 from .flows import PhaseState, rk4_step, step_count
-from .geometry import jacobi_operator
+from .geometry import _jacobi
 from .metrics import ConstantCurvatureChart
 
 CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
@@ -139,26 +147,26 @@ def _gram_schmidt_frame(g, v, frame):
 class _Kernel:
     """Per-step geometric coefficients for the co-integrated system."""
 
-    def __init__(self, scenario):
+    def __init__(self, scenario, need_R=True):
         self.sc = scenario
         self.flat = scenario.metric_family.is_flat
+        self.need_R = need_R
 
-    def __call__(self, q, v, frame, need_R=True):
+    def __call__(self, q, v, frame):
         loc = self.sc.local(q)
         E = loc.E
-        phi_vec = E if self.flat else loc.phi
-        phi_v = float(phi_vec @ v)
-        phi_e = frame @ phi_vec
-        ve = frame @ (v if self.flat else loc.g @ v)
+        ge = frame if self.flat else frame @ loc.g    # rows: <e_a, .>
+        phi_e = ge @ E
+        phi_v = float((E if self.flat else loc.phi) @ v)
         dv = E - phi_v * v
         # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
-        de = phi_e[:, None] * (-v)[None, :] + ve[:, None] * E[None, :]
+        de = (ge @ v)[:, None] * E - phi_e[:, None] * v
         if not self.flat:
             # gv[k, j] = Gamma^k_{ij} v^i
             gv = loc.gamma.transpose(0, 2, 1) @ v
             dv = dv - gv @ v
             de = de - frame @ gv.T
-        Rmat = jacobi_operator(self.sc, q, v, frame) if need_R else None
+        Rmat = _jacobi(self.sc, q, loc, v, frame, ge, phi_e) if self.need_R else None
         return phi_v, phi_e, dv, de, Rmat
 
 
@@ -174,8 +182,7 @@ def transport_frame(scenario, trajectory):
 
 def linearized_rhs(scenario, frame, tangent):
     """Right-hand side of the quotient linearization at a single frame point."""
-    kern = _Kernel(scenario)
-    phi_v, phi_e, _, _, Rmat = kern(frame.state.q, frame.state.v, frame.vectors)
+    phi_v, phi_e, _, _, Rmat = _Kernel(scenario)(frame.state.q, frame.state.v, frame.vectors)
     dxi0 = float(phi_e @ tangent.xi)
     dxi = -phi_v * tangent.xi + tangent.chi
     dchi = -Rmat @ tangent.xi
@@ -187,13 +194,19 @@ def jform(xi, chi):
     return float(np.dot(xi, chi))
 
 
+def _jsep_margin(M, Rmat):
+    """(|chi|^2 - <R xi, xi>) / (|xi|^2 + |chi|^2) for the first column [xi; chi] of M."""
+    nm1 = len(Rmat)
+    xi, chi = M[:nm1, 0], M[nm1:, 0]
+    return float(chi @ chi - xi @ (Rmat @ xi)) / float(xi @ xi + chi @ chi)
+
+
 def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
                   tangent0=None, with_xi0=False, qr_accumulate=False, burn_in=0.0):
     n = scenario.dim
     nm1 = n - 1
     k = n_cols
-    kern = _Kernel(scenario)
-    need_R = k > 0
+    kern = _Kernel(scenario, need_R=k > 0)
     collect_series = with_xi0 or k == 1
 
     fam = scenario.metric_family
@@ -219,16 +232,23 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
                 y[o_M:o_x].reshape(2 * nm1, k), y[o_x:o_p])
 
     def deriv(y):
+        # a fresh array per call: rk4_step holds k1..k4 at once, and k1 is read again
         q, v, frame, M, _ = split(y)
-        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame, need_R=need_R)
-        parts = [v, dv, de.ravel()]
+        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
+        out = np.empty(len(y))
+        out[:n] = v
+        out[n:o_e] = dv
+        out[o_e:o_M] = de.ravel()
         if k:
             Mxi = M[:nm1]
-            parts.append(np.vstack([-phi_v * Mxi + M[nm1:], -Rmat @ Mxi]).ravel())
+            dM = out[o_M:o_x].reshape(2 * nm1, k)
+            np.multiply(Mxi, -phi_v, out=dM[:nm1])
+            dM[:nm1] += M[nm1:]
+            np.matmul(-Rmat, Mxi, out=dM[nm1:])
             if with_xi0:
-                parts.append(phi_e @ Mxi)
-        parts.append([phi_v])
-        return np.concatenate(parts), Rmat
+                np.matmul(phi_e, Mxi, out=out[o_x:o_p])
+        out[-1] = phi_v
+        return out, Rmat
 
     def rhs(y):
         return deriv(y)[0]
@@ -256,9 +276,14 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
     lsum = np.zeros(k) if qr_accumulate else None
     windows = {"t": [], "lam": [], "sbar": [], "jsep": []} if qr_accumulate else None
 
+    margin_due = False   # a QR event left its J-separation margin to this k1
     for i in range(n_steps + 1):
         k1, Rmat = deriv(y)
         hist[i] = y
+        if margin_due:
+            # the post-cleanup, post-QR (q, v, frame) of the event is this k1's point
+            windows["jsep"].append(_jsep_margin(split(y)[3], Rmat))
+            margin_due = False
         if collect_series:
             M = split(y)[3]
             out["phi_v"][i] = k1[-1]
@@ -297,15 +322,10 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
                 if step_no > burn_steps:
                     lsum += np.log(np.abs(diag))
                     t_since = (step_no - burn_steps) * dt
-                    _, _, _, _, Rmat_now = kern(q, v, frame, need_R=True)
-                    col_xi = M[:nm1, 0]
-                    col_chi = M[nm1:, 0]
-                    denom = float(col_xi @ col_xi + col_chi @ col_chi)
-                    jsep = float(col_chi @ col_chi - col_xi @ (Rmat_now @ col_xi)) / denom
                     windows["t"].append(initial.t + step_no * dt)
                     windows["lam"].append(lsum / t_since)
                     windows["sbar"].append(-float(y[-1]) / (step_no * dt))
-                    windows["jsep"].append(jsep)
+                    margin_due = True
 
     out["lsum"] = lsum
     out["windows"] = windows

@@ -167,3 +167,12 @@ def test_reduced_field_formula():
 def test_periods_must_be_positive_and_finite(make, periods):
     with pytest.raises(InvalidStateError):
         make(periods)
+
+
+@pytest.mark.parametrize("terms", [[], [((1, 0), 0.3, -0.2), ((2, 1), 0.0, 0.5),
+                                        ((0, 3), 0.1, 0.0)]])
+def test_fourier_grad_hess_is_grad_and_hess_bit_for_bit(terms):
+    f = FourierField(2, terms, periods=(1.0, 2.5))
+    for q in np.random.default_rng(7).uniform(-2.0, 2.0, (20, 2)):
+        grad, hess = f.grad_hess(q)
+        assert np.array_equal(grad, f.grad(q)) and np.array_equal(hess, f.hess(q))

@@ -172,6 +172,16 @@ def test_curvature_operator_rejects_dependent_vectors():
         geo.curvature_operator(sc, [0.1, 0.1], [1.0, 2.0], [2.0, 4.0])
 
 
+def test_curvature_operator_rejects_exact_multiples_whatever_their_roundoff():
+    # (X.X)(Y.Y) - (X.Y)^2 of Y = c X is roundoff of either sign, about 1e-15 of (X.X)(Y.Y)
+    sc = presets.scenario_preset("sol_scan")
+    q = sc.sample_point(np.random.default_rng(np.random.Philox(32)))
+    for X in np.random.default_rng(5).standard_normal((200, 3)):
+        for c in (-2.5, 3.0, 0.1, -7.0):
+            with pytest.raises(DegeneratePlaneError):
+                geo.curvature_operator(sc, q, X, c * X)
+
+
 def test_sectional_weyl_flat3_constant_field():
     a = 0.8
     sc = WeylScenario(FlatTorus((1, 1, 1)), ConstantField([a, 0, 0]))
@@ -407,6 +417,15 @@ def test_conformal_torus_riemann_closed_form_matches_assembly():
     sigma = FourierField(2, [((1, 0), 0.15, 0.0), ((1, 1), 0.0, 0.06)])
     sc = WeylScenario(ConformalTorus(sigma))
     rng = np.random.default_rng(19)
+    for _ in range(10):
+        q = sc.sample_point(rng)
+        closed = sc.metric_family.riemann_tensor(q)
+        assert np.abs(closed - sc._curvature_tensor(q, weyl=False)).max() < 1e-12
+
+
+def test_sol_riemann_closed_form_matches_assembly():
+    sc = presets.scenario_preset("sol_scan")
+    rng = np.random.default_rng(20)
     for _ in range(10):
         q = sc.sample_point(rng)
         closed = sc.metric_family.riemann_tensor(q)
@@ -783,3 +802,26 @@ def test_property_jacobi_operator_matches_tensor_route(sc, seed):
     closed = geo.jacobi_operator(sc, q, v, frame)
     oracle = _jacobi_tensor_route(sc, q, v, frame)
     assert np.abs(closed - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
+
+
+@PROPERTIES
+@given(sc=_conformal_scenario(), seed=st.integers(0, 2**16))
+def test_property_weyl_connection_is_compatible(sc, seed):
+    # the central difference's O(step^2) truncation grows with sigma's third
+    # derivative: about 3e-8 at the default step on these wavevectors, 1.4e-9 at 2e-6
+    rng = np.random.default_rng(np.random.Philox(seed))
+    for _ in range(4):
+        q = sc.sample_point(rng)
+        X = rng.standard_normal(sc.dim)
+        assert geo.compatibility_residual(sc, q, X, step=2e-6) < 1e-8
+
+
+# about 0.3 s an example: no deadline, which a slow machine would turn into flakes
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(sc=_conformal_scenario(), seed=st.integers(0, 2**16))
+def test_property_isokinetic_involution_round_trip(sc, seed):
+    st0 = PhaseState(*presets.default_initial_state(sc, seed))
+    f = flows.integrate(sc, st0, T=0.4, dt=1e-3)
+    b = flows.integrate(sc, flows.involution(f.state(-1)), T=0.4, dt=1e-3)
+    assert np.abs(b.q[-1] - st0.q).max() < 1e-6
+    assert np.abs(b.v[-1] + st0.v).max() < 1e-6

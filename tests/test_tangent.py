@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylflow import flows, presets, tangent
+from weylflow import geometry as geo
 from weylflow.fields import ConstantField
 from weylflow.flows import PhaseState, involution
 from weylflow.metrics import FlatTorus
@@ -219,3 +220,49 @@ def test_corollary_sign_check_negative_curvature_runs():
     assert rep.exponents[-1] < 0
     growth, decay = rep.volume_growth, rep.volume_decay
     assert growth > 0 > decay
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_kernel_jacobi_matrix_matches_public_operator(name):
+    # the kernel feeds the Jacobi core its own frame @ g and phi(e_a)
+    sc = presets.scenario_preset(name)
+    kern = tangent._Kernel(sc)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        q = sc.sample_point(rng)
+        v = rng.standard_normal(sc.dim)
+        v = v / sc.norm(q, v)
+        frame = tangent.complete_frame(sc, q, v)
+        want = geo.jacobi_operator(sc, q, v, frame)
+        got = kern(q, v, frame)[4]
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_potential", "sol_scan"])
+def test_jsep_margins_match_the_post_qr_states(name):
+    # every QR event, the last step's included, reads its margin at the state it left
+    sc = presets.scenario_preset(name)
+    st = PhaseState(*presets.default_initial_state(sc, seed=3))
+    T, dt, every = 1.0, 5e-3, 10
+    run = tangent._co_integrate(sc, st, T=T, dt=dt, n_cols=2 * (sc.dim - 1),
+                                renorm_every=every, qr_accumulate=True, burn_in=0.1)
+    jsep = np.array(run["windows"]["jsep"])
+    events = np.arange(run["burn_steps"] + every, flows.step_count(T, dt) + 1, every)
+    assert len(jsep) == len(events) == len(run["windows"]["t"])
+    nm1 = sc.dim - 1
+    for i, got in zip(events, jsep):
+        Rmat = geo.jacobi_operator(sc, run["q"][i], run["v"][i], run["frames"][i])
+        xi, chi = run["M"][i][:nm1, 0], run["M"][i][nm1:, 0]
+        want = (chi @ chi - xi @ Rmat @ xi) / (xi @ xi + chi @ chi)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_lyapunov_run_makes_four_kernel_calls_per_step(monkeypatch):
+    calls = []
+    call = tangent._Kernel.__call__
+    monkeypatch.setattr(tangent._Kernel, "__call__",
+                        lambda self, *args: calls.append(1) or call(self, *args))
+    sc = presets.scenario_preset("hyperbolic_potential")
+    T, dt = 0.5, 5e-3
+    tangent.lyapunov_spectrum(sc, PhaseState(*presets.default_initial_state(sc)), T=T, dt=dt)
+    assert len(calls) == 4 * flows.step_count(T, dt) + 1
