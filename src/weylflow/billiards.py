@@ -217,12 +217,6 @@ class ThermostatFlight:
         y = self.q0[1] + (self.theta0 - th) / self.a
         return x, y, (1.0 - T * T) / den, 2.0 * T / den
 
-    def int_phi(self, t):
-        """Line integral of phi along the flight: a * (x(t) - x(0))."""
-        if self.a == 0.0:
-            return 0.0 * np.asarray(t, dtype=float)
-        return self.a * (self.pos(t)[..., 0] - self.q0[0])
-
 
 @dataclass
 class CollisionEvent:
@@ -611,11 +605,16 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
     with the event, and the start angle is carried over from the previous
     event (``theta_out_aligned`` after a reflection).
 
+    Before every flight q is wrapped into the fundamental cell and the
+    lattice shift it took off is added to two integers, so q never grows
+    past the digits the flight's start check needs, however far the field
+    drives the particle.
+
     Pair identity: det F = sin(theta1)/sin(theta0) = e^{-int phi} and
     det R = 1, so lambda1 + lambda2 equals ``sbar``, the time average of
     -phi(v).  The flights' int phi telescope along the unwrapped path to
-    <E, q_end - q0>, so ``sbar`` costs one dot product; ``pair_residual``
-    is the gap between the two.
+    <E, q_end + shift * periods - q0>, so ``sbar`` costs one dot product;
+    ``pair_residual`` is the gap between the two.
 
     Grazing collisions are skipped (counted) by restarting the flight just
     past the impact; the tangent map composes the flight up to the restart
@@ -625,6 +624,7 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
     v = np.asarray(v0, dtype=float)
     v = v / np.linalg.norm(v)
     start = q
+    shift = np.zeros(2, dtype=np.int64)          # lattice cells left behind by the wraps
     events = []
     t_total = 0.0
     grazing = 0
@@ -635,6 +635,8 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
     times = []
 
     while len(events) < n_collisions:
+        cells, q = np.divmod(q, table.periods)
+        shift += cells.astype(np.int64)
         ev = free_flight(table, q, v)
         if isinstance(ev, OpenFlight):
             open_count += 1
@@ -673,7 +675,7 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
         events.append(ev)
         times.append(t_total)
 
-    sbar = -float(table.field @ (q - start)) / t_total
+    sbar = -float(table.field @ (q + shift * table.periods - start)) / t_total
     exps = pair_residual = None
     if with_tangent:
         exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]

@@ -42,9 +42,16 @@ TASKS = ("simulate", "lyapunov", "curvature-scan", "billiard",
 
 MAX_DIM = 8   # largest manifold dimension a config may ask for (arrays grow as n^4)
 
-NUMERIC_DEFAULTS = {
-    "dt": 1e-3, "T": 100.0, "renorm_every": 10, "seed": 0,
-    "n_collisions": 1000, "n_points": 100, "n_planes": 100, "burn_in": 0.0,
+# numerics key: (default, rule), the rule in _number's keywords; checked in this order
+NUMERICS = {
+    "dt": (1e-3, {"positive": True}),
+    "T": (100.0, {"positive": True}),
+    "renorm_every": (10, {"positive": True, "integer": True}),
+    "seed": (0, {"integer": True, "nonnegative": True}),
+    "n_collisions": (1000, {"positive": True, "integer": True}),
+    "n_points": (100, {"positive": True, "integer": True}),
+    "n_planes": (100, {"positive": True, "integer": True}),
+    "burn_in": (0.0, {"nonnegative": True}),
 }
 
 
@@ -399,30 +406,13 @@ def _parse_document(doc):
     if task not in TASKS:
         errors.append(f"task: expected one of {TASKS}, got {task!r}")
 
-    numerics = dict(NUMERIC_DEFAULTS)
     ndoc = doc.get("numerics", {})
     if not isinstance(ndoc, dict):
         errors.append("numerics: expected an object")
         ndoc = {}
-    _check_keys(ndoc, set(NUMERIC_DEFAULTS), "numerics", errors)
-    numerics["dt"] = _number(ndoc, "dt", "numerics", errors,
-                             default=numerics["dt"], positive=True)
-    numerics["T"] = _number(ndoc, "T", "numerics", errors,
-                            default=numerics["T"], positive=True)
-    numerics["renorm_every"] = _number(ndoc, "renorm_every", "numerics", errors,
-                                       default=numerics["renorm_every"],
-                                       positive=True, integer=True)
-    numerics["seed"] = _number(ndoc, "seed", "numerics", errors,
-                               default=numerics["seed"], integer=True, nonnegative=True)
-    numerics["n_collisions"] = _number(ndoc, "n_collisions", "numerics", errors,
-                                       default=numerics["n_collisions"],
-                                       positive=True, integer=True)
-    numerics["n_points"] = _number(ndoc, "n_points", "numerics", errors,
-                                   default=numerics["n_points"], positive=True, integer=True)
-    numerics["n_planes"] = _number(ndoc, "n_planes", "numerics", errors,
-                                   default=numerics["n_planes"], positive=True, integer=True)
-    numerics["burn_in"] = _number(ndoc, "burn_in", "numerics", errors,
-                                  default=numerics["burn_in"], nonnegative=True)
+    _check_keys(ndoc, NUMERICS, "numerics", errors)
+    numerics = {key: _number(ndoc, key, "numerics", errors, default=default, **rule)
+                for key, (default, rule) in NUMERICS.items()}
     if numerics["T"] < numerics["dt"]:
         errors.append(f"numerics.T: must be >= numerics.dt, got T={numerics['T']!r}"
                       f" and dt={numerics['dt']!r}")

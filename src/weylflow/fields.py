@@ -262,8 +262,8 @@ class ProductField(VectorField):
         return np.concatenate([E1, E2]), jac
 
     def constant_on(self, scenario):
-        s1, s2 = scenario.metric_family.factor_scenarios(scenario)
-        return self.f1.constant_on(s1) and self.f2.constant_on(s2)
+        fam = scenario.metric_family
+        return self.f1.constant_on(fam.s1) and self.f2.constant_on(fam.s2)
 
     @property
     def is_zero(self):

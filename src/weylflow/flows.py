@@ -224,6 +224,7 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
     phi_v = np.empty(m)
     speed = np.empty(m)
     energy_residual = np.zeros(m)
+    w_vals = np.zeros(m)
     for i in range(m):
         if kind == "isoenergetic":
             jet = scenario.metric_family.jet(qs[i])
@@ -235,13 +236,13 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
         speed[i] = np.sqrt(vs[i] @ gv)
         phi_v[i] = gv @ E
         if kind == "isoenergetic":
-            energy_residual[i] = 0.5 * speed[i] ** 2 + spec.potential.value(qs[i]) - spec.h
+            w_vals[i] = spec.potential.value(qs[i])
+            energy_residual[i] = 0.5 * speed[i] ** 2 + w_vals[i] - spec.h
     int_phi = cumulative_simpson(phi_v, x=times, initial=0.0)
     arc_length = cumulative_simpson(speed, x=times, initial=0.0)
     if kind == "isokinetic":
         speed_residual = speed - 1.0
     elif kind == "isoenergetic":
-        w_vals = np.array([spec.potential.value(qs[i]) for i in range(m)])
         speed_residual = speed - np.sqrt(np.maximum(2.0 * (spec.h - w_vals), 0.0))
     else:
         speed_residual = speed - np.exp(-int_phi)

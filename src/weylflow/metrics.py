@@ -300,9 +300,6 @@ class ProductMetric(MetricFamily):
                                    and scenario2.metric_family.is_constant_metric)
         self._jet = None   # the q-independent jet of a constant metric, once built
 
-    def factor_scenarios(self, scenario):
-        return self.s1, self.s2
-
     def split(self, q):
         return q[: self.n1], q[self.n1:]
 

@@ -29,10 +29,24 @@ the other form moves the attractor exponents {0, -1} by about 0.16.  The last
 term is not symmetrized, since R is not symmetric for a non-closed E.  The
 full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
 
-Each RK4 stage writes its derivative into one fresh array.  A QR event makes
-no kernel call of its own: its J-separation margin is read from the next
-step's k1, which evaluates the same post-cleanup, post-QR (q, v, frame), so a
-Lyapunov run of n steps makes 4 n + 1 kernel calls.
+One integrator (_co_integrate) advances the packed state [q, v, frame, M, xi0,
+int phi] by RK4, where M is a block of k quotient tangent columns [xi; chi]
+(k = 0 transports the frame alone), and cleans the frame up by g-Gram-Schmidt
+every renorm_every steps.  It runs in one of two modes:
+
+* qr (lyapunov_spectrum): each cleanup also re-orthonormalizes the columns
+  by QR, sums their log growth after the burn-in and, on the zero-field
+  hyperbolic 2-d chart, recentres q so the run never nears the chart's
+  boundary.  A QR event makes no kernel call of its own: its J-separation
+  margin is read from the next step's k1, which evaluates the same
+  post-cleanup, post-QR (q, v, frame), so a Lyapunov run of n steps makes
+  4 n + 1 kernel calls.
+* raw columns (linearized_run, transport_frame): the columns are never
+  renormalized, q stays in the starting chart, and each column also carries
+  its along-flow coordinate xi0; every sample records phi(v) and
+  <R xi, xi>, the inputs of the J-form check.
+
+Each RK4 stage writes its derivative into one fresh array.
 """
 from __future__ import annotations
 
@@ -50,11 +64,10 @@ CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linea
 
 @dataclass
 class MovingFrame:
-    """Orthonormal frame (v, e_1..e_{n-1}) at a phase point, with accumulated int phi."""
+    """Orthonormal frame (v, e_1..e_{n-1}) at a phase point."""
 
     state: PhaseState
     vectors: np.ndarray  # (n-1, n)
-    int_phi: float = 0.0
 
 
 @dataclass
@@ -73,10 +86,6 @@ class FrameRun:
     v: np.ndarray
     frames: np.ndarray   # (m, n-1, n)
     int_phi: np.ndarray
-
-    def frame(self, i=-1):
-        return MovingFrame(PhaseState(self.q[i].copy(), self.v[i].copy(), float(self.times[i])),
-                           self.frames[i].copy(), float(self.int_phi[i]))
 
 
 @dataclass
@@ -111,46 +120,36 @@ class LyapunovReport:
 
 def complete_frame(scenario, q, v):
     """g-orthonormal vectors e_1..e_{n-1} completing v at q."""
-    n = scenario.dim
-    g = scenario.metric(q)
+    return _g_gram_schmidt(scenario.metric(q), v, np.eye(scenario.dim), 1e-8)
+
+
+def _g_gram_schmidt(g, v, rows, tol):
+    """g-orthonormal vectors e_1..e_{n-1} completing v, from the candidate rows in order.
+
+    A candidate whose remainder after projecting out v and the vectors kept so
+    far has g-norm at most tol is skipped; the frame is the first n - 1 kept.
+    complete_frame offers the coordinate axes (tol 1e-8), a cleanup the
+    drifted frame itself (tol 1e-6, so any collapsed row fails it).
+    """
+    n = len(v)
     basis = [v / np.sqrt(v @ g @ v)]
-    for i in range(n):
-        cand = np.zeros(n)
-        cand[i] = 1.0
+    for cand in rows:
         for b in basis:
             cand = cand - (b @ g @ cand) * b
         norm = np.sqrt(max(cand @ g @ cand, 0.0))
-        if norm > 1e-8:
+        if norm > tol:
             basis.append(cand / norm)
-        if len(basis) == n:
-            break
-    if len(basis) < n:
-        raise FrameCollapseError("could not complete an orthonormal frame")
-    return np.array(basis[1:])
-
-
-def _gram_schmidt_frame(g, v, frame):
-    basis = [v / np.sqrt(v @ g @ v)]
-    out = []
-    for e in frame:
-        for b in basis:
-            e = e - (b @ g @ e) * b
-        norm = np.sqrt(max(e @ g @ e, 0.0))
-        if norm < 1e-6:
-            raise FrameCollapseError("frame degenerated beyond cleanup")
-        e = e / norm
-        basis.append(e)
-        out.append(e)
-    return np.array(out)
+            if len(basis) == n:
+                return np.array(basis[1:])
+    raise FrameCollapseError("could not complete an orthonormal frame")
 
 
 class _Kernel:
     """Per-step geometric coefficients for the co-integrated system."""
 
-    def __init__(self, scenario, need_R=True):
+    def __init__(self, scenario):
         self.sc = scenario
         self.flat = scenario.metric_family.is_flat
-        self.need_R = need_R
 
     def __call__(self, q, v, frame):
         loc = self.sc.local(q)
@@ -166,16 +165,16 @@ class _Kernel:
             gv = loc.gamma.transpose(0, 2, 1) @ v
             dv = dv - gv @ v
             de = de - frame @ gv.T
-        Rmat = _jacobi(self.sc, q, loc, v, frame, ge, phi_e) if self.need_R else None
+        Rmat = _jacobi(self.sc, q, loc, v, frame, ge, phi_e)
         return phi_v, phi_e, dv, de, Rmat
 
 
 def transport_frame(scenario, trajectory):
     """Weyl-parallel transport of an initial orthonormal frame along a trajectory,
-    normalized by e^{int phi}; returns the frame history."""
+    normalized by e^{int phi}; returns the frame history in the trajectory's chart."""
     run = _co_integrate(scenario, trajectory.state(0),
-                        T=(len(trajectory.times) - 1) * trajectory.dt,
-                        dt=trajectory.dt, n_cols=0, renorm_every=CLEANUP_EVERY)
+                        T=(len(trajectory.times) - 1) * trajectory.dt, dt=trajectory.dt,
+                        renorm_every=CLEANUP_EVERY, M0=np.zeros((2 * (scenario.dim - 1), 0)))
     return FrameRun(times=run["times"], q=run["q"], v=run["v"],
                     frames=run["frames"], int_phi=run["int_phi"])
 
@@ -201,18 +200,22 @@ def _jsep_margin(M, Rmat):
     return float(chi @ chi - xi @ (Rmat @ xi)) / float(xi @ xi + chi @ chi)
 
 
-def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
-                  tangent0=None, with_xi0=False, qr_accumulate=False, burn_in=0.0):
+def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=0.0):
+    """Co-integrate the flow, its frame and the tangent columns M0, (2(n-1), k).
+
+    k = 0 transports the frame alone.  Every renorm_every steps the frame is
+    cleaned up; with qr the columns are also re-orthonormalized (see the
+    module docstring), otherwise they stay raw and the run also records xi0,
+    phi(v) and <R xi, xi> per sample.
+    """
     n = scenario.dim
     nm1 = n - 1
-    k = n_cols
-    kern = _Kernel(scenario, need_R=k > 0)
-    collect_series = with_xi0 or k == 1
+    k = M0.shape[1]
+    kern = _Kernel(scenario)
 
     fam = scenario.metric_family
-    # the J-form series (with_xi0, from linearized_run) stays in its starting chart
-    recenter = (isinstance(fam, ConstantCurvatureChart) and fam.K < 0 and fam.dim == 2
-                and scenario.field_is_zero and not with_xi0)
+    recenter = (qr and isinstance(fam, ConstantCurvatureChart) and fam.K < 0
+                and fam.dim == 2 and scenario.field_is_zero)
 
     n_steps = step_count(T, dt)
     burn_steps = int(round(burn_in / dt))
@@ -221,32 +224,31 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
         burn_steps = renorm_every * int(np.ceil(burn_steps / renorm_every))
     m = n_steps + 1
 
-    # packed state y = [q, v, frame, M, xi0, int_phi]; int_phi has derivative phi(v)
+    # packed state y = [q, v, frame, M, xi0, int_phi]; int_phi has derivative phi(v),
+    # xi0 (one per raw column) has derivative phi(e_a) xi_a
     o_e = 2 * n
     o_M = o_e + nm1 * n
     o_x = o_M + 2 * nm1 * k
-    o_p = o_x + (k if with_xi0 else 0)
+    o_p = o_x + (0 if qr else k)
 
     def split(y):
-        return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n),
-                y[o_M:o_x].reshape(2 * nm1, k), y[o_x:o_p])
+        return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n), y[o_M:o_x].reshape(2 * nm1, k))
 
     def deriv(y):
         # a fresh array per call: rk4_step holds k1..k4 at once, and k1 is read again
-        q, v, frame, M, _ = split(y)
+        q, v, frame, M = split(y)
         phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
         out = np.empty(len(y))
         out[:n] = v
         out[n:o_e] = dv
         out[o_e:o_M] = de.ravel()
-        if k:
-            Mxi = M[:nm1]
-            dM = out[o_M:o_x].reshape(2 * nm1, k)
-            np.multiply(Mxi, -phi_v, out=dM[:nm1])
-            dM[:nm1] += M[nm1:]
-            np.matmul(-Rmat, Mxi, out=dM[nm1:])
-            if with_xi0:
-                np.matmul(phi_e, Mxi, out=out[o_x:o_p])
+        Mxi = M[:nm1]
+        dM = out[o_M:o_x].reshape(2 * nm1, k)
+        np.multiply(Mxi, -phi_v, out=dM[:nm1])
+        dM[:nm1] += M[nm1:]
+        np.matmul(-Rmat, Mxi, out=dM[nm1:])
+        if not qr:
+            np.matmul(phi_e, Mxi, out=out[o_x:o_p])
         out[-1] = phi_v
         return out, Rmat
 
@@ -256,7 +258,6 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.v, dtype=float)
     v = v / scenario.norm(q, v)
-    M0 = np.eye(2 * nm1, k) if tangent0 is None else np.array(tangent0, dtype=float)
     y = np.concatenate((q, v, complete_frame(scenario, q, v).ravel(), M0.ravel(),
                         np.zeros(o_p - o_x), [0.0]))
 
@@ -264,17 +265,15 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
     out = {
         "times": initial.t + dt * np.arange(m),
         "q": hist[:, :n], "v": hist[:, n:o_e],
-        "frames": hist[:, o_e:o_M].reshape(m, nm1, n), "int_phi": hist[:, o_p],
+        "frames": hist[:, o_e:o_M].reshape(m, nm1, n),
+        "M": hist[:, o_M:o_x].reshape(m, 2 * nm1, k), "int_phi": hist[:, o_p],
     }
-    if k:
-        out["M"] = hist[:, o_M:o_x].reshape(m, 2 * nm1, k)
-        if collect_series:
-            out["phi_v"] = np.empty(m)
-            out["curv_quad"] = np.empty((m, k))
-        if with_xi0:
-            out["xi0"] = hist[:, o_x:o_p]
-    lsum = np.zeros(k) if qr_accumulate else None
-    windows = {"t": [], "lam": [], "sbar": [], "jsep": []} if qr_accumulate else None
+    if qr:
+        lsum = np.zeros(k)
+        windows = {"t": [], "lam": [], "sbar": [], "jsep": []}
+        out.update(lsum=lsum, windows=windows, burn_steps=burn_steps)
+    else:
+        out.update(xi0=hist[:, o_x:o_p], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
 
     margin_due = False   # a QR event left its J-separation margin to this k1
     for i in range(n_steps + 1):
@@ -284,15 +283,15 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
             # the post-cleanup, post-QR (q, v, frame) of the event is this k1's point
             windows["jsep"].append(_jsep_margin(split(y)[3], Rmat))
             margin_due = False
-        if collect_series:
-            M = split(y)[3]
+        if not qr:
+            Mxi = split(y)[3][:nm1]
             out["phi_v"][i] = k1[-1]
-            out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, M[:nm1], M[:nm1])
+            out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, Mxi, Mxi)
         if i == n_steps:
             break
         y = rk4_step(rhs, y, dt, k1)
-        q, v, frame, M, _ = split(y)
-        if k and not np.isfinite(M).all():
+        q, v, frame, M = split(y)
+        if not np.isfinite(M).all():
             raise NonFiniteStateError(f"non-finite tangent growth at step {i + 1}")
 
         if kern.flat:
@@ -308,13 +307,13 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
             gram = frame @ gg @ frame.T
             if np.abs(gram - np.eye(n - 1)).max() > 0.5:
                 raise FrameCollapseError("frame drifted too far between cleanups")
-            frame[:] = _gram_schmidt_frame(gg, v, frame)
+            frame[:] = _g_gram_schmidt(gg, v, frame, 1e-6)
             if recenter:
                 move, push = fam.recenter_map(q)
                 v[:] = push(q, v)
                 frame[:] = np.array([push(q, e) for e in frame])
                 q[:] = move(q)
-            if qr_accumulate:
+            if qr:
                 Q, R = np.linalg.qr(M)
                 diag = np.diag(R)
                 sign = np.where(diag >= 0, 1.0, -1.0)
@@ -326,26 +325,19 @@ def _co_integrate(scenario, initial, T, dt, n_cols, renorm_every,
                     windows["lam"].append(lsum / t_since)
                     windows["sbar"].append(-float(y[-1]) / (step_no * dt))
                     margin_due = True
-
-    out["lsum"] = lsum
-    out["windows"] = windows
-    out["burn_steps"] = burn_steps
     return out
 
 
-def linearized_run(scenario, initial, tangent0, T, dt):
+def linearized_run(scenario, initial, tangent, T, dt):
     """Integrate one quotient tangent vector along the flow; returns the J-form history."""
-    n = scenario.dim
-    col = np.concatenate([tangent0.xi, tangent0.chi])[:, None]
-    run = _co_integrate(scenario, initial, T, dt, n_cols=1, renorm_every=CLEANUP_EVERY,
-                        tangent0=col, with_xi0=True)
-    M = run["M"][:, :, 0]
-    nm1 = n - 1
-    xi = M[:, :nm1]
-    chi = M[:, nm1:]
+    col = np.concatenate([tangent.xi, tangent.chi])[:, None]
+    run = _co_integrate(scenario, initial, T, dt, renorm_every=CLEANUP_EVERY, M0=col)
+    nm1 = scenario.dim - 1
+    xi = run["M"][:, :nm1, 0]
+    chi = run["M"][:, nm1:, 0]
     return LinearizedRun(
         times=run["times"], xi=xi, chi=chi,
-        xi0=run["xi0"][:, 0] + tangent0.xi0,
+        xi0=run["xi0"][:, 0] + tangent.xi0,
         phi_v=run["phi_v"],
         curv_quad=run["curv_quad"][:, 0],
         jform=np.einsum("ij,ij->i", xi, chi),
@@ -391,8 +383,8 @@ def lyapunov_spectrum(scenario, initial, T, dt, renorm_every=10, burn_in=0.0):
     """Quotient Lyapunov spectrum by co-integrated QR (Benettin) extraction."""
     n = scenario.dim
     k = 2 * (n - 1)
-    run = _co_integrate(scenario, initial, T, dt, n_cols=k, renorm_every=renorm_every,
-                        qr_accumulate=True, burn_in=burn_in)
+    run = _co_integrate(scenario, initial, T, dt, renorm_every, M0=np.eye(k), qr=True,
+                        burn_in=burn_in)
     burn_steps = run["burn_steps"]
     t_eff = (step_count(T, dt) - burn_steps) * dt
     # include growth still held in M after the last QR

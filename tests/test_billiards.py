@@ -570,6 +570,7 @@ def _qr_replay(table, q, v, n_collisions):
 
     M, lsum, t, hits = np.eye(2), np.zeros(2), 0.0, 0
     while hits < n_collisions:
+        _, q = np.divmod(q, table.periods)      # the engine's wrap before every flight
         ev = bl.free_flight(table, q, v)
         t += ev.time_of_flight
         if isinstance(ev, bl.OpenFlight):
@@ -610,6 +611,17 @@ def test_scalar_tangent_bookkeeping_matches_matrix_qr(name):
     assert run.lambda1 == run.exponents[0]
     np.testing.assert_allclose(run.exponents, _qr_replay(table, START_Q, START_V, 300),
                                rtol=1e-12, atol=0.0)
+
+
+def test_field_driven_orbit_runs_long_in_the_fundamental_cell():
+    # the field drives this orbit thousands of cells away; unwrapped, q lost the
+    # digits of the start check and a flight "started inside" the scatterer
+    table = bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), 0.05)], 1.0, math.sqrt(2.0))
+    run = bl.run_billiard(table, np.array([0.7, 0.25]), np.array([math.cos(0.6), math.sin(0.6)]),
+                          10_000, with_tangent=True)
+    assert len(run.events) == 10_000
+    assert run.pair_residual < 1e-10
+    assert run.sbar < 0.0
 
 
 def test_grazing_restart_composes_its_flight_map(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from weylflow import flows, presets, tangent
 from weylflow import geometry as geo
+from weylflow.errors import FrameCollapseError
 from weylflow.fields import ConstantField
 from weylflow.flows import PhaseState, involution
 from weylflow.metrics import FlatTorus
@@ -75,6 +76,28 @@ def test_transport_frame_stays_orthonormal_generic():
         gram = e @ g @ e.T
         assert np.abs(gram - np.eye(1)).max() < 1e-8
         assert abs(float(e[0] @ g @ run.v[i])) < 1e-8
+
+
+def test_transport_frame_stays_in_the_trajectory_chart(hyperbolic):
+    # only the QR mode recentres the zero-field hyperbolic chart
+    q0 = np.array([0.2, -0.1])
+    v0 = np.array([np.cos(0.3), np.sin(0.3)])
+    traj = flows.integrate(hyperbolic, PhaseState(q0, v0 / hyperbolic.norm(q0, v0)),
+                           T=3.0, dt=1e-3)
+    run = tangent.transport_frame(hyperbolic, traj)
+    assert np.abs(traj.q).max() > 1.5      # far from the start, near the chart's edge at 2
+    assert np.abs(run.q - traj.q).max() < 1e-9
+
+
+def test_gram_schmidt_rejects_a_frame_row_parallel_to_v():
+    g = np.diag([1.0, 2.0, 0.5])
+    v = np.array([0.3, -0.2, 0.9])
+    frame = np.array([[1.0, 0.0, 0.0], -2.0 * v])
+    with pytest.raises(FrameCollapseError):
+        tangent._g_gram_schmidt(g, v, frame, 1e-6)
+    good = tangent._g_gram_schmidt(g, v, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1e-6)
+    basis = np.vstack([v / np.sqrt(v @ g @ v), good])
+    assert np.abs(basis @ g @ basis.T - np.eye(3)).max() < 1e-14
 
 
 def test_linearized_rhs_flat_free_jacobi():
@@ -244,8 +267,8 @@ def test_jsep_margins_match_the_post_qr_states(name):
     sc = presets.scenario_preset(name)
     st = PhaseState(*presets.default_initial_state(sc, seed=3))
     T, dt, every = 1.0, 5e-3, 10
-    run = tangent._co_integrate(sc, st, T=T, dt=dt, n_cols=2 * (sc.dim - 1),
-                                renorm_every=every, qr_accumulate=True, burn_in=0.1)
+    run = tangent._co_integrate(sc, st, T=T, dt=dt, renorm_every=every,
+                                M0=np.eye(2 * (sc.dim - 1)), qr=True, burn_in=0.1)
     jsep = np.array(run["windows"]["jsep"])
     events = np.arange(run["burn_steps"] + every, flows.step_count(T, dt) + 1, every)
     assert len(jsep) == len(events) == len(run["windows"]["t"])
