@@ -8,7 +8,6 @@ For locally potential fields the isokinetic flow also admits conserved
 hamiltonian coordinates p = e^{-U} v with rescaled time.
 """
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from weylflow import flows
@@ -42,7 +41,7 @@ metric_m = ConformalTorus(HalfLogField(1.0, W))
 sc_m = WeylScenario(metric_m)
 geo = flows.integrate(sc_m, PhaseState(q0, v_dir / sc_m.norm(q0, v_dir)),
                       T=12.0, dt=1e-3)
-s_flat = cumulative_simpson(np.linalg.norm(geo.v, axis=1), x=geo.times, initial=0.0)
+s_flat = flows.cumulative_simpson(np.linalg.norm(geo.v, axis=1), geo.times)
 gap0 = np.abs(flows.reparametrize_by_arclength(w0, s)
               - CubicSpline(s_flat, geo.q, axis=0)(s)).max()
 print(f"zero-field case vs rescaled-metric geodesic: gap = {gap0:.2e}")

@@ -202,9 +202,8 @@ def criterion_7(ctx):
     v_m = v_dir / sc_m.norm(q0, v_dir)
     geo = flows.integrate(sc_m, PhaseState(q0, v_m), T=12.0, dt=1e-3)
     # reparametrize the geodesic by FLAT arc length for a pointwise comparison
-    from scipy.integrate import cumulative_simpson
     from scipy.interpolate import CubicSpline
-    s_flat = cumulative_simpson(np.linalg.norm(geo.v, axis=1), x=geo.times, initial=0.0)
+    s_flat = flows.cumulative_simpson(np.linalg.norm(geo.v, axis=1), geo.times)
     q_m = CubicSpline(s_flat, geo.q, axis=0)(s_grid)
     err_maupertuis = float(np.abs(q_w0 - q_m).max())
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .errors import (
     GrazingCollisionError,
@@ -779,8 +778,10 @@ def find_period_two_orbit(table, pair, seed_psis):
     Solved in the exponential-straightened picture: the image chord must be
     parallel to both image normals.  Validated by shooting the actual flight;
     stability is the composed thermostat monodromy, cross-checked against the
-    classical two-mirror trace computed from image curvatures.
+    classical two-mirror trace computed from image curvatures.  Loads
+    ``scipy.optimize`` on its first call; nothing else in the module needs it.
     """
+    from scipy.optimize import root
     if table.a <= 0:
         raise ZeroFieldError("period-2 search in the image picture needs a > 0")
     i, j = pair

@@ -12,14 +12,19 @@ whatever it co-integrates) into one array and reads the parts back through
 fixed-offset views.  Packing is what lets one stepper serve every flow: the
 stage arithmetic is a few numpy operations on one array whatever the state
 holds, where a tuple of arrays would cost a numpy call per part per stage.
+
+Line integrals along the stored samples use ``cumulative_simpson``, a numpy
+port of scipy's routine of that name that gives the same bits.  It is here
+for start-up cost: importing ``scipy.integrate`` loads scipy's special,
+optimize and linalg packages, most of a second before any task runs.  The
+cubic resampling in ``reparametrize_by_arclength`` and ``dettmann_morriss``
+imports scipy's ``CubicSpline`` when it runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     InvalidEnergyLevelError,
@@ -167,6 +172,41 @@ def rk4_step(rhs, y, dt, k1):
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def cumulative_simpson(y, x):
+    """Cumulative Simpson integral of the samples y(x) from x[0], starting at 0.
+
+    The same bits as scipy 1.17's ``cumulative_simpson(y, x=x, initial=0.0)``
+    on 1-d float samples, by the same operations: each interval's integral
+    from the quadratic through it and its right (h1) or left (h2) neighbour,
+    interleaved and summed in order; the trapezoid rule below 3 samples.
+    Raises ValueError when x, with 3 samples or more, is not strictly
+    increasing.
+    """
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.asarray(x, dtype=float))
+    if len(y) < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        if (dx <= 0).any():
+            raise ValueError("Input x must be strictly increasing.")
+        h2 = _simpson_panels(y[::-1], dx[::-1])[::-1]
+        res = np.empty(len(dx))
+        res[:-1:2] = _simpson_panels(y, dx)[::2]
+        res[1::2] = h2[::2]
+        res[-1] = h2[-1]
+        res = np.cumsum(res)
+    return np.concatenate(([0.0], res + 0.0))   # + 0.0 turns -0.0 to 0.0, as scipy does
+
+
+def _simpson_panels(y, dx):
+    """Integral over each interval [x_i, x_i+1] but the last, from the
+    quadratic through x_i, x_i+1, x_i+2 (Cartwright's unequal-step formula)."""
+    d1, d2 = dx[:-1], dx[1:]
+    a = d1 / (d1 + d2)
+    b = a * (d1 / d2)
+    return d1 / 6 * ((3 - a) * y[:-2] + (3 + b + a) * y[1:-1] + -b * y[2:])
+
+
 def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
     """Classical fixed-step RK4 with post-step constraint projection.
 
@@ -238,8 +278,8 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
         if kind == "isoenergetic":
             w_vals[i] = spec.potential.value(qs[i])
             energy_residual[i] = 0.5 * speed[i] ** 2 + w_vals[i] - spec.h
-    int_phi = cumulative_simpson(phi_v, x=times, initial=0.0)
-    arc_length = cumulative_simpson(speed, x=times, initial=0.0)
+    int_phi = cumulative_simpson(phi_v, times)
+    arc_length = cumulative_simpson(speed, times)
     if kind == "isokinetic":
         speed_residual = speed - 1.0
     elif kind == "isoenergetic":
@@ -255,6 +295,7 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
 
 def reparametrize_by_arclength(traj, s_grid):
     """Cubic-interpolated samples q(s) of the trajectory at the given arc lengths."""
+    from scipy.interpolate import CubicSpline
     s = traj.arc_length
     spline = CubicSpline(s, traj.q, axis=0)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -302,10 +343,11 @@ def dettmann_morriss(traj, U):
             f"field is not -grad U along the path (residual {worst:.3e})")
 
     u = np.array([U.value(qi) for qi in traj.q])
-    tau = cumulative_simpson(np.exp(-u), x=traj.times, initial=0.0)
+    tau = cumulative_simpson(np.exp(-u), traj.times)
     p = np.exp(-u)[:, None] * traj.v
     H = 0.5 * np.exp(2 * u) * np.einsum("ij,ij->i", p, p)
 
+    from scipy.interpolate import CubicSpline
     q_spline = CubicSpline(tau, traj.q, axis=0)
     p_spline = CubicSpline(tau, p, axis=0)
     m = len(tau)
@@ -394,7 +436,7 @@ def transport_tangent_pairs(scenario, initial, pairs, T, dt):
         phis[i + 1] = float(scenario.field(q) @ v)
 
     times = initial.t + dt * np.arange(m)
-    int_phi = cumulative_simpson(phis, x=times, initial=0.0)
+    int_phi = cumulative_simpson(phis, times)
     return TangentPairRun(times=times, q=ys[:, :n], v=ys[:, n:2 * n],
                           xi=ys[:, 2 * n:o_eta].reshape(m, k, n),
                           eta=ys[:, o_eta:].reshape(m, k, n), int_phi=int_phi)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,33 @@ def test_main_rejects_bad_billiard_config(tmp_path, capsys, billiard, initial, k
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SCIPY_FREE_TASKS = """
+import sys, tempfile
+from pathlib import Path
+import weylflow, weylflow.cli, weylflow.acceptance
+from weylflow import cli
+docs = [
+    {"task": "simulate", "preset": "example_1_2", "numerics": {"T": 0.02, "dt": 1e-3}},
+    {"task": "lyapunov", "preset": "torus3_constant",
+     "numerics": {"T": 0.1, "dt": 1e-2, "renorm_every": 2}},
+    {"task": "curvature-scan", "preset": "hyperbolic_potential",
+     "numerics": {"n_points": 2, "n_planes": 4}},
+    {"task": "billiard", "preset": "sinai_thermostat", "numerics": {"n_collisions": 5}},
+]
+with tempfile.TemporaryDirectory() as out:
+    for i, doc in enumerate(docs):
+        cli.dispatch(cli.parse_config(doc), Path(out) / str(i))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_and_four_tasks_load_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_TASKS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_rejects_burn_in_past_T(tmp_path, capsys):

@@ -338,3 +338,56 @@ def test_step_count_rejects_bad_steps(example_scenario, T, dt):
         flows.step_count(T, dt)
     with pytest.raises(InvalidStepError):
         flows.integrate(example_scenario, PhaseState([0.1, 0.2], [1.0, 0.0]), T=T, dt=dt)
+
+
+# -- the Simpson rule: the same bits as scipy's cumulative_simpson ------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson  # noqa: E402
+
+
+def _same_bits_as_scipy(y, x):
+    got = flows.cumulative_simpson(y, x)
+    want = scipy_cumulative_simpson(np.asarray(y, dtype=float),
+                                    x=np.asarray(x, dtype=float), initial=0.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(2, 300), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       t0=st.floats(-10.0, 10.0), dt=st.floats(1e-4, 1.0),
+       exponent=st.floats(-8.0, 8.0))
+def test_cumulative_simpson_matches_scipy_bit_for_bit(m, uniform, seed, t0, dt, exponent):
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = t0 + dt * np.arange(m)       # the integrator's sample times
+    else:
+        x = t0 + np.cumsum(rng.uniform(1e-3, 1.0, m) * dt)
+    _same_bits_as_scipy(rng.standard_normal(m) * 10.0 ** exponent, x)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cumulative_simpson_short_samples(m):
+    x = np.array([0.0, 0.3, 0.7, 1.6])[:m]
+    y = np.array([1.5, -0.25, 2.0, 0.125])[:m]
+    _same_bits_as_scipy(y, x)
+    if m == 2:   # the trapezoid rule
+        assert np.array_equal(flows.cumulative_simpson(y, x), [0.0, 0.3 * 1.25 / 2.0])
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0, 3.0]])
+def test_cumulative_simpson_rejects_x_not_strictly_increasing(x):
+    with pytest.raises(ValueError):
+        flows.cumulative_simpson(np.ones(len(x)), x)
+
+
+def test_integrate_one_step_integrals_match_scipy(example_scenario):
+    traj = flows.integrate(example_scenario, PhaseState([0.1, 0.2], [np.cos(1.1), np.sin(1.1)]),
+                           T=1e-3, dt=1e-3)
+    assert len(traj.times) == 2
+    speed = np.array([np.sqrt(v @ (example_scenario.local(q).g @ v))
+                      for q, v in zip(traj.q, traj.v)])
+    for got, y in ((traj.int_phi, traj.phi_v), (traj.arc_length, speed)):
+        want = scipy_cumulative_simpson(y, x=traj.times, initial=0.0)
+        assert got.tobytes() == want.tobytes()
