@@ -2,9 +2,12 @@
 
 Free flight follows the exact thermostat curves (in field-aligned
 coordinates the translates of  a x = -ln cos(a y), or the two straight lines
-along +-E).  Collisions are located by sign-bracketing the distance to every
-candidate circle image at once on arc subdivisions, then refined to 1e-12 in
-time by a safeguarded Newton method (``_rtsafe``) with analytic derivatives.
+along +-E).  Collisions are located by sign-bracketing, on a grid of arc
+subdivisions, the distance from each grid point to the nearest image of every
+scatterer at once, then refined to 1e-12 in time by a safeguarded Newton
+method (``_rtsafe``) with analytic derivatives.  The rotation between world
+and field-aligned coordinates has one formula (``BilliardTable._turn``),
+shared by the array grid and the per-collision arithmetic on float pairs.
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
 at each specular reflection, as scalar arithmetic: a unit vector and two
@@ -68,17 +71,19 @@ class BilliardTable:
             if not 0.0 < s.radius < np.inf:
                 raise InvalidStateError(f"scatterer radius must be positive, got {s.radius}")
         self._check_disjoint()
-        ca, sa = np.cos(self.field_angle), np.sin(self.field_angle)
-        self._rot = np.array([[ca, sa], [-sa, ca]])      # world -> aligned
+        ca, sa = math.cos(self.field_angle), math.sin(self.field_angle)
+        self._cos, self._sin = ca, sa
+        self._rot = np.array([[ca, sa], [-sa, ca]])      # world -> aligned, as a matrix
         self.field = self.a * np.array([ca, sa])
         self._centers = np.array([s.center for s in self.scatterers])
         self._radii = np.array([s.radius for s in self.scatterers])
-        shifts = np.array([(mx, my) for mx in (-1, 0, 1) for my in (-1, 0, 1)]) * self.periods
-        self._image_centers = (self._centers[:, None, :] + shifts).reshape(-1, 2)
-        self._image_radii = np.repeat(self._radii, len(shifts))
-        # search cell width (see _search_window): h <= r_min/4, h <= 1/(4|E|) and
+        self._period_xy = tuple(self.periods.tolist())
+        self._discs = [(tuple(s.center.tolist()), s.radius) for s in self.scatterers]
+        # search cell width (see _search_window): h <= r_min/4, r_max + h < min(L)/2
+        # (taken as h <= (min(L)/2 - r_max)/2), h <= 1/(4|E|) and
         # h <= sqrt(1 - r|E|)/|E| on every scatterer with r|E| < 1
-        self.cell = self._radii.min() / 4.0
+        self.cell = min(self._radii.min() / 4.0,
+                        0.5 * (0.5 * self.periods.min() - self._radii.max()))
         if self.a > 0:
             self.cell = min(self.cell, 0.25 / self.a)
             re = self._radii * self.a
@@ -86,26 +91,38 @@ class BilliardTable:
                 self.cell = min(self.cell, math.sqrt(1.0 - re[re < 1.0].max()) / self.a)
         self.horizon_finite = self._compute_horizon()
 
+    def _turn(self, x, y, s):
+        """The one rotation formula, on floats and arrays alike: s = -sin(field_angle)
+        takes world to aligned coordinates, s = sin(field_angle) back.  Scalar
+        and array paths share it, so their aligned angles agree bit for bit."""
+        c = self._cos
+        return c * x - s * y, s * x + c * y
+
+    def _rotate(self, x, s):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        out[..., 0], out[..., 1] = self._turn(x[..., 0], x[..., 1], s)
+        return out
+
     def to_aligned(self, x):
-        return self._rot @ x
+        """World -> field-aligned coordinates of a vector or of rows (..., 2)."""
+        return self._rotate(x, -self._sin)
 
     def from_aligned(self, x):
-        return self._rot.T @ x
+        """Field-aligned -> world coordinates of a vector or of rows (..., 2)."""
+        return self._rotate(x, self._sin)
 
     def wrap(self, q):
         return np.mod(q, self.periods)
 
     def _check_disjoint(self):
-        items = self.scatterers
-        for i, s in enumerate(items):
-            for j, t in enumerate(items):
-                shifts = [np.array([mx * self.periods[0], my * self.periods[1]])
-                          for mx in (-1, 0, 1) for my in (-1, 0, 1)]
+        shifts = [np.array([mx * self.periods[0], my * self.periods[1]])
+                  for mx in (-1, 0, 1) for my in (-1, 0, 1)]
+        for i, s in enumerate(self.scatterers):
+            for j, t in enumerate(self.scatterers):
                 for sh in shifts:
-                    if i == j and not sh.any():
-                        continue
                     gap = np.linalg.norm(t.center + sh - s.center) - s.radius - t.radius
-                    if gap < 1e-9:
+                    if gap < 1e-9 and (i != j or sh.any()):
                         raise InvalidStateError(
                             f"scatterers {i} and {j} (shift {sh}) overlap or touch")
 
@@ -113,31 +130,28 @@ class BilliardTable:
         """True when every primitive lattice corridor with |p|, |q| <= HORIZON_MAX_INDEX
         is blocked."""
         Lx, Ly = self.periods
-        dirs = []
-        for p in range(-HORIZON_MAX_INDEX, HORIZON_MAX_INDEX + 1):
-            for q_ in range(0, HORIZON_MAX_INDEX + 1):
-                if p == 0 and q_ == 0:
-                    continue
-                if q_ == 0 and p != 1:
-                    continue
-                if q_ > 0 and np.gcd(abs(p), q_) != 1:
-                    continue
-                dirs.append((p, q_))
+        H = HORIZON_MAX_INDEX
+        dirs = [(p, q_) for p in range(-H, H + 1) for q_ in range(H + 1)
+                if (q_ == 0 and p == 1) or (q_ > 0 and math.gcd(abs(p), q_) == 1)]
         for p, q_ in dirs:
             w = np.array([p * Lx, q_ * Ly])
             spacing = Lx * Ly / np.linalg.norm(w)
             nhat = np.array([-w[1], w[0]]) / np.linalg.norm(w)
-            intervals = []
-            for s in self.scatterers:
-                tau = float(s.center @ nhat) % spacing
-                intervals.append((tau - s.radius, tau + s.radius))
-            if not _intervals_cover_circle(intervals, spacing):
+            taus = [(float(s.center @ nhat) % spacing, s.radius) for s in self.scatterers]
+            if not _intervals_cover_circle([(t - r, t + r) for t, r in taus], spacing):
                 return False
         return True
 
     def outside(self, q, tol=0.0):
-        off = self.wrap(q) - self._image_centers
-        return not (np.hypot(off[:, 0], off[:, 1]) < self._image_radii - tol).any()
+        """True unless q lies deeper than tol inside a scatterer image.  Only the
+        nearest image can hold q: a disc misses its own images, so r < min(L)/2."""
+        (Lx, Ly), qx, qy = self._period_xy, float(q[0]), float(q[1])
+        qx, qy = qx % Lx, qy % Ly
+        for (cx, cy), r in self._discs:
+            ox, oy = qx - cx, qy - cy
+            if math.hypot(ox - Lx * round(ox / Lx), oy - Ly * round(oy / Ly)) < r - tol:
+                return False
+        return True
 
 
 def _intervals_cover_circle(intervals, period):
@@ -169,34 +183,38 @@ class ThermostatFlight:
     """
 
     def __init__(self, q0, v0, a):
-        self.q0 = np.asarray(q0, dtype=float)
+        self.x0, self.y0 = float(q0[0]), float(q0[1])
+        self.vx0, self.vy0 = float(v0[0]), float(v0[1])
         self.a = float(a)
-        self.theta0 = float(np.arctan2(v0[1], v0[0]))
-        self.straight = self.a == 0.0 or abs(np.sin(self.theta0)) < 1e-12
-        self.v0 = np.asarray(v0, dtype=float)
+        self.theta0 = math.atan2(self.vy0, self.vx0)
+        self.straight = self.a == 0.0 or abs(math.sin(self.theta0)) < 1e-12
         if not self.straight:
-            self.T0 = float(np.tan(0.5 * self.theta0))
-
-    def tanhalf(self, t):
-        return self.T0 * np.exp(-self.a * np.asarray(t, dtype=float))
+            self.T0 = math.tan(0.5 * self.theta0)
+            self._den0 = 1.0 + self.T0**2
 
     def theta(self, t):
+        t = np.asarray(t, dtype=float)
         if self.straight:
-            return np.full_like(np.asarray(t, dtype=float), self.theta0)
-        return 2.0 * np.arctan(self.tanhalf(t))
+            return np.full_like(t, self.theta0)
+        return 2.0 * np.arctan(self.T0 * np.exp(-self.a * t))
 
     def pos_vel(self, t):
         """Positions and unit velocities at the times t (each t.shape + (2,))."""
         t = np.asarray(t, dtype=float)
+        pos = np.empty(t.shape + (2,))
+        vel = np.empty(t.shape + (2,))
         if self.straight:
-            return (self.q0 + t[..., None] * self.v0,
-                    np.broadcast_to(self.v0, t.shape + (2,)).copy())
-        T = self.tanhalf(t)
-        den = 1.0 + T * T
-        x = self.q0[0] + t + np.log(den / (1.0 + self.T0**2)) / self.a
-        y = self.q0[1] + (self.theta0 - 2.0 * np.arctan(T)) / self.a
-        return (np.stack([x, y], axis=-1),
-                np.stack([(1.0 - T * T) / den, 2.0 * T / den], axis=-1))
+            pos[..., 0], pos[..., 1] = self.x0 + t * self.vx0, self.y0 + t * self.vy0
+            vel[...] = (self.vx0, self.vy0)
+            return pos, vel
+        T = self.T0 * np.exp(-self.a * t)
+        TT = T * T
+        den = 1.0 + TT
+        pos[..., 0] = self.x0 + t + np.log(den / self._den0) / self.a
+        pos[..., 1] = self.y0 + (self.theta0 - 2.0 * np.arctan(T)) / self.a
+        vel[..., 0] = (1.0 - TT) / den
+        vel[..., 1] = 2.0 * T / den
+        return pos, vel
 
     def pos(self, t):
         return self.pos_vel(t)[0]
@@ -205,15 +223,13 @@ class ThermostatFlight:
         return self.pos_vel(t)[1]
 
     def pos_vel_scalar(self, t):
-        """Scalar fast path for root refinement."""
+        """(x, y, vx, vy) at one time t, as floats: the root refinement's path."""
         if self.straight:
-            return (self.q0[0] + t * self.v0[0], self.q0[1] + t * self.v0[1],
-                    self.v0[0], self.v0[1])
+            return self.x0 + t * self.vx0, self.y0 + t * self.vy0, self.vx0, self.vy0
         T = self.T0 * math.exp(-self.a * t)
         den = 1.0 + T * T
-        th = 2.0 * math.atan(T)
-        x = self.q0[0] + t + math.log(den / (1.0 + self.T0**2)) / self.a
-        y = self.q0[1] + (self.theta0 - th) / self.a
+        x = self.x0 + t + math.log(den / self._den0) / self.a
+        y = self.y0 + (self.theta0 - 2.0 * math.atan(T)) / self.a
         return x, y, (1.0 - T * T) / den, 2.0 * T / den
 
 
@@ -247,18 +263,17 @@ def free_flight(table, q, v):
     OpenFlight capped at ``FLIGHT_CAP_FACTOR * max(periods)``.  The search
     runs in stages of increasing span so short flights stay cheap.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if not table.outside(q, tol=1e-12):
-        raise InvalidStateError(f"flight starts inside a scatterer at q={q}")
-    t_cap = FLIGHT_CAP_FACTOR * float(table.periods.max())
+    qx, qy = float(q[0]), float(q[1])
+    vx, vy = float(v[0]), float(v[1])
+    n = math.hypot(vx, vy)
+    vx, vy = vx / n, vy / n
+    if not table.outside((qx, qy), tol=1e-12):
+        raise InvalidStateError(f"flight starts inside a scatterer at q={np.array([qx, qy])}")
+    span = max(table._period_xy)
+    t_cap = FLIGHT_CAP_FACTOR * span
+    to_a, back = -table._sin, table._sin
+    flight = ThermostatFlight(table._turn(qx, qy, to_a), table._turn(vx, vy, to_a), table.a)
 
-    qa = table.to_aligned(q)
-    va = table.to_aligned(v)
-    flight = ThermostatFlight(qa, va, table.a)
-
-    span = float(table.periods.max())
     t_lo = 0.0
     best = None
     for t_hi in _stages(span, t_cap):
@@ -267,127 +282,110 @@ def free_flight(table, q, v):
             break
         t_lo = t_hi
     if best is None:
-        end_a, end_va = flight.pos_vel(t_cap)
-        return OpenFlight(t_cap, table.from_aligned(end_a), table.from_aligned(end_va),
-                          math.atan2(end_va[1], end_va[0]))
+        x, y, vx, vy = flight.pos_vel_scalar(t_cap)
+        return OpenFlight(t_cap, table.from_aligned((x, y)), table.from_aligned((vx, vy)),
+                          math.atan2(vy, vx))
 
-    t_star, idx, c, shift = best
-    x, y, vx, vy = flight.pos_vel_scalar(t_star)
-    p = table.from_aligned(np.array([x, y]))
-    v_in = table.from_aligned(np.array([vx, vy]))
-    N = (p - c) / np.linalg.norm(p - c)
-    cos_in = float(-(v_in @ N))
-    grazing = abs(cos_in) < GRAZING_TOL
-    v_out = v_in - 2.0 * (v_in @ N) * N
-    va_out = table.to_aligned(v_out)
+    t_star, idx, (cx, cy), shift = best
+    x, y, vax, vay = flight.pos_vel_scalar(t_star)
+    px, py = table._turn(x, y, back)
+    vx, vy = table._turn(vax, vay, back)
+    nx, ny = px - cx, py - cy
+    n = math.hypot(nx, ny)
+    nx, ny = nx / n, ny / n
+    vn = vx * nx + vy * ny
+    ox, oy = vx - 2.0 * vn * nx, vy - 2.0 * vn * ny
+    oax, oay = table._turn(ox, oy, to_a)
     return CollisionEvent(
-        time_of_flight=float(t_star), scatterer=idx, point=p, normal=N,
-        v_in=v_in, v_out=v_out, cos_incidence=cos_in, image_shift=shift, grazing=grazing,
-        theta_in_aligned=math.atan2(vy, vx),
-        theta_out_aligned=math.atan2(va_out[1], va_out[0]),
+        time_of_flight=t_star, scatterer=idx, point=np.array([px, py]),
+        normal=np.array([nx, ny]), v_in=np.array([vx, vy]), v_out=np.array([ox, oy]),
+        cos_incidence=-vn, image_shift=shift, grazing=abs(vn) < GRAZING_TOL,
+        theta_in_aligned=math.atan2(vay, vax), theta_out_aligned=math.atan2(oay, oax),
     )
 
 
 def _stages(span, t_cap):
-    out = []
     t = min(1.5 * span, t_cap)
     while True:
-        out.append(t)
+        yield t
         if t >= t_cap:
-            return out
+            return
         t = min(4.0 * t, t_cap)
 
 
 def _search_window(flight, table, t_lo, t_hi):
-    """Earliest crossing in [t_lo, t_hi] over all candidate circle images.
+    """Earliest crossing in [t_lo, t_hi], each scatterer seen through the image
+    of its centre nearest to the arc.
 
-    Every image of every scatterer within a padded bounding box of the arc is
-    tested in one array pass: a ``(m_images, n_grid)`` table of signed
-    distances d = |p - c| - r at the grid points.  Rows that come no closer
-    than one cell are ruled out; the rest go to ``_first_crossing``.
+    At each grid point p the nearest image of a centre c is
+    c' = c + round((p - c)/L) L.  One array pass fills a ``(k_scatterers,
+    n_grid)`` table of d = |p - c'| - r and g = <p - c', v>.  A cell is a
+    candidate only when both of its ends see the same image and d changes
+    sign across it, or it is a dip (below) with d <= cell at its start;
+    candidates go to ``_first_crossing``.
 
     Completeness.  The grid cell is at most h = ``table.cell`` with
-    h <= r_min/4, h <= 1/(4|E|) and, on every scatterer with r|E| < 1,
-    h <= sqrt(1 - r|E|)/|E|.
+    h <= r_min/4, r_max + h < min(L)/2, h <= 1/(4|E|) and, on every scatterer
+    with r|E| < 1, h <= sqrt(1 - r|E|)/|E|.
 
-    * The flight has unit speed, so every point of the arc lies within half
-      a cell of a grid point.  An image whose grid distances all exceed one
-      cell is therefore more than half a cell away from the whole arc and
-      cannot be hit.
-    * Let u = |p - c| and g = <p - c, v> = u u'.  Since |v| = 1 and
-      |v'| = |E sin(theta)| <= |E|, u'' = (1 - g^2/u^2 + <p - c, v'>)/u
-      >= -|E|.  Where g falls through zero (the arc turns back towards c),
-      g' = 1 + <p - c, v'> <= 0 forces u >= 1/|E|, and within time h of that
-      point u >= 1/|E| - |E| h^2/2 > r whenever 1 - r|E| > (h|E|)^2/2.  The
-      last cell bound gives (h|E|)^2/2 <= (1 - r|E|)/2, so this holds on
-      every scatterer with r|E| < 1.  Then on every cell that meets the
-      disc g changes sign at most once, from - to +, so |p - c| first falls
-      and then rises: an entry shows either as a sign change of d between
-      two grid points or, when the arc enters and leaves inside one cell, as
-      a dip (both ends outside, g < 0 at the start and > 0 at the end) whose
+    * On the rectangular lattice, rounding each coordinate picks the image
+      nearest to p, and an image within min(L)/2 of p is that nearest one
+      (every other image is min(L) from it).  The flight has unit speed, so
+      both ends of a cell that holds an entry into the circle about c' lie
+      within h of the entry point, within r + h < min(L)/2 of c': both see c'
+      and both have d <= h.  No entry is lost to the image or dip test.
+    * Let u = |p - c'| and g = u u'.  Since |v| = 1 and |v'| = |E sin(theta)|
+      <= |E|, u'' = (1 - g^2/u^2 + <p - c', v'>)/u >= -|E|.  Where g falls
+      through zero (the arc turns back towards c'), g' = 1 + <p - c', v'>
+      <= 0 forces u >= 1/|E|, and within time h of that point
+      u >= 1/|E| - |E| h^2/2 > r whenever 1 - r|E| > (h|E|)^2/2, which the
+      last cell bound gives on every scatterer with r|E| < 1.  Then on every
+      cell that meets the disc g changes sign at most once, from - to +, so
+      |p - c'| first falls and then rises: an entry shows either as a sign
+      change of d or, when the arc enters and leaves inside one cell, as a
+      dip (both ends outside, g < 0 at the start and > 0 at the end) whose
       closest approach lies inside the circle, and each bracket holds one
       root.
     * For a scatterer with r|E| >= 1 the second step fails, so completeness
       is unproven on it; it adds no cell bound of its own.
     """
-    h = table.cell
-    n_seg = max(2, int(np.ceil((t_hi - t_lo) / h)))
+    n_seg = max(2, math.ceil((t_hi - t_lo) / table.cell))
     cell = (t_hi - t_lo) / n_seg
     t_grid = t_lo + cell * np.arange(n_seg + 1)
     pos_a, vel_a = flight.pos_vel(t_grid)
-    pos_w = pos_a @ table._rot
-    vel_w = vel_a @ table._rot
-    # image boxes [floor((lo - c - pad)/L), ceil((hi - c + pad)/L)] per scatterer
-    L0, L1 = table.periods.tolist()
-    lo0, lo1 = pos_w.min(axis=0).tolist()
-    hi0, hi1 = pos_w.max(axis=0).tolist()
-    images = []
-    for i, ((cx, cy), r) in enumerate(zip(table._centers.tolist(), table._radii.tolist())):
-        pad = r + 2 * h
-        ys = range(math.floor((lo1 - cy - pad) / L1), math.ceil((hi1 - cy + pad) / L1) + 1)
-        for mx in range(math.floor((lo0 - cx - pad) / L0), math.ceil((hi0 - cx + pad) / L0) + 1):
-            for my in ys:
-                images += (i, mx, my)
-    images = np.array(images).reshape(-1, 3)
-    owner = images[:, 0]
-    shifts = images[:, 1:] * table.periods
-    centers = table._centers[owner] + shifts
-    radii = table._radii[owner]
-    dx = pos_w[:, 0] - centers[:, :1]
-    dy = pos_w[:, 1] - centers[:, 1:]
-    reach = radii + (cell + 1e-9)      # the early exit d > cell, on |p - c|^2
-    near = np.nonzero((dx * dx + dy * dy).min(axis=1) <= reach * reach)[0]
-    if not len(near):
-        return None
-
-    # candidate cells of the rows left: outside at the start and either inside
-    # at the end (a sign change of d) or a dip (outside at both ends, radial
-    # velocity g = <p - c, v> going from - to +)
-    dx, dy = dx[near], dy[near]
-    d = np.hypot(dx, dy) - radii[near, None]
-    g = dx * vel_w[:, 0] + dy * vel_w[:, 1]
+    back = table._sin
+    px, py = table._turn(pos_a[:, 0], pos_a[:, 1], back)
+    vx, vy = table._turn(vel_a[:, 0], vel_a[:, 1], back)
+    # nearest image of every centre at every grid point, centres first
+    Lx, Ly = table._period_xy
+    c0x, c0y = table._centers[:, :1], table._centers[:, 1:]
+    sx = np.rint((px - c0x) / Lx) * Lx
+    sy = np.rint((py - c0y) / Ly) * Ly
+    dx, dy = px - (c0x + sx), py - (c0y + sy)
+    d = np.hypot(dx, dy) - table._radii[:, None]
+    g = dx * vx + dy * vy
+    # candidate cells: one image at both ends, outside at the start and either
+    # inside at the end (a sign change of d) or a dip (outside at both ends,
+    # radial velocity g going from - to +) within a cell of the circle
+    same = (sx[:, :-1] == sx[:, 1:]) & (sy[:, :-1] == sy[:, 1:])
     outside = d > BISECT_TOL
-    dip = (g[:, :-1] < 0.0) & (g[:, 1:] > 0.0)
-    rows, cells = np.nonzero(outside[:, :-1] & (dip | ~outside[:, 1:]))
-    centers_a = centers[near] @ table._rot.T
+    dip = (g[:, :-1] < 0.0) & (g[:, 1:] > 0.0) & (d[:, :-1] <= cell + 1e-9)
+    cells, rows = np.nonzero((same & outside[:, :-1] & (dip | ~outside[:, 1:])).T)
 
+    # in time order: a cell that starts after the best hit so far ends the search
     best = None
-    settled = -1        # a row is settled by its first hit or by passing best
-    for k, j in zip(rows.tolist(), cells.tolist()):
-        if k == settled:
-            continue
-        if best is not None and t_grid[j] > best[0]:
-            settled = k
-            continue
-        t_star = _first_crossing(flight, centers_a[k].tolist(), radii.item(near[k]),
-                                 t_grid.item(j), t_grid.item(j + 1), d.item(k, j),
-                                 d.item(k, j + 1), g.item(k, j), g.item(k, j + 1))
-        if t_star is None:
-            continue
-        settled = k
-        if best is None or t_star < best[0]:
-            m = near[k]
-            best = (t_star, int(owner[m]), centers[m], shifts[m])
+    for j, k in zip(cells.tolist(), rows.tolist()):
+        t0 = t_grid.item(j)
+        if best is not None and t0 > best[0]:
+            break
+        (cx, cy), r = table._discs[k]
+        shift = sx.item(k, j), sy.item(k, j)
+        c = cx + shift[0], cy + shift[1]
+        t_star = _first_crossing(flight, table._turn(*c, -back), r, t0, t_grid.item(j + 1),
+                                 d.item(k, j), d.item(k, j + 1), g.item(k, j),
+                                 g.item(k, j + 1))
+        if t_star is not None and (best is None or t_star < best[0]):
+            best = (t_star, k, c, np.array(shift))
     return best
 
 
@@ -568,8 +566,8 @@ class BilliardRun:
 
 def _aligned_angle(table, v):
     """Angle of the world vector v from the field direction."""
-    va = table.to_aligned(v)
-    return math.atan2(va[1], va[0])
+    vx, vy = table._turn(float(v[0]), float(v[1]), -table._sin)
+    return math.atan2(vy, vx)
 
 
 def _tangent_step(tangent, f, shear, kick):
@@ -657,11 +655,11 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
             # restart just past the tangency, keeping the incoming direction
             t_skip = ev.time_of_flight + 1e-9
             fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
-            qa, va = fl.pos_vel(t_skip)
+            x, y, vx, vy = fl.pos_vel_scalar(t_skip)
             if with_tangent:
-                f, shear = _flight_entries(table.a, th0, math.atan2(va[1], va[0]), t_skip)
+                f, shear = _flight_entries(table.a, th0, math.atan2(vy, vx), t_skip)
                 tangent = _tangent_step(tangent, f, shear, 0.0)
-            q, v = table.from_aligned(qa), table.from_aligned(va)
+            q, v = table.from_aligned((x, y)), table.from_aligned((vx, vy))
             th0 = _aligned_angle(table, v)
             continue
         if with_tangent:

@@ -33,6 +33,10 @@ class InvalidStepError(WeylflowError):
     """Step size dt is not positive or exceeds the integration time T."""
 
 
+class TooFewSamplesError(WeylflowError):
+    """Trajectory has fewer samples than the operation's difference stencil needs."""
+
+
 class FrameCollapseError(WeylflowError):
     """Transported frame became too ill-conditioned to re-orthonormalize."""
 

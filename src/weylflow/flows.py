@@ -32,6 +32,7 @@ from .errors import (
     KineticFloorError,
     NonFiniteStateError,
     NotLocallyPotentialError,
+    TooFewSamplesError,
     UnsupportedConfigurationError,
 )
 from .fields import ReducedField
@@ -328,6 +329,9 @@ def dettmann_morriss(traj, U):
     sc = traj.scenario
     if not sc.metric_family.is_flat:
         raise UnsupportedConfigurationError("transform applies to flat-torus runs")
+    if len(traj.times) < 3:
+        raise TooFewSamplesError(f"the central-difference residual needs at least 3 samples, "
+                                 f"got {len(traj.times)}")
 
     # field must be locally potential with the supplied potential along the path
     worst = 0.0

@@ -31,8 +31,9 @@ full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
 
 One integrator (_co_integrate) advances the packed state [q, v, frame, M, xi0,
 int phi] by RK4, where M is a block of k quotient tangent columns [xi; chi]
-(k = 0 transports the frame alone), and cleans the frame up by g-Gram-Schmidt
-every renorm_every steps.  It runs in one of two modes:
+(k = 0 transports the frame alone and builds no Jacobi matrix), and cleans
+the frame up by g-Gram-Schmidt every renorm_every steps.  It runs in one of
+two modes:
 
 * qr (lyapunov_spectrum): each cleanup also re-orthonormalizes the columns
   by QR, sums their log growth after the burn-in and, on the zero-field
@@ -145,13 +146,24 @@ def _g_gram_schmidt(g, v, rows, tol):
 
 
 class _Kernel:
-    """Per-step geometric coefficients for the co-integrated system."""
+    """Per-step geometric coefficients for the co-integrated system.
+
+    A call is ``transport`` (the flow and frame derivatives) followed by the
+    Jacobi core on the products ``transport`` formed; a run without tangent
+    columns calls ``transport`` alone.
+    """
 
     def __init__(self, scenario):
         self.sc = scenario
         self.flat = scenario.metric_family.is_flat
 
     def __call__(self, q, v, frame):
+        phi_v, phi_e, dv, de, (loc, ge) = self.transport(q, v, frame)
+        return phi_v, phi_e, dv, de, _jacobi(self.sc, q, loc, v, frame, ge, phi_e)
+
+    def transport(self, q, v, frame):
+        """phi(v), phi(e_a), dv/dt, de/dt, and the point record and frame @ g
+        that the Jacobi core reads."""
         loc = self.sc.local(q)
         E = loc.E
         ge = frame if self.flat else frame @ loc.g    # rows: <e_a, .>
@@ -165,8 +177,7 @@ class _Kernel:
             gv = loc.gamma.transpose(0, 2, 1) @ v
             dv = dv - gv @ v
             de = de - frame @ gv.T
-        Rmat = _jacobi(self.sc, q, loc, v, frame, ge, phi_e)
-        return phi_v, phi_e, dv, de, Rmat
+        return phi_v, phi_e, dv, de, (loc, ge)
 
 
 def transport_frame(scenario, trajectory):
@@ -237,6 +248,9 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     def deriv(y):
         # a fresh array per call: rk4_step holds k1..k4 at once, and k1 is read again
         q, v, frame, M = split(y)
+        if not k:          # the frame alone: no column reads the Jacobi matrix
+            phi_v, _, dv, de, _ = kern.transport(q, v, frame)
+            return np.concatenate((v, dv, de.ravel(), [phi_v])), None
         phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
         out = np.empty(len(y))
         out[:n] = v
@@ -284,9 +298,10 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
             windows["jsep"].append(_jsep_margin(split(y)[3], Rmat))
             margin_due = False
         if not qr:
-            Mxi = split(y)[3][:nm1]
             out["phi_v"][i] = k1[-1]
-            out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, Mxi, Mxi)
+            if k:
+                Mxi = split(y)[3][:nm1]
+                out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, Mxi, Mxi)
         if i == n_steps:
             break
         y = rk4_step(rhs, y, dt, k1)

@@ -354,12 +354,15 @@ def _explicit():
     return bl.BilliardTable(**EXPLICIT)
 
 
-@pytest.mark.parametrize("table", [presets.sinai_thermostat(), _explicit(),
-                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0),
-                                   bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.99 / 0.2,
-                                                    0.3)],
-                         ids=["sinai_thermostat", "explicit_rE_0.9", "zero_field",
-                              "rE_0.99"])
+GRID_TABLES = {
+    "sinai_thermostat": presets.sinai_thermostat(),
+    "explicit_rE_0.9": _explicit(),
+    "zero_field": bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0),
+    "rE_0.99": bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.99 / 0.2, 0.3),
+}
+
+
+@pytest.mark.parametrize("table", list(GRID_TABLES.values()), ids=list(GRID_TABLES))
 def test_search_grid_obeys_completeness_bounds(table, monkeypatch):
     r_min = min(s.radius for s in table.scatterers)
     assert table.cell <= r_min / 4
@@ -378,6 +381,122 @@ def test_search_grid_obeys_completeness_bounds(table, monkeypatch):
     monkeypatch.setattr(bl.ThermostatFlight, "pos_vel", recording)
     bl.run_billiard(table, np.array([0.7, 0.25]), np.array([np.cos(0.6), np.sin(0.6)]), 30)
     assert widths and max(widths) <= table.cell * (1 + 1e-12)
+
+
+def _cell_without_image_cap(table):
+    """The search cell as it was before the nearest-image bound r_max + h < min(L)/2."""
+    h = min(s.radius for s in table.scatterers) / 4.0
+    if table.a > 0:
+        h = min(h, 0.25 / table.a)
+        re = [s.radius * table.a for s in table.scatterers if s.radius * table.a < 1.0]
+        if re:
+            h = min(h, math.sqrt(1.0 - max(re)) / table.a)
+    return h
+
+
+def test_search_cell_keeps_one_image_per_cell():
+    # r_max + h < min(L)/2: both ends of a cell that meets a disc see its image
+    for table in GRID_TABLES.values():
+        r_max = max(s.radius for s in table.scatterers)
+        assert r_max + table.cell < table.periods.min() / 2
+    # the bound leaves the preset and benchmark tables' cells as they were
+    bench = bl.BilliardTable(**EXPLICIT)
+    for table in (presets.sinai_thermostat(), presets.sinai_thermostat(re_product=0.0),
+                  presets.two_disk_orbit(), presets.two_disk_orbit(0.5), bench):
+        assert table.cell == _cell_without_image_cap(table)
+
+
+def test_rotations_agree_bit_for_bit_on_arrays_and_floats():
+    table = _explicit()
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
+    for rotate, s in ((table.to_aligned, -table._sin), (table.from_aligned, table._sin)):
+        rows = rotate(pts)
+        for p, row in zip(pts, rows):
+            assert tuple(row.tolist()) == table._turn(float(p[0]), float(p[1]), s)
+            assert np.array_equal(rotate(p), row)
+
+
+def _padded_box_search(flight, table, t_lo, t_hi):
+    """Earliest crossing in [t_lo, t_hi] over every image of every scatterer in
+    a bounding box of the arc padded by r + 2h: the enumeration the
+    nearest-image search replaced, kept as its oracle."""
+    h = table.cell
+    n_seg = max(2, int(np.ceil((t_hi - t_lo) / h)))
+    cell = (t_hi - t_lo) / n_seg
+    t_grid = t_lo + cell * np.arange(n_seg + 1)
+    pos_a, vel_a = flight.pos_vel(t_grid)
+    pos_w, vel_w = table.from_aligned(pos_a), table.from_aligned(vel_a)
+    L0, L1 = table.periods.tolist()
+    lo0, lo1 = pos_w.min(axis=0).tolist()
+    hi0, hi1 = pos_w.max(axis=0).tolist()
+    images = []
+    for i, s in enumerate(table.scatterers):
+        (cx, cy), pad = s.center.tolist(), s.radius + 2 * h
+        for mx in range(math.floor((lo0 - cx - pad) / L0), math.ceil((hi0 - cx + pad) / L0) + 1):
+            for my in range(math.floor((lo1 - cy - pad) / L1),
+                            math.ceil((hi1 - cy + pad) / L1) + 1):
+                images.append((i, mx, my))
+    images = np.array(images)
+    owner = images[:, 0]
+    shifts = images[:, 1:] * table.periods
+    centers = table._centers[owner] + shifts
+    radii = table._radii[owner]
+    dx = pos_w[:, 0] - centers[:, :1]
+    dy = pos_w[:, 1] - centers[:, 1:]
+    d = np.hypot(dx, dy) - radii[:, None]
+    g = dx * vel_w[:, 0] + dy * vel_w[:, 1]
+    outside = d > bl.BISECT_TOL
+    dip = (g[:, :-1] < 0.0) & (g[:, 1:] > 0.0)
+    rows, cells = np.nonzero(outside[:, :-1] & (dip | ~outside[:, 1:]))
+    centers_a = table.to_aligned(centers)
+    best = None
+    for k, j in zip(rows.tolist(), cells.tolist()):
+        t_star = bl._first_crossing(flight, centers_a[k].tolist(), radii.item(k),
+                                    t_grid.item(j), t_grid.item(j + 1), d.item(k, j),
+                                    d.item(k, j + 1), g.item(k, j), g.item(k, j + 1))
+        if t_star is not None and (best is None or t_star < best[0]):
+            best = (t_star, int(owner[k]), centers[k], shifts[k])
+    return best
+
+
+ORACLE_TABLES = dict(
+    GRID_TABLES,
+    periods_1x0_7=bl.BilliardTable((1.0, 0.7), [((0.3, 0.2), 0.15), ((0.75, 0.5), 0.12)],
+                                   1.5, 0.4),
+    # r_max + h < min(L)/2 sets the cell here (0.025 against r_min/4 = 0.1125)
+    r_max_near_half_period=bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), 0.45)], 1.0, 0.3),
+)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+def test_nearest_image_search_matches_padded_box_enumeration(name):
+    table = ORACLE_TABLES[name]
+    rng = np.random.default_rng(14)
+    span = float(table.periods.max())
+    t_cap = bl.FLIGHT_CAP_FACTOR * span
+    flights = hits = 0
+    while flights < 100:
+        q = rng.uniform(0.0, 1.0, 2) * table.periods
+        th = rng.uniform(0.0, 2 * np.pi)
+        if not table.outside(q, tol=1e-6):
+            continue
+        flights += 1
+        flight = bl.ThermostatFlight(table.to_aligned(q),
+                                     table.to_aligned(np.array([np.cos(th), np.sin(th)])),
+                                     table.a)
+        t_lo = 0.0
+        for t_hi in bl._stages(span, t_cap):
+            got = bl._search_window(flight, table, t_lo, t_hi)
+            want = _padded_box_search(flight, table, t_lo, t_hi)
+            assert (got is None) == (want is None), (q, th, got, want)
+            if got is not None:
+                assert got[1] == want[1]
+                assert np.array_equal(got[3], want[3])
+                assert abs(got[0] - want[0]) <= 1e-12
+                hits += 1
+                break
+            t_lo = t_hi
+    assert hits > 90
 
 
 def test_evaluation_budget_per_collision(monkeypatch):

@@ -7,6 +7,7 @@ from weylflow.errors import (
     InvalidStepError,
     KineticFloorError,
     NotLocallyPotentialError,
+    TooFewSamplesError,
 )
 from weylflow.fields import ConstantField, FourierField, GradientField, HalfLogField
 from weylflow.flows import IsoenergeticSpec, PhaseState, involution
@@ -261,6 +262,20 @@ def test_dettmann_morriss_rejects_nonpotential_field():
     traj = flows.integrate(sc, PhaseState([0.1, 0.2], [0.0, 1.0]), T=2.0, dt=1e-3)
     with pytest.raises(NotLocallyPotentialError):
         flows.dettmann_morriss(traj, U)
+
+
+def test_dettmann_morriss_rejects_two_samples():
+    # T = dt leaves two samples; the residual's central differences need three
+    U = FourierField(2, [((1, 0), 0.3, 0.0)])
+    sc = flat_torus_scenario((1, 1), GradientField(U))
+    traj = flows.integrate(sc, PhaseState([0.15, 0.3], [np.cos(1.1), np.sin(1.1)]),
+                           T=1e-3, dt=1e-3)
+    assert len(traj.times) == 2
+    with pytest.raises(TooFewSamplesError, match="at least 3 samples"):
+        flows.dettmann_morriss(traj, U)
+    three = flows.integrate(sc, PhaseState([0.15, 0.3], [np.cos(1.1), np.sin(1.1)]),
+                            T=2e-3, dt=1e-3)
+    assert np.isfinite(flows.dettmann_morriss(three, U).hamilton_residual)
 
 
 def test_omega_form_zero_potential_reduces_to_pairing():

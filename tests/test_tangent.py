@@ -89,6 +89,26 @@ def test_transport_frame_stays_in_the_trajectory_chart(hyperbolic):
     assert np.abs(run.q - traj.q).max() < 1e-9
 
 
+def test_transport_frame_builds_no_jacobi_matrix(monkeypatch):
+    # a frame-only run has no tangent columns to read the Jacobi matrix
+    calls = [0]
+    jacobi = tangent._jacobi
+
+    def counting(*args):
+        calls[0] += 1
+        return jacobi(*args)
+
+    monkeypatch.setattr(tangent, "_jacobi", counting)
+    sc = presets.scenario_preset("conformal_gradient")
+    q0, v0 = presets.default_initial_state(sc)
+    traj = flows.integrate(sc, PhaseState(q0, v0), T=0.05, dt=1e-3)
+    tangent.transport_frame(sc, traj)
+    assert calls[0] == 0
+    tangent.linearized_run(sc, PhaseState(q0, v0), TangentVector(0.0, np.ones(1), np.zeros(1)),
+                           T=0.05, dt=1e-3)
+    assert calls[0] == 4 * 50 + 1
+
+
 def test_gram_schmidt_rejects_a_frame_row_parallel_to_v():
     g = np.diag([1.0, 2.0, 0.5])
     v = np.array([0.3, -0.2, 0.9])
