@@ -419,6 +419,14 @@ def _parse_document(doc):
     if numerics["burn_in"] >= numerics["T"]:
         errors.append(f"numerics.burn_in: must be < numerics.T, got burn_in="
                       f"{numerics['burn_in']!r} and T={numerics['T']!r}")
+    elif numerics["T"] >= numerics["dt"] and math.isfinite(numerics["T"] / numerics["dt"]):
+        # the burn-in ends at a renormalization event; one must come before the last step
+        burn = tangent.burn_steps(numerics["burn_in"], numerics["dt"], numerics["renorm_every"])
+        n_steps = flows.step_count(numerics["T"], numerics["dt"])
+        if burn >= n_steps:
+            errors.append(f"numerics.burn_in: rounds up to step {burn} (a renormalization event"
+                          f" every numerics.renorm_every={numerics['renorm_every']} steps),"
+                          f" leaving none of the {n_steps} steps of numerics.T to average over")
 
     output = {"directory": ".", "formats": ["csv", "json"]}
     odoc = doc.get("output", {})

@@ -1,8 +1,10 @@
 """Scalar and vector field families with closed-form derivatives.
 
-Scalar fields expose value/grad/hess.  A FourierField also has grad_hess:
-both derivatives from one cos/sin evaluation, bit for bit equal to grad and
-hess; the gradient and reduced fields read their potential through it.
+Scalar fields expose value/grad/hess and value_grad, the value and gradient
+from one evaluation, bit for bit equal to value and grad (the conformal
+metric reads sigma through it).  A FourierField also has grad_hess: both
+derivatives from one cos/sin evaluation, bit for bit equal to grad and hess;
+the gradient and reduced fields read their potential through it.
 
 Vector (thermostat) fields expose one ``jet(q, metric)`` that returns the
 contravariant components and their Jacobian together, raising indices with
@@ -61,6 +63,15 @@ class FourierField:
         coef = -self.a * np.cos(arg) - self.b * np.sin(arg)
         return (self.freq.T * coef) @ self.freq
 
+    def value_grad(self, q):
+        """(value(q), grad(q)) from one evaluation of the cosines and sines."""
+        if len(self.a) == 0:
+            return 0.0, np.zeros(self.dim)
+        arg = self.freq @ np.asarray(q, dtype=float)
+        cos, sin = np.cos(arg), np.sin(arg)
+        return (float(self.a @ cos + self.b @ sin),
+                (-self.a * sin + self.b * cos) @ self.freq)
+
     def grad_hess(self, q):
         """(grad(q), hess(q)) from one evaluation of the cosines and sines."""
         if len(self.a) == 0:
@@ -83,14 +94,21 @@ class HalfLogField:
         self.potential = potential
         self.dim = potential.dim
 
-    def _margin(self, q):
-        m = self.h - self.potential.value(q)
+    def _margin(self, q, w=None):
+        """h - W(q), from W(q) = w when the caller has it; raises unless positive."""
+        m = self.h - (self.potential.value(q) if w is None else w)
         if m <= 0.0:
             raise DegenerateMetricError(f"h - W <= 0 at q={np.asarray(q)}")
         return m
 
     def value(self, q):
         return 0.5 * np.log(self._margin(q))
+
+    def value_grad(self, q):
+        """(value(q), grad(q)) from one evaluation of the potential."""
+        w, gw = self.potential.value_grad(q)
+        m = self._margin(q, w)
+        return 0.5 * np.log(m), -0.5 * gw / m
 
     def grad(self, q):
         m = self._margin(q)

@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .fields import ReducedField
+from .metrics import MetricJet
 
 KINETIC_FLOOR = 1e-6
 REDUCE_CHECK_POINTS = 64     # seeded sample points at which reduce_to_wflow checks h > W
@@ -234,51 +235,23 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
     def f(y):
         return np.concatenate(rhs(y[:n], y[n:]))
 
-    ys = np.empty((n_steps + 1, 2 * n))
+    m = n_steps + 1
+    ys = np.empty((m, 2 * n))
+    rec = np.empty((m, 4))    # per sample: speed, phi(v), W and the energy residual
     y = np.concatenate((initial.q, initial.v), dtype=float)
+    w = spec.potential.value(y[:n]) if kind == "isoenergetic" else 0.0
     ys[0] = y
+    rec[0] = _sample(scenario, spec, kind, y[:n], y[n:], w)
     for i in range(n_steps):
         y = rk4_step(f, y, dt, f(y))
         if not np.isfinite(y).all():
             raise NonFiniteStateError(f"non-finite state at step {i + 1}")
-        y[n:] = _project(scenario, spec, kind, y[:n], y[n:])
+        y[n:], w = _project(scenario, spec, kind, y[:n], y[n:])
         ys[i + 1] = y
+        rec[i + 1] = _sample(scenario, spec, kind, y[:n], y[n:], w)
 
-    return _assemble_trajectory(scenario, spec, kind, dt, initial.t, ys[:, :n], ys[:, n:])
-
-
-def _project(scenario, spec, kind, q, v):
-    if kind == "weyl_geodesic":
-        return v
-    speed = scenario.norm(q, v)
-    if kind == "isokinetic":
-        return v / speed
-    kinetic = 2.0 * (spec.h - spec.potential.value(q))
-    if kinetic < KINETIC_FLOOR:
-        raise KineticFloorError(f"kinetic energy {kinetic:.3e} below floor at q={q}")
-    return v * (np.sqrt(kinetic) / speed)
-
-
-def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
-    m = len(qs)
-    times = t0 + dt * np.arange(m)
-    phi_v = np.empty(m)
-    speed = np.empty(m)
-    energy_residual = np.zeros(m)
-    w_vals = np.zeros(m)
-    for i in range(m):
-        if kind == "isoenergetic":
-            jet = scenario.metric_family.jet(qs[i])
-            g, E = jet.g, spec.field.jet(qs[i], jet)[0]
-        else:
-            loc = scenario.local(qs[i])
-            g, E = loc.g, loc.E
-        gv = g @ vs[i]
-        speed[i] = np.sqrt(vs[i] @ gv)
-        phi_v[i] = gv @ E
-        if kind == "isoenergetic":
-            w_vals[i] = spec.potential.value(qs[i])
-            energy_residual[i] = 0.5 * speed[i] ** 2 + w_vals[i] - spec.h
+    times = initial.t + dt * np.arange(m)
+    speed, phi_v, w_vals, energy_residual = rec.T
     int_phi = cumulative_simpson(phi_v, times)
     arc_length = cumulative_simpson(speed, times)
     if kind == "isokinetic":
@@ -287,11 +260,37 @@ def _assemble_trajectory(scenario, spec, kind, dt, t0, qs, vs):
         speed_residual = speed - np.sqrt(np.maximum(2.0 * (spec.h - w_vals), 0.0))
     else:
         speed_residual = speed - np.exp(-int_phi)
-    return Trajectory(times=times, q=qs, v=vs, phi_v=phi_v,
+    return Trajectory(times=times, q=ys[:, :n], v=ys[:, n:], phi_v=phi_v,
                       speed_residual=speed_residual,
                       energy_residual=energy_residual, int_phi=int_phi,
                       arc_length=arc_length, kind=kind, dt=dt,
                       scenario=scenario, spec=spec)
+
+
+def _project(scenario, spec, kind, q, v):
+    """The projected v and, for the isoenergetic kind, the W(q) it read (else 0)."""
+    if kind == "weyl_geodesic":
+        return v, 0.0
+    speed = scenario.norm(q, v)
+    if kind == "isokinetic":
+        return v / speed, 0.0
+    w = spec.potential.value(q)
+    kinetic = 2.0 * (spec.h - w)
+    if kinetic < KINETIC_FLOOR:
+        raise KineticFloorError(f"kinetic energy {kinetic:.3e} below floor at q={q}")
+    return v * (np.sqrt(kinetic) / speed), w
+
+
+def _sample(scenario, spec, kind, q, v, w):
+    """(|v|_g, phi(v), W, energy residual) of a stored sample, from the point
+    record the projection read (the isoenergetic kind's E is spec.field's)."""
+    loc = scenario.local(q)
+    E = spec.field.jet(q, MetricJet(*loc[:4]))[0] if kind == "isoenergetic" else loc.E
+    gv = loc.g @ v
+    speed = np.sqrt(v @ gv)
+    if kind != "isoenergetic":
+        return speed, gv @ E, 0.0, 0.0
+    return speed, gv @ E, w, 0.5 * speed ** 2 + w - spec.h
 
 
 def reparametrize_by_arclength(traj, s_grid):

@@ -198,34 +198,51 @@ def jacobi_operator(scenario, q, v, frame):
     """
     loc = scenario.local(q)
     ge = frame if scenario.metric_family.is_flat else frame @ loc.g
-    return _jacobi(scenario, q, loc, v, frame, ge, ge @ loc.E)
+    return _jacobi_at(scenario, q, loc, v, frame, ge, ge @ loc.E)
 
 
-def _jacobi(scenario, q, loc, v, frame, ge, phi_e):
-    """The Jacobi matrix at the point record loc = scenario.local(q), given the
-    frame's products ge = frame @ g (rows <e_a, .>; frame itself when flat) and
-    phi_e = ge @ E.
+def _jacobi_inputs(scenario, q, loc, v):
+    """The point part of the Jacobi matrix at loc = scenario.local(q): the
+    operator W = R(., v) v - N, [d, a] = R^d_{cab} v^c v^b - N^d_a, and the
+    shift < grad_v E, v >.
 
-    The curvature and field terms share one sandwich ge @ (W @ frame.T) with
-    W = R(., v) v - N.  N is identically 0 on a zero field and on a
-    homogeneous scenario; its terms are skipped there, where they would cost
-    about a quarter of a kernel call.
+    N is identically 0 on a zero field and on a homogeneous scenario; its terms
+    are skipped there, and W is None when nothing is left (flat and N = 0).
     """
     flat = scenario.metric_family.is_flat
-    Rmat = phi_e[:, None] * phi_e
-    shift = float(phi_e @ phi_e)
     W = None
+    shift = 0.0
     if not flat:
         n = scenario.dim
         R = scenario.curvature_lc_tensor(q)
-        W = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)  # [d, a] = R^d_{cab} v^c v^b
+        W = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)
     if not (scenario.is_homogeneous or scenario.field_is_zero):
-        shift += float((v if flat else loc.g @ v) @ (loc.N @ v))
+        shift = float((v if flat else loc.g @ v) @ (loc.N @ v))
         W = -loc.N if W is None else W - loc.N
+    return W, shift
+
+
+def _jacobi(phi_e, ge, frame, W, shift):
+    """Jacobi matrices (S, n-1, n-1) of S stage points, from stacks of their
+    phi_e = phi(e_a) (S, n-1), frame products ge = frame @ g (S, n-1, n; the
+    frame itself when flat), frames (S, n-1, n), point operators W (S, n, n),
+    or None for W = 0, and shifts < grad_v E, v > (S,) (see _jacobi_inputs).
+
+    The curvature and field terms share one sandwich ge @ (W @ frame^T).
+    """
+    S, nm1 = phi_e.shape
+    Rmat = phi_e[:, :, None] * phi_e[:, None, :]
     if W is not None:
-        Rmat += ge @ (W @ frame.T)
-    Rmat.flat[:: len(Rmat) + 1] -= shift
+        Rmat += ge @ (W @ frame.transpose(0, 2, 1))
+    Rmat.reshape(S, -1)[:, :: nm1 + 1] -= ((phi_e * phi_e).sum(axis=1) + shift)[:, None]
     return Rmat
+
+
+def _jacobi_at(scenario, q, loc, v, frame, ge, phi_e):
+    """The Jacobi matrix at one point: _jacobi on a stack of one."""
+    W, shift = _jacobi_inputs(scenario, q, loc, v)
+    return _jacobi(phi_e[None], ge[None], frame[None], None if W is None else W[None],
+                   np.array([shift]))[0]
 
 
 def anosov_margin(scenario, q, X, Y):

@@ -266,7 +266,8 @@ class ConformalTorus(MetricFamily):
         self._eye = np.eye(self.dim)
 
     def jet(self, q):
-        return _conformal_jet(np.exp(2 * self.sigma.value(q)), self.sigma.grad(q), self._eye)
+        sigma, dsigma = self.sigma.value_grad(q)
+        return _conformal_jet(np.exp(2 * sigma), dsigma, self._eye)
 
     def christoffel_d1(self, q):
         return _conformal_christoffel_d1(self.sigma.hess(q))

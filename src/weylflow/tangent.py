@@ -11,11 +11,11 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-Each kernel call is one pass over its point: one scenario.local(q) lookup,
+Each stage point is one pass over its point: one scenario.local(q) lookup,
 one product frame @ g and one phi(e_a) = (frame @ g) @ E, which the kernel
-uses for the transport and hands to the Jacobi core (geometry._jacobi,
-whose public wrapper is geometry.jacobi_operator).  The core builds R in
-closed form from the Levi-Civita curvature and grad E (N X = grad_X E,
+uses for the transport and which the Jacobi formula reads.  The formula
+(geometry._jacobi, whose public wrapper is geometry.jacobi_operator) builds R
+in closed form from the Levi-Civita curvature and grad E (N X = grad_X E,
 phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
@@ -29,25 +29,39 @@ the other form moves the attractor exponents {0, -1} by about 0.16.  The last
 term is not symmetrized, since R is not symmetric for a non-closed E.  The
 full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
 
-One integrator (_co_integrate) advances the packed state [q, v, frame, M, xi0,
-int phi] by RK4, where M is a block of k quotient tangent columns [xi; chi]
-(k = 0 transports the frame alone and builds no Jacobi matrix), and cleans
-the frame up by g-Gram-Schmidt every renorm_every steps.  It runs in one of
-two modes:
+One integrator (_co_integrate) advances the flow, the frame and a block M of
+k quotient tangent columns [xi; chi] by RK4 (k = 0 transports the frame
+alone and builds no Jacobi matrix), and cleans the frame up by g-Gram-Schmidt
+every renorm_every steps.  The base flow, the frame and int phi never read M,
+and M obeys the linear system M' = A(t) M, A = [[-phi(v), 1], [-R, 0]], so
+each block of BLOCK steps runs in two passes:
+
+* pass 1 advances [q, v, frame, int phi] with rk4_step, step after step, by
+  the same operations as a run without columns, so q, v, the frames and
+  int phi carry the same bits whatever k is.  Each of its 4 b + 1 stage
+  points (4 per step and the next step's k1) writes the Jacobi inputs into
+  a stage row: phi(v), phi(e_a), frame @ g, the frame, W = R(., v) v - N
+  and the shift < grad_v E, v >;
+* pass 2 forms the block's Jacobi matrices in one batched call, then each
+  step's RK4 propagator P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) of the linear
+  system in stacked matmuls, and advances M <- P M.  This is exactly the RK4
+  step of the columns, so only their roundoff differs from stepping them
+  with the base.
+
+Memory does not grow with T: the stage rows hold one block.  The run is in
+one of two modes:
 
 * qr (lyapunov_spectrum): each cleanup also re-orthonormalizes the columns
   by QR, sums their log growth after the burn-in and, on the zero-field
   hyperbolic 2-d chart, recentres q so the run never nears the chart's
-  boundary.  A QR event makes no kernel call of its own: its J-separation
-  margin is read from the next step's k1, which evaluates the same
-  post-cleanup, post-QR (q, v, frame), so a Lyapunov run of n steps makes
-  4 n + 1 kernel calls.
+  boundary.  A QR event's J-separation margin is read at the next step's k1,
+  the stage point of the post-cleanup, post-QR (q, v, frame), so a Lyapunov
+  run of n steps has 4 n + 1 stage points.
 * raw columns (linearized_run, transport_frame): the columns are never
   renormalized, q stays in the starting chart, and each column also carries
-  its along-flow coordinate xi0; every sample records phi(v) and
-  <R xi, xi>, the inputs of the J-form check.
-
-Each RK4 stage writes its derivative into one fresh array.
+  its along-flow coordinate xi0 (one more row of the linear system,
+  xi0' = phi(e_a) xi_a); every sample records phi(v) and <R xi, xi>, the
+  inputs of the J-form check.
 """
 from __future__ import annotations
 
@@ -55,12 +69,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameCollapseError, NonFiniteStateError
+from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
 from .flows import PhaseState, rk4_step, step_count
-from .geometry import _jacobi
+from .geometry import _jacobi, _jacobi_at, _jacobi_inputs
 from .metrics import ConstantCurvatureChart
 
 CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
+BLOCK = 64           # steps per two-pass block of the co-integration
 
 
 @dataclass
@@ -146,11 +161,11 @@ def _g_gram_schmidt(g, v, rows, tol):
 
 
 class _Kernel:
-    """Per-step geometric coefficients for the co-integrated system.
+    """Per-stage geometric coefficients for the co-integrated system.
 
-    A call is ``transport`` (the flow and frame derivatives) followed by the
-    Jacobi core on the products ``transport`` formed; a run without tangent
-    columns calls ``transport`` alone.
+    ``transport`` gives the flow and frame derivatives and the products the
+    Jacobi formula reads; a call is ``transport`` followed by the Jacobi matrix
+    at that one point (a stack of one for geometry._jacobi).
     """
 
     def __init__(self, scenario):
@@ -159,11 +174,11 @@ class _Kernel:
 
     def __call__(self, q, v, frame):
         phi_v, phi_e, dv, de, (loc, ge) = self.transport(q, v, frame)
-        return phi_v, phi_e, dv, de, _jacobi(self.sc, q, loc, v, frame, ge, phi_e)
+        return phi_v, phi_e, dv, de, _jacobi_at(self.sc, q, loc, v, frame, ge, phi_e)
 
     def transport(self, q, v, frame):
         """phi(v), phi(e_a), dv/dt, de/dt, and the point record and frame @ g
-        that the Jacobi core reads."""
+        that the Jacobi formula reads."""
         loc = self.sc.local(q)
         E = loc.E
         ge = frame if self.flat else frame @ loc.g    # rows: <e_a, .>
@@ -204,11 +219,37 @@ def jform(xi, chi):
     return float(np.dot(xi, chi))
 
 
-def _jsep_margin(M, Rmat):
-    """(|chi|^2 - <R xi, xi>) / (|xi|^2 + |chi|^2) for the first column [xi; chi] of M."""
-    nm1 = len(Rmat)
-    xi, chi = M[:nm1, 0], M[nm1:, 0]
-    return float(chi @ chi - xi @ (Rmat @ xi)) / float(xi @ xi + chi @ chi)
+def burn_steps(burn_in, dt, renorm_every):
+    """The burn-in in steps, rounded up to a renormalization event so that the
+    exponent sums start at a clean QR."""
+    steps = int(round(burn_in / dt))
+    return renorm_every * -(-steps // renorm_every)
+
+
+def _propagators(A, dt):
+    """RK4 propagators (b, d, d) of y' = A(t) y from its (4 b, d, d) stage
+    matrices A_1..A_4 of each step, in step order:
+
+        P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4),  K1 = A_1,  K2 = A_2 (I + dt/2 K1),
+        K3 = A_3 (I + dt/2 K2),  K4 = A_4 (I + dt K3),
+
+    so that P y is the classical RK4 step of y.
+    """
+    A1, A2, A3, A4 = A[0::4], A[1::4], A[2::4], A[3::4]
+    K2 = A2 + (0.5 * dt) * (A2 @ A1)
+    K3 = A3 + (0.5 * dt) * (A3 @ K2)
+    K4 = A4 + dt * (A4 @ K3)
+    P = (dt / 6.0) * (A1 + 2.0 * (K2 + K3) + K4)
+    P.reshape(len(P), -1)[:, :: P.shape[-1] + 1] += 1.0
+    return P
+
+
+def _first_nonfinite(Mh, a, b):
+    """Raise NonFiniteStateError at the first sample a..b-1 with a non-finite column."""
+    finite = np.isfinite(Mh[a:b]).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteStateError(
+            f"non-finite tangent growth at step {a + int(np.argmin(finite))}")
 
 
 def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=0.0):
@@ -217,7 +258,8 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     k = 0 transports the frame alone.  Every renorm_every steps the frame is
     cleaned up; with qr the columns are also re-orthonormalized (see the
     module docstring), otherwise they stay raw and the run also records xi0,
-    phi(v) and <R xi, xi> per sample.
+    phi(v) and <R xi, xi> per sample.  Each block of BLOCK steps runs pass 1
+    (base and frame, recording the stages) then pass 2 (the columns).
     """
     n = scenario.dim
     nm1 = n - 1
@@ -229,118 +271,164 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
                 and fam.dim == 2 and scenario.field_is_zero)
 
     n_steps = step_count(T, dt)
-    burn_steps = int(round(burn_in / dt))
-    if burn_steps:
-        # align the burn boundary with a QR event so accumulation starts clean
-        burn_steps = renorm_every * int(np.ceil(burn_steps / renorm_every))
+    burn = burn_steps(burn_in, dt, renorm_every)
+    if qr and burn >= n_steps:
+        raise UnsupportedConfigurationError(
+            f"burn_in={burn_in!r} rounds up to step {burn} of {n_steps} (a QR event every "
+            f"{renorm_every} steps), leaving no steps to average over")
     m = n_steps + 1
+    block = min(BLOCK, n_steps)
+    S = 4 * block + 1          # stage rows of a block: 4 per step and the next step's k1
 
-    # packed state y = [q, v, frame, M, xi0, int_phi]; int_phi has derivative phi(v),
-    # xi0 (one per raw column) has derivative phi(e_a) xi_a
+    # pass 1 state y = [q, v, frame, int_phi]; int_phi has derivative phi(v)
     o_e = 2 * n
-    o_M = o_e + nm1 * n
-    o_x = o_M + 2 * nm1 * k
-    o_p = o_x + (0 if qr else k)
-
-    def split(y):
-        return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n), y[o_M:o_x].reshape(2 * nm1, k))
-
-    def deriv(y):
-        # a fresh array per call: rk4_step holds k1..k4 at once, and k1 is read again
-        q, v, frame, M = split(y)
-        if not k:          # the frame alone: no column reads the Jacobi matrix
-            phi_v, _, dv, de, _ = kern.transport(q, v, frame)
-            return np.concatenate((v, dv, de.ravel(), [phi_v])), None
-        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
-        out = np.empty(len(y))
-        out[:n] = v
-        out[n:o_e] = dv
-        out[o_e:o_M] = de.ravel()
-        Mxi = M[:nm1]
-        dM = out[o_M:o_x].reshape(2 * nm1, k)
-        np.multiply(Mxi, -phi_v, out=dM[:nm1])
-        dM[:nm1] += M[nm1:]
-        np.matmul(-Rmat, Mxi, out=dM[nm1:])
-        if not qr:
-            np.matmul(phi_e, Mxi, out=out[o_x:o_p])
-        out[-1] = phi_v
-        return out, Rmat
-
-    def rhs(y):
-        return deriv(y)[0]
-
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.v, dtype=float)
-    v = v / scenario.norm(q, v)
-    y = np.concatenate((q, v, complete_frame(scenario, q, v).ravel(), M0.ravel(),
-                        np.zeros(o_p - o_x), [0.0]))
-
+    o_p = o_e + nm1 * n
     hist = np.empty((m, o_p + 1))
+    # the column state [xi; chi] (and, raw, the row xi0' = phi(e_a) xi_a): M' = A M
+    d = 2 * nm1 + (0 if qr else 1)
+    Mh = np.empty((m, d, k))
+    Mh[0, :2 * nm1] = M0
+    Mh[0, 2 * nm1:] = 0.0
     out = {
         "times": initial.t + dt * np.arange(m),
         "q": hist[:, :n], "v": hist[:, n:o_e],
-        "frames": hist[:, o_e:o_M].reshape(m, nm1, n),
-        "M": hist[:, o_M:o_x].reshape(m, 2 * nm1, k), "int_phi": hist[:, o_p],
+        "frames": hist[:, o_e:o_p].reshape(m, nm1, n),
+        "M": Mh[:, :2 * nm1], "int_phi": hist[:, o_p],
     }
     if qr:
         lsum = np.zeros(k)
         windows = {"t": [], "lam": [], "sbar": [], "jsep": []}
-        out.update(lsum=lsum, windows=windows, burn_steps=burn_steps)
+        out.update(lsum=lsum, windows=windows, burn_steps=burn)
     else:
-        out.update(xi0=hist[:, o_x:o_p], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
+        out.update(xi0=Mh[:, 2 * nm1], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
 
-    margin_due = False   # a QR event left its J-separation margin to this k1
-    for i in range(n_steps + 1):
-        k1, Rmat = deriv(y)
-        hist[i] = y
-        if margin_due:
-            # the post-cleanup, post-QR (q, v, frame) of the event is this k1's point
-            windows["jsep"].append(_jsep_margin(split(y)[3], Rmat))
-            margin_due = False
+    # stage rows: rk4_step's k1..k4 (phi(v) in the last column) and the Jacobi inputs
+    kst = np.empty((S, o_p + 1))
+    stages = [kst]
+    if k:
+        fst = np.empty((S, nm1, n))
+        gst = np.empty((S, nm1, n))
+        pst = np.empty((S, nm1))
+        sst = np.empty(S)
+        Wst = np.zeros((S, n, n))    # stays 0 where _jacobi_inputs gives no W
+        Rst = np.empty((S, nm1, nm1))
+        stages += [fst, gst, pst, sst, Wst, Rst]
+        diag = np.arange(nm1)
+        A = np.zeros((S - 1, d, d))
+        A[:, diag, diag + nm1] = 1.0
+    row = [0]
+
+    def rhs(y):
+        # pass 1: the base derivative, written into its stage row with the Jacobi inputs
+        r = row[0]
+        row[0] = r + 1
+        q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
+        phi_v, phi_e, dv, de, (loc, ge) = kern.transport(q, v, frame)
+        if k:
+            fst[r] = frame
+            gst[r] = ge
+            pst[r] = phi_e
+            W, sst[r] = _jacobi_inputs(scenario, q, loc, v)
+            if W is not None:
+                Wst[r] = W
+        return np.concatenate((v, dv, de.ravel(), [phi_v]), out=kst[r])
+
+    def columns(i0, b):
+        # pass 2 over steps i0..i0+b-1, whose stage rows 0..4b are written; row 0 of a
+        # later block is the last block's final row, whose Jacobi matrix is already made
+        i1 = i0 + b
+        rows = slice(0, 4 * b + 1, 4)          # the stage rows of samples i0..i1
         if not qr:
-            out["phi_v"][i] = k1[-1]
-            if k:
-                Mxi = split(y)[3][:nm1]
-                out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, Mxi, Mxi)
-        if i == n_steps:
-            break
-        y = rk4_step(rhs, y, dt, k1)
-        q, v, frame, M = split(y)
-        if not np.isfinite(M).all():
-            raise NonFiniteStateError(f"non-finite tangent growth at step {i + 1}")
-
-        if kern.flat:
-            g = None
-            v /= np.linalg.norm(v)
-        else:
-            g = scenario.metric(q)
-            v /= np.sqrt(v @ g @ v)
-
-        step_no = i + 1
-        if step_no % renorm_every == 0:
-            gg = np.eye(n) if g is None else g
-            gram = frame @ gg @ frame.T
-            if np.abs(gram - np.eye(n - 1)).max() > 0.5:
-                raise FrameCollapseError("frame drifted too far between cleanups")
-            frame[:] = _g_gram_schmidt(gg, v, frame, 1e-6)
-            if recenter:
-                move, push = fam.recenter_map(q)
-                v[:] = push(q, v)
-                frame[:] = np.array([push(q, e) for e in frame])
-                q[:] = move(q)
-            if qr:
+            out["phi_v"][i0:i1 + 1] = kst[rows, -1]
+        if not k:
+            return
+        lo, hi = (1 if i0 else 0), 4 * b + 1
+        Rst[lo:hi] = _jacobi(pst[lo:hi], gst[lo:hi], fst[lo:hi], Wst[lo:hi], sst[lo:hi])
+        Ab = A[:4 * b]
+        Ab[:, diag, diag] = -kst[:4 * b, -1, None]
+        Ab[:, nm1:2 * nm1, :nm1] = -Rst[:4 * b]
+        if not qr:
+            Ab[:, 2 * nm1, :nm1] = pst[:4 * b]
+        P = _propagators(Ab, dt)
+        events = []
+        checked = i0 + 1
+        for j in range(b):
+            s = i0 + j + 1
+            M = Mh[s]
+            np.matmul(P[j], Mh[s - 1], out=M)
+            if qr and s % renorm_every == 0:
+                _first_nonfinite(Mh, checked, s + 1)
+                checked = s + 1
                 Q, R = np.linalg.qr(M)
-                diag = np.diag(R)
-                sign = np.where(diag >= 0, 1.0, -1.0)
-                M[:] = Q * sign
-                if step_no > burn_steps:
-                    lsum += np.log(np.abs(diag))
-                    t_since = (step_no - burn_steps) * dt
-                    windows["t"].append(initial.t + step_no * dt)
-                    windows["lam"].append(lsum / t_since)
-                    windows["sbar"].append(-float(y[-1]) / (step_no * dt))
-                    margin_due = True
+                dR = np.diag(R)
+                M[:] = Q * np.where(dR >= 0, 1.0, -1.0)
+                if s > burn:
+                    lsum[:] += np.log(np.abs(dR))
+                    windows["t"].append(initial.t + s * dt)
+                    windows["lam"].append(lsum / ((s - burn) * dt))
+                    windows["sbar"].append(-float(hist[s, -1]) / (s * dt))
+                    events.append(s)
+        _first_nonfinite(Mh, checked, i1 + 1)
+        if events:
+            # each margin reads the post-cleanup, post-QR state at the next step's k1
+            ev = np.array(events)
+            windows["jsep"].extend(_jsep_margins(Mh[ev, :, 0], Rst[4 * (ev - i0)]))
+        if not qr:
+            Mxi = Mh[i0:i1 + 1, :nm1]
+            out["curv_quad"][i0:i1 + 1] = np.einsum("sab,saj,sbj->sj", Rst[rows], Mxi, Mxi)
+
+    q = np.array(initial.q, dtype=float)
+    v = np.array(initial.v, dtype=float)
+    v = v / scenario.norm(q, v)
+    y = np.concatenate((q, v, complete_frame(scenario, q, v).ravel(), [0.0]))
+    hist[0] = y
+    rhs(y)
+    i0 = 0
+    while i0 < n_steps:
+        b = min(block, n_steps - i0)
+        if i0:
+            # the last block's final row is this block's first k1
+            for buf in stages:
+                buf[0] = buf[4 * block]
+            row[0] = 1
+        for j in range(b):
+            y = rk4_step(rhs, y, dt, kst[4 * j])
+            q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
+            if kern.flat:
+                g = None
+                v /= np.linalg.norm(v)
+            else:
+                g = scenario.metric(q)
+                v /= np.sqrt(v @ g @ v)
+            step_no = i0 + j + 1
+            if step_no % renorm_every == 0:
+                if not np.isfinite(y).all():
+                    raise NonFiniteStateError(f"non-finite state by step {step_no}")
+                gg = np.eye(n) if g is None else g
+                gram = frame @ gg @ frame.T
+                if np.abs(gram - np.eye(n - 1)).max() > 0.5:
+                    raise FrameCollapseError("frame drifted too far between cleanups")
+                frame[:] = _g_gram_schmidt(gg, v, frame, 1e-6)
+                if recenter:
+                    move, push = fam.recenter_map(q)
+                    v[:] = push(q, v)
+                    frame[:] = np.array([push(q, e) for e in frame])
+                    q[:] = move(q)
+            hist[step_no] = y
+            rhs(y)
+        columns(i0, b)
+        i0 += b
     return out
+
+
+def _jsep_margins(cols, Rmat):
+    """(|chi|^2 - <R xi, xi>) / (|xi|^2 + |chi|^2) for stacks of first columns
+    [xi; chi] (e, 2(n-1)) and their Jacobi matrices (e, n-1, n-1)."""
+    nm1 = Rmat.shape[-1]
+    xi, chi = cols[:, :nm1], cols[:, nm1:]
+    chi2 = (chi * chi).sum(axis=1)
+    num = chi2 - np.einsum("ea,eab,eb->e", xi, Rmat, xi)
+    return (num / ((xi * xi).sum(axis=1) + chi2)).tolist()
 
 
 def linearized_run(scenario, initial, tangent, T, dt):

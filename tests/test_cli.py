@@ -337,6 +337,17 @@ def test_main_rejects_burn_in_past_T(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_parse_rejects_a_burn_in_that_rounds_up_to_T():
+    # burn_in = 0.05 is 5 steps, rounded up to the QR event at step 10 = the last step
+    doc = {"task": "lyapunov", "preset": "example_1_2",
+           "numerics": {"T": 0.1, "dt": 0.01, "renorm_every": 10, "burn_in": 0.05}}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(doc)
+    assert any(e.startswith("numerics.burn_in:") for e in exc.value.errors)
+    doc["numerics"]["renorm_every"] = 5
+    cli.parse_config(doc)
+
+
 def test_parse_rejects_non_finite_numbers():
     # Python's json module reads NaN and Infinity
     doc = {"task": "billiard", "numerics": {"T": float("inf")},

@@ -176,3 +176,26 @@ def test_fourier_grad_hess_is_grad_and_hess_bit_for_bit(terms):
     for q in np.random.default_rng(7).uniform(-2.0, 2.0, (20, 2)):
         grad, hess = f.grad_hess(q)
         assert np.array_equal(grad, f.grad(q)) and np.array_equal(hess, f.hess(q))
+
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_coef = st.floats(-1.0, 1.0, allow_nan=False)
+_terms = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _coef, _coef),
+                  max_size=4)
+_point = st.tuples(st.floats(-5.0, 5.0, allow_nan=False), st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=1000, derandomize=True)
+@given(terms=_terms, period=st.floats(0.5, 3.0), q=_point)
+def test_property_value_grad_is_value_and_grad_bit_for_bit(terms, period, q):
+    f = FourierField(2, terms, periods=(1.0, period))
+    q = np.array(q)
+    value, grad = f.value_grad(q)
+    assert value == f.value(q) and type(value) is type(f.value(q))
+    assert np.array_equal(grad, f.grad(q))
+    # the Maupertuis exponent reads its potential through the same evaluation
+    sig = HalfLogField(10.0, f)
+    value, grad = sig.value_grad(q)
+    assert value == sig.value(q) and np.array_equal(grad, sig.grad(q))

@@ -3,10 +3,10 @@ import pytest
 
 from weylflow import flows, presets, tangent
 from weylflow import geometry as geo
-from weylflow.errors import FrameCollapseError
-from weylflow.fields import ConstantField
+from weylflow.errors import FrameCollapseError, NonFiniteStateError, WeylflowError
+from weylflow.fields import ConstantField, VectorField
 from weylflow.flows import PhaseState, involution
-from weylflow.metrics import FlatTorus
+from weylflow.metrics import ConstantCurvatureChart, FlatTorus
 from weylflow.scenario import WeylScenario, constant_curvature_scenario, flat_torus_scenario
 from weylflow.tangent import TangentVector
 
@@ -89,24 +89,30 @@ def test_transport_frame_stays_in_the_trajectory_chart(hyperbolic):
     assert np.abs(run.q - traj.q).max() < 1e-9
 
 
-def test_transport_frame_builds_no_jacobi_matrix(monkeypatch):
-    # a frame-only run has no tangent columns to read the Jacobi matrix
-    calls = [0]
+def _count_jacobi_stage_points(monkeypatch):
+    """Patch tangent._jacobi to count the stage points it is given; returns the count."""
+    points = [0]
     jacobi = tangent._jacobi
 
-    def counting(*args):
-        calls[0] += 1
-        return jacobi(*args)
+    def counting(phi_e, *args):
+        points[0] += len(phi_e)
+        return jacobi(phi_e, *args)
 
     monkeypatch.setattr(tangent, "_jacobi", counting)
+    return points
+
+
+def test_transport_frame_builds_no_jacobi_matrix(monkeypatch):
+    # a frame-only run has no tangent columns to read the Jacobi matrix
+    points = _count_jacobi_stage_points(monkeypatch)
     sc = presets.scenario_preset("conformal_gradient")
     q0, v0 = presets.default_initial_state(sc)
     traj = flows.integrate(sc, PhaseState(q0, v0), T=0.05, dt=1e-3)
     tangent.transport_frame(sc, traj)
-    assert calls[0] == 0
+    assert points[0] == 0
     tangent.linearized_run(sc, PhaseState(q0, v0), TangentVector(0.0, np.ones(1), np.zeros(1)),
                            T=0.05, dt=1e-3)
-    assert calls[0] == 4 * 50 + 1
+    assert points[0] == 4 * 50 + 1
 
 
 def test_gram_schmidt_rejects_a_frame_row_parallel_to_v():
@@ -301,11 +307,179 @@ def test_jsep_margins_match_the_post_qr_states(name):
 
 
 def test_lyapunov_run_makes_four_kernel_calls_per_step(monkeypatch):
+    # 4 n + 1 stage points, each transported once in pass 1 and given one Jacobi
+    # matrix in pass 2; a QR event adds none.  T spans two blocks plus a remainder
     calls = []
-    call = tangent._Kernel.__call__
-    monkeypatch.setattr(tangent._Kernel, "__call__",
-                        lambda self, *args: calls.append(1) or call(self, *args))
+    transport = tangent._Kernel.transport
+    monkeypatch.setattr(tangent._Kernel, "transport",
+                        lambda self, *args: calls.append(1) or transport(self, *args))
+    points = _count_jacobi_stage_points(monkeypatch)
     sc = presets.scenario_preset("hyperbolic_potential")
-    T, dt = 0.5, 5e-3
+    dt = 5e-3
+    T = (2 * tangent.BLOCK + 3) * dt
     tangent.lyapunov_spectrum(sc, PhaseState(*presets.default_initial_state(sc)), T=T, dt=dt)
-    assert len(calls) == 4 * flows.step_count(T, dt) + 1
+    assert len(calls) == points[0] == 4 * flows.step_count(T, dt) + 1
+
+
+def test_lyapunov_rejects_a_burn_in_that_rounds_up_to_T():
+    # 5 steps of burn-in round up to the QR event at step 10, the last step
+    sc = presets.scenario_preset("example_1_2")
+    st = PhaseState(*presets.default_initial_state(sc))
+    with pytest.raises(WeylflowError, match="burn_in"):
+        tangent.lyapunov_spectrum(sc, st, T=0.1, dt=0.01, renorm_every=10, burn_in=0.05)
+    rep = tangent.lyapunov_spectrum(sc, st, T=0.1, dt=0.01, renorm_every=5, burn_in=0.05)
+    assert np.isfinite(rep.exponents).all()
+
+
+# ---------------------------------------------------------------------------
+# the two-pass co-integration against a one-pass oracle
+# ---------------------------------------------------------------------------
+
+def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=0.0):
+    """RK4 on the packed state [q, v, frame, M, xi0, int_phi], one kernel call per
+    stage: the co-integration as a single pass, kept as the two-pass oracle."""
+    n = scenario.dim
+    nm1 = n - 1
+    k = M0.shape[1]
+    kern = tangent._Kernel(scenario)
+    fam = scenario.metric_family
+    recenter = (qr and isinstance(fam, ConstantCurvatureChart) and fam.K < 0
+                and fam.dim == 2 and scenario.field_is_zero)
+    n_steps = flows.step_count(T, dt)
+    burn_steps = tangent.burn_steps(burn_in, dt, renorm_every)
+    m = n_steps + 1
+    o_e = 2 * n
+    o_M = o_e + nm1 * n
+    o_x = o_M + 2 * nm1 * k
+    o_p = o_x + (0 if qr else k)
+
+    def split(y):
+        return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n), y[o_M:o_x].reshape(2 * nm1, k))
+
+    def deriv(y):
+        q, v, frame, M = split(y)
+        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
+        Mxi = M[:nm1]
+        dM = np.concatenate((-phi_v * Mxi + M[nm1:], -Rmat @ Mxi))
+        dx = [] if qr else [phi_e @ Mxi]
+        return np.concatenate([v, dv, de.ravel(), dM.ravel(), *dx, [phi_v]]), Rmat
+
+    def jsep(M, Rmat):
+        xi, chi = M[:nm1, 0], M[nm1:, 0]
+        return float(chi @ chi - xi @ (Rmat @ xi)) / float(xi @ xi + chi @ chi)
+
+    q = np.array(initial.q, dtype=float)
+    v = np.array(initial.v, dtype=float)
+    v = v / scenario.norm(q, v)
+    y = np.concatenate((q, v, tangent.complete_frame(scenario, q, v).ravel(), M0.ravel(),
+                        np.zeros(o_p - o_x), [0.0]))
+    hist = np.empty((m, o_p + 1))
+    out = {"q": hist[:, :n], "v": hist[:, n:o_e], "frames": hist[:, o_e:o_M].reshape(m, nm1, n),
+           "M": hist[:, o_M:o_x].reshape(m, 2 * nm1, k), "int_phi": hist[:, o_p]}
+    lsum = np.zeros(k)
+    windows = {"t": [], "lam": [], "sbar": [], "jsep": []}
+    if qr:
+        out.update(lsum=lsum, windows=windows)
+    else:
+        out.update(xi0=hist[:, o_x:o_p], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
+    margin_due = False
+    for i in range(n_steps + 1):
+        k1, Rmat = deriv(y)
+        hist[i] = y
+        if margin_due:
+            windows["jsep"].append(jsep(split(y)[3], Rmat))
+            margin_due = False
+        if not qr:
+            out["phi_v"][i] = k1[-1]
+            Mxi = split(y)[3][:nm1]
+            out["curv_quad"][i] = np.einsum("ab,aj,bj->j", Rmat, Mxi, Mxi)
+        if i == n_steps:
+            break
+        y = flows.rk4_step(lambda z: deriv(z)[0], y, dt, k1)
+        q, v, frame, M = split(y)
+        g = np.eye(n) if kern.flat else scenario.metric(q)
+        v /= np.linalg.norm(v) if kern.flat else np.sqrt(v @ g @ v)
+        step_no = i + 1
+        if step_no % renorm_every == 0:
+            frame[:] = tangent._g_gram_schmidt(g, v, frame, 1e-6)
+            if recenter:
+                move, push = fam.recenter_map(q)
+                v[:] = push(q, v)
+                frame[:] = np.array([push(q, e) for e in frame])
+                q[:] = move(q)
+            if qr:
+                Q, R = np.linalg.qr(M)
+                diag = np.diag(R)
+                M[:] = Q * np.where(diag >= 0, 1.0, -1.0)
+                if step_no > burn_steps:
+                    lsum += np.log(np.abs(diag))
+                    windows["t"].append(initial.t + step_no * dt)
+                    windows["lam"].append(lsum / ((step_no - burn_steps) * dt))
+                    windows["sbar"].append(-float(y[-1]) / (step_no * dt))
+                    margin_due = True
+    return out
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["qr", "raw"])
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_two_passes_match_the_one_pass_oracle(name, mode):
+    # three full blocks and a remainder; QR events every 7 steps straddle the block ends,
+    # a burn-in of 25 steps rounds up to 28, and hyperbolic_geodesic recentres in qr mode
+    sc = presets.scenario_preset(name)
+    st = PhaseState(*presets.default_initial_state(sc, seed=5))
+    nm1 = sc.dim - 1
+    dt = 2e-3
+    T = (3 * tangent.BLOCK + 11) * dt
+    if mode == "qr":
+        kw = dict(renorm_every=7, M0=np.eye(2 * nm1), qr=True, burn_in=25 * dt)
+    else:
+        kw = dict(renorm_every=10, M0=np.random.default_rng(1).standard_normal((2 * nm1, 2)))
+    got = tangent._co_integrate(sc, st, T, dt, **kw)
+    want = _one_pass_co_integrate(sc, st, T, dt, **kw)
+    for key in ("q", "v", "frames", "int_phi"):
+        assert np.array_equal(got[key], want[key]), key
+    assert _close(got["M"], want["M"])
+    if mode == "qr":
+        assert _close(got["lsum"], want["lsum"])
+        for key in ("lam", "jsep"):
+            assert _close(got["windows"][key], want["windows"][key]), key
+        for key in ("t", "sbar"):
+            assert got["windows"][key] == want["windows"][key], key
+    else:
+        assert np.array_equal(got["phi_v"], want["phi_v"])
+        for key in ("xi0", "curv_quad"):
+            assert _close(got[key], want[key]), key
+
+
+def test_propagator_is_the_rk4_step_of_the_linear_system():
+    rng = np.random.default_rng(12)
+    dt = 0.05
+    for d in (2, 5, 7):
+        A = rng.standard_normal((8, d, d))       # two steps' stage matrices
+        P = tangent._propagators(A, dt)
+        for j in range(2):
+            stage = iter(A[4 * j:4 * j + 4])
+            rhs = lambda y: next(stage) @ y
+            y0 = rng.standard_normal((d, 3))
+            want = flows.rk4_step(rhs, y0, dt, rhs(y0))
+            assert np.abs(P[j] @ y0 - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class _NanPastX(VectorField):
+    """E = (1, 0) for x < 0.3 and NaN beyond: a field that blows the base flow up."""
+
+    def jet(self, q, metric):
+        return np.array([1.0 if q[0] < 0.3 else np.nan, 0.0]), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("columns", [0, 2])
+def test_a_non_finite_base_raises_non_finite_state(columns):
+    sc = WeylScenario(FlatTorus((1.0, 1.0)), _NanPastX())
+    with pytest.raises(NonFiniteStateError):
+        tangent._co_integrate(sc, PhaseState([0.0, 0.1], [1.0, 0.0]), T=0.5, dt=1e-3,
+                              renorm_every=10, M0=np.eye(2)[:, :columns])
