@@ -530,23 +530,10 @@ def _reflection_kick(table, r, normal, cos_incidence=1.0):
     return 2.0 * (1.0 / r + float(table.field @ normal)) / cos_incidence
 
 
-def reflection_tangent_matrix(table, event):
-    """Tangent map across a specular reflection in the (xi, chi) frame.
-
-    First-order analysis of the event-synchronized reflection (perturbed
-    impact time, perturbed normal, thermostat force on both sides) collapses
-    to a single kick by the projected Weyl shape operator:
-
-        chi+ = -(chi- + 2 (kappa + <N, E>) / cos(theta) * xi-),  xi+ = -xi-.
-    """
-    if abs(event.cos_incidence) < GRAZING_TOL:
-        raise GrazingCollisionError("tangent map undefined at grazing incidence")
-    return _reflection_matrix(table, table.scatterers[event.scatterer].radius,
-                              event.normal, event.cos_incidence)
-
-
 def _reflection_matrix(table, r, normal, cos_incidence=1.0):
-    """-[[1, 0], [kick, 1]], the reflection map off a circle of radius r."""
+    """-[[1, 0], [kick, 1]], the tangent map in the (xi, chi) frame across a
+    reflection off a circle of radius r: to first order, the event-synchronized
+    reflection is xi+ = -xi-, chi+ = -(chi- + kick xi-)."""
     kick = _reflection_kick(table, r, normal, cos_incidence)
     return -np.array([[1.0, 0.0], [kick, 1.0]])
 

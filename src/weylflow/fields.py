@@ -177,8 +177,8 @@ class FourierComponentsField(VectorField):
         self.fields = tuple(components)
 
     def jet(self, q, metric):
-        return (np.array([f.value(q) for f in self.fields]),
-                np.array([f.grad(q) for f in self.fields]))
+        values, grads = zip(*(f.value_grad(q) for f in self.fields))
+        return np.array(values), np.array(grads)
 
     @property
     def is_zero(self):

@@ -90,41 +90,30 @@ class Trajectory:
 
 # -- right-hand sides --------------------------------------------------------
 
-def isokinetic_rhs(scenario, state):
+def isokinetic_rhs(scenario, q, v):
     """Gaussian thermostat on |v| = 1:  Dv/dt = E - <E, v> v.
 
     Returns (dq/dt, dv/dt) with dv/dt = E - <E,v> v - Gamma(v, v).
     """
-    return _isokinetic_rhs(scenario, state.q, state.v)
-
-
-def _isokinetic_rhs(scenario, q, v):
     loc = scenario.local(q)
     if scenario.metric_family.is_flat:
         return v, loc.E - float(loc.E @ v) * v
     return v, loc.E - float(loc.phi @ v) * v - np.einsum("kij,i,j->k", loc.gamma, v, v)
 
 
-def isoenergetic_rhs(scenario, spec, state):
+def isoenergetic_rhs(scenario, spec, q, v):
     """Isoenergetic thermostat:  Dv/dt = -grad W + E - (<E,v>/v^2) v."""
-    return _isoenergetic_rhs(scenario, spec, state.q, state.v)
-
-
-def _isoenergetic_rhs(scenario, spec, q, v):
     jet = scenario.metric_family.jet(q)
     E = spec.field.jet(q, jet)[0]
     gw = spec.potential.grad(q)
-    if scenario.metric_family.is_flat:
-        v2 = float(v @ v)
-        if v2 < KINETIC_FLOOR:
-            raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
-        phi_v = float(E @ v)
-        return v, -gw + E - (phi_v / v2) * v
-    gv = jet.g @ v
+    flat = scenario.metric_family.is_flat
+    gv = v if flat else jet.g @ v
     v2 = float(v @ gv)
     if v2 < KINETIC_FLOOR:
         raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
     phi_v = float(gv @ E)
+    if flat:
+        return v, -gw + E - (phi_v / v2) * v
     return v, (-jet.ginv @ gw + E - (phi_v / v2) * v
                - np.einsum("kij,i,j->k", jet.gamma, v, v))
 
@@ -136,12 +125,6 @@ def weyl_geodesic_rhs(scenario, q, w):
         raise UnsupportedConfigurationError("weyl geodesic undefined at w = 0")
     ghat = scenario.weyl_christoffel(q)
     return w, -np.einsum("kij,i,j->k", ghat, w, w)
-
-
-def covariant_accel(scenario, q, v, dv):
-    """Dv/dt = dv/dt + Gamma(v, v)."""
-    gamma = scenario.christoffel(q)
-    return dv + np.einsum("kij,i,j->k", gamma, v, v)
 
 
 def reduce_to_wflow(scenario, spec):
@@ -222,9 +205,9 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
         raise ValueError("isoenergetic integration needs an IsoenergeticSpec")
 
     if kind == "isokinetic":
-        rhs = lambda q, v: _isokinetic_rhs(scenario, q, v)
+        rhs = lambda q, v: isokinetic_rhs(scenario, q, v)
     elif kind == "isoenergetic":
-        rhs = lambda q, v: _isoenergetic_rhs(scenario, spec, q, v)
+        rhs = lambda q, v: isoenergetic_rhs(scenario, spec, q, v)
     elif kind == "weyl_geodesic":
         rhs = lambda q, v: weyl_geodesic_rhs(scenario, q, v)
     else:

@@ -1,4 +1,4 @@
-"""Connection coefficients, Weyl curvature operators and sectional curvatures.
+"""Weyl curvature operators, sectional curvatures and the Jacobi matrix.
 
 The sectional Weyl curvature of a plane Pi = span{X, Y} (g-orthonormal) is
 computed two ways and both are reported:
@@ -23,19 +23,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegeneratePlaneError
-from .scenario import WeylScenario, product_scenario  # noqa: F401  (re-export)
 
 ZERO_CENSUS_TOL = 1e-9  # |Khat| below this counts as an analytic zero in scans
 DEPENDENCE_TOL = 1e-12  # curvature_operator rejects X, Y whose angle has sin^2 at most this
-
-
-@dataclass
-class ConnectionCoefficients:
-    """Levi-Civita and Weyl coefficients at a base point, both (n,n,n) [k,i,j]."""
-
-    q: np.ndarray
-    gamma: np.ndarray
-    gamma_weyl: np.ndarray
 
 
 @dataclass
@@ -91,23 +81,6 @@ def gram_schmidt_plane(scenario, q, X, Y):
     if bad.any():
         raise DegeneratePlaneError(f"vectors do not span a plane at q={q}")
     return (X[0], Y[0]) if single else (X, Y)
-
-
-def christoffel(scenario, q):
-    """Levi-Civita coefficients from g and its first derivatives."""
-    q = np.asarray(q, dtype=float)
-    scenario.metric_family.check_point(q)
-    gamma = scenario.christoffel(q)
-    return ConnectionCoefficients(q=q, gamma=gamma, gamma_weyl=gamma)
-
-
-def weyl_connection(scenario, q):
-    """Both connections; gamma_weyl = gamma + (delta phi + delta phi - g E)."""
-    q = np.asarray(q, dtype=float)
-    scenario.metric_family.check_point(q)
-    gamma = scenario.christoffel(q)
-    return ConnectionCoefficients(q=q, gamma=gamma,
-                                  gamma_weyl=gamma + scenario.weyl_correction(q))
 
 
 def antisymmetric_split(scenario, q, A):
@@ -193,12 +166,15 @@ def jacobi_operator(scenario, q, v, frame):
                   + phi_a phi_b - < grad_{e_b} E, e_a >
 
     The last term is not symmetrized: for a non-closed E the matrix is not
-    symmetric.  This is the public wrapper of the formula: it forms the
-    frame's products itself, where the co-integration kernel passes its own.
+    symmetric.  This is the one single-point entry: _jacobi on a stack of one,
+    with the frame's products formed here, where the co-integration passes
+    its own stage stacks.
     """
     loc = scenario.local(q)
     ge = frame if scenario.metric_family.is_flat else frame @ loc.g
-    return _jacobi_at(scenario, q, loc, v, frame, ge, ge @ loc.E)
+    W, shift = _jacobi_inputs(scenario, q, loc, v)
+    return _jacobi((ge @ loc.E)[None], ge[None], frame[None],
+                   None if W is None else W[None], np.array([shift]))[0]
 
 
 def _jacobi_inputs(scenario, q, loc, v):
@@ -236,13 +212,6 @@ def _jacobi(phi_e, ge, frame, W, shift):
         Rmat += ge @ (W @ frame.transpose(0, 2, 1))
     Rmat.reshape(S, -1)[:, :: nm1 + 1] -= ((phi_e * phi_e).sum(axis=1) + shift)[:, None]
     return Rmat
-
-
-def _jacobi_at(scenario, q, loc, v, frame, ge, phi_e):
-    """The Jacobi matrix at one point: _jacobi on a stack of one."""
-    W, shift = _jacobi_inputs(scenario, q, loc, v)
-    return _jacobi(phi_e[None], ge[None], frame[None], None if W is None else W[None],
-                   np.array([shift]))[0]
 
 
 def anosov_margin(scenario, q, X, Y):
@@ -331,24 +300,6 @@ def compatibility_residual(scenario, q, X, step=1e-5):
     ghat = scenario.weyl_christoffel(q)
     corr = (np.einsum("lki,k,lj->ij", ghat, X, g)
             + np.einsum("lkj,k,il->ij", ghat, X, g))
-    resid = dg_X - corr + 2.0 * scenario.phi(q, X) * g
+    resid = dg_X - corr + 2.0 * float(scenario.local(q).phi @ X) * g
     return float(np.abs(resid).max())
 
-
-def christoffel_d1_fd(scenario, q, weyl=False, step=1e-5):
-    """Central-difference derivative of the (Weyl) Christoffels with one Richardson pass."""
-    q = np.asarray(q, dtype=float)
-    n = scenario.dim
-    fn = scenario.weyl_christoffel if weyl else scenario.christoffel
-
-    def central(h):
-        out = np.zeros((n, n, n, n))
-        for m in range(n):
-            e = np.zeros(n)
-            e[m] = h
-            out[m] = (fn(q + e) - fn(q - e)) / (2 * h)
-        return out
-
-    d_h = central(step)
-    d_h2 = central(step / 2)
-    return (4.0 * d_h2 - d_h) / 3.0

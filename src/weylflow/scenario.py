@@ -104,14 +104,6 @@ class WeylScenario:
     def metric_inv(self, q):
         return self.local(q).ginv
 
-    def metric_inv_d1(self, q):
-        """d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}, shape [m, k, l]."""
-        loc = self.local(q)
-        return -(loc.ginv @ loc.dg @ loc.ginv)
-
-    def inner(self, q, X, Y):
-        return float(X @ self.metric(q) @ Y)
-
     def norm(self, q, X):
         return float(np.sqrt(max(X @ self.metric(q) @ X, 0.0)))
 
@@ -120,20 +112,11 @@ class WeylScenario:
     def field(self, q):
         return self.local(q).E
 
-    def field_jac(self, q):
-        return self.local(q).dE
-
-    def one_form(self, q):
-        return self.local(q).phi
-
     def one_form_d1(self, q):
         """dphi[m, j] = d_m phi_j with phi = g E."""
         # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
         loc = self.local(q)
         return loc.dg @ loc.E + (loc.g @ loc.dE).T
-
-    def phi(self, q, X):
-        return float(self.one_form(q) @ X)
 
     def sample_point(self, rng):
         return self.metric_family.sample_point(rng)

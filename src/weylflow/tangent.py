@@ -14,7 +14,7 @@ exponents of the quotient system are extracted by the standard QR
 Each stage point is one pass over its point: one scenario.local(q) lookup,
 one product frame @ g and one phi(e_a) = (frame @ g) @ E, which the kernel
 uses for the transport and which the Jacobi formula reads.  The formula
-(geometry._jacobi, whose public wrapper is geometry.jacobi_operator) builds R
+(geometry._jacobi, whose single-point entry is geometry.jacobi_operator) builds R
 in closed form from the Levi-Civita curvature and grad E (N X = grad_X E,
 phi_c = phi(e_c)):
 
@@ -70,20 +70,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
-from .flows import PhaseState, rk4_step, step_count
-from .geometry import _jacobi, _jacobi_at, _jacobi_inputs
+from .flows import rk4_step, step_count
+from .geometry import _jacobi, _jacobi_inputs
 from .metrics import ConstantCurvatureChart
 
 CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
 BLOCK = 64           # steps per two-pass block of the co-integration
-
-
-@dataclass
-class MovingFrame:
-    """Orthonormal frame (v, e_1..e_{n-1}) at a phase point."""
-
-    state: PhaseState
-    vectors: np.ndarray  # (n-1, n)
 
 
 @dataclass
@@ -164,17 +156,13 @@ class _Kernel:
     """Per-stage geometric coefficients for the co-integrated system.
 
     ``transport`` gives the flow and frame derivatives and the products the
-    Jacobi formula reads; a call is ``transport`` followed by the Jacobi matrix
-    at that one point (a stack of one for geometry._jacobi).
+    Jacobi formula reads; pass 2 of the co-integration forms the Jacobi
+    matrices from those products, batched over a block's stage points.
     """
 
     def __init__(self, scenario):
         self.sc = scenario
         self.flat = scenario.metric_family.is_flat
-
-    def __call__(self, q, v, frame):
-        phi_v, phi_e, dv, de, (loc, ge) = self.transport(q, v, frame)
-        return phi_v, phi_e, dv, de, _jacobi_at(self.sc, q, loc, v, frame, ge, phi_e)
 
     def transport(self, q, v, frame):
         """phi(v), phi(e_a), dv/dt, de/dt, and the point record and frame @ g
@@ -203,20 +191,6 @@ def transport_frame(scenario, trajectory):
                         renorm_every=CLEANUP_EVERY, M0=np.zeros((2 * (scenario.dim - 1), 0)))
     return FrameRun(times=run["times"], q=run["q"], v=run["v"],
                     frames=run["frames"], int_phi=run["int_phi"])
-
-
-def linearized_rhs(scenario, frame, tangent):
-    """Right-hand side of the quotient linearization at a single frame point."""
-    phi_v, phi_e, _, _, Rmat = _Kernel(scenario)(frame.state.q, frame.state.v, frame.vectors)
-    dxi0 = float(phi_e @ tangent.xi)
-    dxi = -phi_v * tangent.xi + tangent.chi
-    dchi = -Rmat @ tangent.xi
-    return dxi0, dxi, dchi
-
-
-def jform(xi, chi):
-    """J(xi, chi) = <xi, chi> in frame coordinates."""
-    return float(np.dot(xi, chi))
 
 
 def burn_steps(burn_in, dt, renorm_every):

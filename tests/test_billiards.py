@@ -280,7 +280,8 @@ def test_tangent_maps_match_finite_difference_oracle():
         M_fd = np.array(cols).T
         th0 = np.arctan2(v[1], v[0])
         F = bl.flight_tangent_matrix(a, th0, e.theta_in_aligned, e.time_of_flight)
-        R = bl.reflection_tangent_matrix(tb, e)
+        R = bl._reflection_matrix(tb, tb.scatterers[e.scatterer].radius, e.normal,
+                                  e.cos_incidence)
         flo = bl.ThermostatFlight(tb.to_aligned(e.point), tb.to_aligned(e.v_out), a)
         th_tau = float(flo.theta(np.array([tau]))[0])
         Fpost = bl.flight_tangent_matrix(a, e.theta_out_aligned, th_tau, tau)
@@ -699,7 +700,8 @@ def _qr_replay(table, q, v, n_collisions):
         else:
             F = bl.flight_tangent_matrix(table.a, angle(v), ev.theta_in_aligned,
                                          ev.time_of_flight)
-            M = bl.reflection_tangent_matrix(table, ev) @ F @ M
+            M = bl._reflection_matrix(table, table.scatterers[ev.scatterer].radius,
+                                      ev.normal, ev.cos_incidence) @ F @ M
             q, v = ev.point, ev.v_out
             hits += 1
         Q, R = np.linalg.qr(M)

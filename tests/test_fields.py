@@ -100,7 +100,7 @@ def test_field_jacobians_match_finite_differences():
             q = sc.sample_point(rng)
             if label == "chart rotational" and np.linalg.norm(q) < 0.2:
                 continue
-            jac = sc.field_jac(q)
+            jac = sc.local(q).dE
             for m in range(2):
                 e = np.zeros(2)
                 e[m] = 1e-6
@@ -118,7 +118,7 @@ def test_rotational_field_constant_norm_divergence_free():
         E = sc.field(q)
         assert sc.norm(q, E) == pytest.approx(0.6, abs=1e-12)
         gamma = sc.christoffel(q)
-        dE = sc.field_jac(q)
+        dE = sc.local(q).dE
         div = np.trace(dE) + np.einsum("kkj,j->", gamma, E)
         assert abs(div) < 1e-10
 
@@ -150,7 +150,7 @@ def test_reduced_field_formula():
         q = rng.uniform(0, 1, 2)
         expected = (-W.grad(q) + np.array([0.3, 0.2])) / (2 * (1.0 - W.value(q)))
         assert np.abs(sc.field(q) - expected).max() < 1e-14
-        jac = sc.field_jac(q)
+        jac = sc.local(q).dE
         for m in range(2):
             e = np.zeros(2)
             e[m] = 1e-6

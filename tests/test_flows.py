@@ -24,7 +24,7 @@ def test_isokinetic_rhs_example_formula(example_scenario):
     # xdd = a yd^2, ydd = -a xd yd for E = (a, 0)
     for th in (0.3, 1.2, 2.8, -0.9):
         v = np.array([np.cos(th), np.sin(th)])
-        dq, dv = flows.isokinetic_rhs(example_scenario, PhaseState([0.2, 0.5], v))
+        dq, dv = flows.isokinetic_rhs(example_scenario, np.array([0.2, 0.5]), v)
         assert np.allclose(dq, v)
         assert dv[0] == pytest.approx(np.sin(th) ** 2, abs=1e-14)
         assert dv[1] == pytest.approx(-np.cos(th) * np.sin(th), abs=1e-14)
@@ -35,7 +35,7 @@ def test_isokinetic_rhs_zero_field_is_geodesic():
     q = np.array([0.3, -0.2])
     v = np.array([0.8, 0.1])
     v = v / sc.norm(q, v)
-    dq, dv = flows.isokinetic_rhs(sc, PhaseState(q, v))
+    dq, dv = flows.isokinetic_rhs(sc, q, v)
     gamma = sc.christoffel(q)
     assert np.allclose(dv, -np.einsum("kij,i,j->k", gamma, v, v), atol=1e-14)
 
@@ -47,22 +47,22 @@ def test_isokinetic_covariant_accel_orthogonal_to_velocity():
         q = sc.sample_point(rng)
         v = rng.standard_normal(2)
         v = v / sc.norm(q, v)
-        dq, dv = flows.isokinetic_rhs(sc, PhaseState(q, v))
-        Dv = flows.covariant_accel(sc, q, v, dv)
-        assert abs(sc.inner(q, Dv, v)) < 1e-12
+        dq, dv = flows.isokinetic_rhs(sc, q, v)
+        Dv = dv + np.einsum("kij,i,j->k", sc.christoffel(q), v, v)   # covariant acceleration
+        assert abs(float(Dv @ sc.metric(q) @ v)) < 1e-12
 
 
 def test_isokinetic_attractor_direction_is_invariant(example_scenario):
-    dq, dv = flows.isokinetic_rhs(example_scenario, PhaseState([0.0, 0.0], [1.0, 0.0]))
+    dq, dv = flows.isokinetic_rhs(example_scenario, np.zeros(2), np.array([1.0, 0.0]))
     assert np.abs(dv).max() == 0.0
 
 
 def test_isoenergetic_matches_isokinetic_when_W_zero(example_scenario):
     spec = IsoenergeticSpec(potential=FourierField(2), field=ConstantField([1.0, 0.0]),
                             h=0.5)
-    st = PhaseState([0.2, 0.3], [np.cos(0.7), np.sin(0.7)])
-    dq_i, dv_i = flows.isokinetic_rhs(example_scenario, st)
-    dq_e, dv_e = flows.isoenergetic_rhs(example_scenario, spec, st)
+    q, v = np.array([0.2, 0.3]), np.array([np.cos(0.7), np.sin(0.7)])
+    dq_i, dv_i = flows.isokinetic_rhs(example_scenario, q, v)
+    dq_e, dv_e = flows.isoenergetic_rhs(example_scenario, spec, q, v)
     assert np.abs(dv_i - dv_e).max() < 1e-14
 
 
@@ -76,7 +76,7 @@ def test_isoenergetic_conserves_energy_directionally():
         speed = np.sqrt(2 * (spec.h - W.value(q)))
         th = rng.uniform(0, 2 * np.pi)
         v = speed * np.array([np.cos(th), np.sin(th)])
-        dq, dv = flows.isoenergetic_rhs(sc, spec, PhaseState(q, v))
+        dq, dv = flows.isoenergetic_rhs(sc, spec, q, v)
         dH = v @ dv + W.grad(q) @ dq
         assert abs(dH) < 1e-12
 
@@ -86,7 +86,7 @@ def test_isoenergetic_kinetic_floor_error():
     sc = WeylScenario(FlatTorus((1, 1)))
     spec = IsoenergeticSpec(potential=W, field=ConstantField([0.1, 0.0]), h=1.0)
     with pytest.raises(KineticFloorError):
-        flows.isoenergetic_rhs(sc, spec, PhaseState([0.1, 0.1], [1e-4, 0.0]))
+        flows.isoenergetic_rhs(sc, spec, np.array([0.1, 0.1]), np.array([1e-4, 0.0]))
 
 
 def test_reduce_to_wflow_gradient_case():

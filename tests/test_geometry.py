@@ -29,8 +29,7 @@ def generic_christoffel(scenario, q):
 
 def test_flat_torus_christoffel_vanishes():
     sc = WeylScenario(FlatTorus((1, 1)))
-    cc = geo.christoffel(sc, [0.3, 0.8])
-    assert not cc.gamma.any()
+    assert not sc.christoffel(np.array([0.3, 0.8])).any()
 
 
 def test_constant_curvature_christoffel_fixture():
@@ -39,7 +38,7 @@ def test_constant_curvature_christoffel_fixture():
     sc = WeylScenario(ConstantCurvatureChart(-1.0, 2))
     q = np.array([0.3, -0.4])
     h1, h2 = 4.0 / 25.0, -16.0 / 75.0
-    gamma = geo.christoffel(sc, q).gamma
+    gamma = sc.christoffel(q)
     expected = np.array([
         [[h1, h2], [h2, -h1]],
         [[-h2, h1], [h1, h2]],
@@ -61,6 +60,7 @@ def test_closed_form_christoffels_match_generic_assembly():
 
 
 def test_metric_inv_d1_matches_finite_differences():
+    # d_m g^{kl} = -(g^-1 d_m g g^-1)^{kl} from the jet's dg, against a difference of g^-1
     scenarios = [
         WeylScenario(SolGroup()),
         WeylScenario(ConformalTorus(FourierField(2, [((1, 0), 0.2, 0.1)]))),
@@ -71,11 +71,13 @@ def test_metric_inv_d1_matches_finite_differences():
     h = 1e-5
     for sc in scenarios:
         q = sc.sample_point(rng)
+        loc = sc.local(q)
+        dginv = -(loc.ginv @ loc.dg @ loc.ginv)
         for m in range(sc.dim):
             e = np.zeros(sc.dim)
             e[m] = h
             ref = (sc.metric_inv(q + e) - sc.metric_inv(q - e)) / (2 * h)
-            assert np.abs(sc.metric_inv_d1(q)[m] - ref).max() < 1e-8
+            assert np.abs(dginv[m] - ref).max() < 1e-8
 
 
 def test_conformal_christoffel_against_metric_finite_differences():
@@ -99,19 +101,18 @@ def test_conformal_christoffel_against_metric_finite_differences():
 def test_weyl_connection_zero_field_reduces_bitwise():
     sc = WeylScenario(SolGroup())
     q = np.array([0.2, 0.5, -0.3])
-    cc = geo.weyl_connection(sc, q)
-    assert np.array_equal(cc.gamma, cc.gamma_weyl)
+    assert np.array_equal(sc.christoffel(q), sc.weyl_christoffel(q))
 
 
 def test_weyl_correction_flat_torus_formula():
     a = 1.3
     sc = WeylScenario(FlatTorus((1, 1)), ConstantField([a, 0.0]))
-    cc = geo.weyl_connection(sc, [0.1, 0.9])
+    q = np.array([0.1, 0.9])
     eye = np.eye(2)
     phi = np.array([a, 0.0])
     expected = (np.einsum("ki,j->kij", eye, phi) + np.einsum("kj,i->kij", eye, phi)
                 - np.einsum("ij,k->kij", eye, phi))
-    assert np.abs((cc.gamma_weyl - cc.gamma) - expected).max() == 0.0
+    assert np.abs((sc.weyl_christoffel(q) - sc.christoffel(q)) - expected).max() == 0.0
 
 
 def test_weyl_connection_symmetric_lower_indices():
@@ -119,7 +120,7 @@ def test_weyl_connection_symmetric_lower_indices():
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = sc.sample_point(rng)
-        gh = geo.weyl_connection(sc, q).gamma_weyl
+        gh = sc.weyl_christoffel(q)
         assert np.array_equal(gh, gh.transpose(0, 2, 1))
 
 
@@ -201,7 +202,7 @@ def test_sectional_weyl_dimension_two_is_K_minus_divergence():
         X, Y = geo.sample_plane(sc, q, rng)
         s = geo.sectional_weyl(sc, q, X, Y)
         gamma = sc.christoffel(q)
-        dE = sc.field_jac(q)
+        dE = sc.local(q).dE
         E = sc.field(q)
         div = np.trace(dE) + np.einsum("kkj,j->", gamma, E)
         assert s.Khat == pytest.approx(s.K - div, abs=1e-10)
@@ -330,7 +331,26 @@ def test_product_zero_fields_is_riemannian_product():
 def test_chart_boundary_raises_degenerate_metric():
     sc = WeylScenario(ConstantCurvatureChart(-1.0, 2))
     with pytest.raises(DegenerateMetricError):
-        geo.christoffel(sc, [2.0, 0.0])
+        sc.christoffel(np.array([2.0, 0.0]))
+
+
+def _christoffel_d1_fd(scenario, q, weyl=False, step=1e-5):
+    """Central-difference derivative of the (Weyl) Christoffels with one Richardson pass."""
+    q = np.asarray(q, dtype=float)
+    n = scenario.dim
+    fn = scenario.weyl_christoffel if weyl else scenario.christoffel
+
+    def central(h):
+        out = np.zeros((n, n, n, n))
+        for m in range(n):
+            e = np.zeros(n)
+            e[m] = h
+            out[m] = (fn(q + e) - fn(q - e)) / (2 * h)
+        return out
+
+    d_h = central(step)
+    d_h2 = central(step / 2)
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def test_fd_fallback_matches_closed_form_weyl_derivatives():
@@ -338,7 +358,7 @@ def test_fd_fallback_matches_closed_form_weyl_derivatives():
     rng = np.random.default_rng(16)
     for _ in range(3):
         q = sc.sample_point(rng)
-        fd = geo.christoffel_d1_fd(sc, q, weyl=True)
+        fd = _christoffel_d1_fd(sc, q, weyl=True)
         assert np.abs(fd - sc.weyl_christoffel_d1(q)).max() < 1e-8
 
 
@@ -483,7 +503,7 @@ def test_christoffel_d1_matches_finite_differences(name):
     for _ in range(5):
         q = sc.sample_point(rng)
         closed = sc.christoffel_d1(q)
-        fd = geo.christoffel_d1_fd(sc, q)
+        fd = _christoffel_d1_fd(sc, q)
         assert np.abs(closed - fd).max() < 1e-8 * max(np.abs(fd).max(), 1.0), name
 
 

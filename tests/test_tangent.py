@@ -126,22 +126,27 @@ def test_gram_schmidt_rejects_a_frame_row_parallel_to_v():
     assert np.abs(basis @ g @ basis.T - np.eye(3)).max() < 1e-14
 
 
+def _quotient_rhs(sc, q, v, xi, chi):
+    """dxi0 = phi(e_a) xi_a, dxi = -phi(v) xi + chi and dchi = -R xi at (q, v), in
+    the frame completing v, with R from geometry.jacobi_operator."""
+    frame = tangent.complete_frame(sc, q, v)
+    Rmat = geo.jacobi_operator(sc, q, v, frame)
+    phi = sc.local(q).phi
+    return float((frame @ phi) @ xi), -float(phi @ v) * xi + chi, -Rmat @ xi
+
+
 def test_linearized_rhs_flat_free_jacobi():
     sc = flat_torus_scenario((1, 1))
-    st = PhaseState([0.2, 0.4], [np.cos(0.8), np.sin(0.8)])
-    frame = tangent.MovingFrame(st, tangent.complete_frame(sc, st.q, st.v))
-    tv = TangentVector(0.0, np.array([0.7]), np.array([-0.2]))
-    dxi0, dxi, dchi = tangent.linearized_rhs(sc, frame, tv)
+    q, v = np.array([0.2, 0.4]), np.array([np.cos(0.8), np.sin(0.8)])
+    dxi0, dxi, dchi = _quotient_rhs(sc, q, v, np.array([0.7]), np.array([-0.2]))
     assert dxi0 == pytest.approx(0.0, abs=1e-14)
     assert dxi[0] == pytest.approx(-0.2, abs=1e-14)
     assert dchi[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_linearized_rhs_constant_curvature(hyperbolic):
-    st = PhaseState([0.0, 0.0], [1.0, 0.0])
-    frame = tangent.MovingFrame(st, tangent.complete_frame(hyperbolic, st.q, st.v))
-    tv = TangentVector(0.0, np.array([1.0]), np.array([0.0]))
-    _, dxi, dchi = tangent.linearized_rhs(hyperbolic, frame, tv)
+    q, v = np.zeros(2), np.array([1.0, 0.0])
+    _, dxi, dchi = _quotient_rhs(hyperbolic, q, v, np.array([1.0]), np.array([0.0]))
     assert dxi[0] == pytest.approx(0.0, abs=1e-12)
     assert dchi[0] == pytest.approx(1.0, abs=1e-12)  # -R xi with R = K = -1
 
@@ -150,11 +155,9 @@ def test_linearized_rhs_attractor_constant_coefficients():
     # at v parallel to E the quotient system is [[-a, 1], [0, 0]]
     a = 1.0
     sc = flat_torus_scenario((1, 1), ConstantField([a, 0.0]))
-    st = PhaseState([0.3, 0.6], [1.0, 0.0])
-    frame = tangent.MovingFrame(st, tangent.complete_frame(sc, st.q, st.v))
+    q, v = np.array([0.3, 0.6]), np.array([1.0, 0.0])
     for xi, chi in [(1.0, 0.0), (0.0, 1.0), (0.4, -0.3)]:
-        tv = TangentVector(0.0, np.array([xi]), np.array([chi]))
-        _, dxi, dchi = tangent.linearized_rhs(sc, frame, tv)
+        _, dxi, dchi = _quotient_rhs(sc, q, v, np.array([xi]), np.array([chi]))
         assert dxi[0] == pytest.approx(-a * xi + chi, abs=1e-12)
         assert dchi[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -165,12 +168,6 @@ def test_linearized_run_matches_closed_form_jacobi(hyperbolic):
                                  tv, T=5.0, dt=1e-3)
     assert np.abs(run.xi[:, 0] - np.exp(-run.times)).max() < 1e-8
     assert np.abs(run.chi[:, 0] + np.exp(-run.times)).max() < 1e-8
-
-
-def test_jform_trivial_cases():
-    assert tangent.jform(np.array([0.4]), np.array([0.0])) == 0.0
-    assert tangent.jform(np.array([0.5, 0.1]), np.array([0.2, -0.3])) == \
-        pytest.approx(0.5 * 0.2 - 0.1 * 0.3, abs=1e-15)
 
 
 def test_jform_derivative_identity_closed_form(hyperbolic):
@@ -273,7 +270,7 @@ def test_corollary_sign_check_negative_curvature_runs():
 
 @pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
 def test_kernel_jacobi_matrix_matches_public_operator(name):
-    # the kernel feeds the Jacobi core its own frame @ g and phi(e_a)
+    # the kernel's frame @ g and phi(e_a), fed to the Jacobi core as pass 2 does
     sc = presets.scenario_preset(name)
     kern = tangent._Kernel(sc)
     rng = np.random.default_rng(41)
@@ -283,7 +280,10 @@ def test_kernel_jacobi_matrix_matches_public_operator(name):
         v = v / sc.norm(q, v)
         frame = tangent.complete_frame(sc, q, v)
         want = geo.jacobi_operator(sc, q, v, frame)
-        got = kern(q, v, frame)[4]
+        _, phi_e, _, _, (loc, ge) = kern.transport(q, v, frame)
+        W, shift = geo._jacobi_inputs(sc, q, loc, v)
+        got = geo._jacobi(phi_e[None], ge[None], frame[None],
+                          None if W is None else W[None], np.array([shift]))[0]
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
@@ -336,8 +336,9 @@ def test_lyapunov_rejects_a_burn_in_that_rounds_up_to_T():
 # ---------------------------------------------------------------------------
 
 def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=0.0):
-    """RK4 on the packed state [q, v, frame, M, xi0, int_phi], one kernel call per
-    stage: the co-integration as a single pass, kept as the two-pass oracle."""
+    """RK4 on the packed state [q, v, frame, M, xi0, int_phi], one transport and one
+    Jacobi matrix per stage: the co-integration as a single pass, kept as the
+    two-pass oracle."""
     n = scenario.dim
     nm1 = n - 1
     k = M0.shape[1]
@@ -358,7 +359,8 @@ def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False,
 
     def deriv(y):
         q, v, frame, M = split(y)
-        phi_v, phi_e, dv, de, Rmat = kern(q, v, frame)
+        phi_v, phi_e, dv, de, _ = kern.transport(q, v, frame)
+        Rmat = geo.jacobi_operator(scenario, q, v, frame)
         Mxi = M[:nm1]
         dM = np.concatenate((-phi_v * Mxi + M[nm1:], -Rmat @ Mxi))
         dx = [] if qr else [phi_e @ Mxi]
