@@ -2,12 +2,14 @@
 
 Free flight follows the exact thermostat curves (in field-aligned
 coordinates the translates of  a x = -ln cos(a y), or the two straight lines
-along +-E).  Collisions are located by sign-bracketing, on a grid of arc
-subdivisions, the distance from each grid point to the nearest image of every
-scatterer at once, then refined to 1e-12 in time by a safeguarded Newton
-method (``_rtsafe``) with analytic derivatives.  The rotation between world
-and field-aligned coordinates has one formula (``BilliardTable._turn``),
-shared by the array grid and the per-collision arithmetic on float pairs.
+along +-E).  Collisions are found by marching along the flight (``_search``):
+a lower bound on the distance to each nearby scatterer image, from
+u'' >= -|E|, gives steps that no entry can hide in.  Where the bound comes
+within one cell of a circle, the cell is bracketed by a sign change or a dip
+of the distance and refined to 1e-12 in time by a safeguarded Newton method
+(``_rtsafe``) with analytic derivatives.  The rotation between world and
+field-aligned coordinates has one formula (``BilliardTable._turn``), shared
+by arrays and by the per-step arithmetic on float pairs.
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
 at each specular reflection, as scalar arithmetic: a unit vector and two
@@ -63,11 +65,13 @@ class BilliardTable:
             raise InvalidStateError(f"periods must be two positive numbers, got {periods!r}")
         if not 0.0 <= self.a < np.inf:
             raise InvalidStateError(f"field magnitude must be >= 0, got {field_magnitude!r}")
+        if not math.isfinite(self.field_angle):
+            raise InvalidStateError(f"field angle must be finite, got {field_angle!r}")
         if not self.scatterers:
             raise InvalidStateError("a table needs at least one scatterer")
         for s in self.scatterers:
-            if s.center.shape != (2,):
-                raise InvalidStateError(f"scatterer centre must have 2 entries, got {s.center}")
+            if s.center.shape != (2,) or not np.isfinite(s.center).all():
+                raise InvalidStateError(f"scatterer centre must be 2 finite numbers: {s.center}")
             if not 0.0 < s.radius < np.inf:
                 raise InvalidStateError(f"scatterer radius must be positive, got {s.radius}")
         self._check_disjoint()
@@ -75,20 +79,15 @@ class BilliardTable:
         self._cos, self._sin = ca, sa
         self._rot = np.array([[ca, sa], [-sa, ca]])      # world -> aligned, as a matrix
         self.field = self.a * np.array([ca, sa])
-        self._centers = np.array([s.center for s in self.scatterers])
-        self._radii = np.array([s.radius for s in self.scatterers])
         self._period_xy = tuple(self.periods.tolist())
         self._discs = [(tuple(s.center.tolist()), s.radius) for s in self.scatterers]
-        # search cell width (see _search_window): h <= r_min/4, r_max + h < min(L)/2
-        # (taken as h <= (min(L)/2 - r_max)/2), h <= 1/(4|E|) and
-        # h <= sqrt(1 - r|E|)/|E| on every scatterer with r|E| < 1
-        self.cell = min(self._radii.min() / 4.0,
-                        0.5 * (0.5 * self.periods.min() - self._radii.max()))
+        # search cell length (see _search): h <= r/4 on every scatterer,
+        # h <= 1/(4|E|) and h <= sqrt(1 - r|E|)/|E| on every scatterer with r|E| < 1
+        bounds = [s.radius / 4.0 for s in self.scatterers]
         if self.a > 0:
-            self.cell = min(self.cell, 0.25 / self.a)
-            re = self._radii * self.a
-            if (re < 1.0).any():
-                self.cell = min(self.cell, math.sqrt(1.0 - re[re < 1.0].max()) / self.a)
+            bounds += [0.25 / self.a] + [math.sqrt(1.0 - s.radius * self.a) / self.a
+                                         for s in self.scatterers if s.radius * self.a < 1.0]
+        self.cell = min(bounds)
         self.horizon_finite = self._compute_horizon()
 
     def _turn(self, x, y, s):
@@ -100,9 +99,7 @@ class BilliardTable:
 
     def _rotate(self, x, s):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        out[..., 0], out[..., 1] = self._turn(x[..., 0], x[..., 1], s)
-        return out
+        return np.stack(self._turn(x[..., 0], x[..., 1], s), axis=-1)
 
     def to_aligned(self, x):
         """World -> field-aligned coordinates of a vector or of rows (..., 2)."""
@@ -116,15 +113,16 @@ class BilliardTable:
         return np.mod(q, self.periods)
 
     def _check_disjoint(self):
-        shifts = [np.array([mx * self.periods[0], my * self.periods[1]])
-                  for mx in (-1, 0, 1) for my in (-1, 0, 1)]
+        """Every pair of discs, and every disc and its own images, stay 1e-9
+        apart.  The nearest image of one centre seen from another is the
+        closest of all, so it is the only one to test."""
+        L = self.periods
         for i, s in enumerate(self.scatterers):
-            for j, t in enumerate(self.scatterers):
-                for sh in shifts:
-                    gap = np.linalg.norm(t.center + sh - s.center) - s.radius - t.radius
-                    if gap < 1e-9 and (i != j or sh.any()):
-                        raise InvalidStateError(
-                            f"scatterers {i} and {j} (shift {sh}) overlap or touch")
+            for j, t in enumerate(self.scatterers[i:], start=i):
+                off = (t.center - s.center + 0.5 * L) % L - 0.5 * L   # nearest-image offset
+                gap = (np.linalg.norm(off) if j > i else L.min()) - s.radius - t.radius
+                if gap < 1e-9:
+                    raise InvalidStateError(f"scatterers {i} and {j} overlap (gap {gap:.2g})")
 
     def _compute_horizon(self):
         """True when every primitive lattice corridor with |p|, |q| <= HORIZON_MAX_INDEX
@@ -188,6 +186,7 @@ class ThermostatFlight:
         self.a = float(a)
         self.theta0 = math.atan2(self.vy0, self.vx0)
         self.straight = self.a == 0.0 or abs(math.sin(self.theta0)) < 1e-12
+        self.bend = 0.0 if self.straight else self.a    # bound on the curvature
         if not self.straight:
             self.T0 = math.tan(0.5 * self.theta0)
             self._den0 = 1.0 + self.T0**2
@@ -261,7 +260,9 @@ def free_flight(table, q, v):
 
     Returns a CollisionEvent (v_out filled with the specular image) or an
     OpenFlight capped at ``FLIGHT_CAP_FACTOR * max(periods)``.  The search
-    runs in stages of increasing span so short flights stay cheap.
+    (``_search``) marches by steps that a distance bound proves free of
+    entries, so its cost follows the flight's nearness to the scatterers,
+    not its length.
     """
     qx, qy = float(q[0]), float(q[1])
     vx, vy = float(v[0]), float(v[1])
@@ -269,18 +270,10 @@ def free_flight(table, q, v):
     vx, vy = vx / n, vy / n
     if not table.outside((qx, qy), tol=1e-12):
         raise InvalidStateError(f"flight starts inside a scatterer at q={np.array([qx, qy])}")
-    span = max(table._period_xy)
-    t_cap = FLIGHT_CAP_FACTOR * span
+    t_cap = FLIGHT_CAP_FACTOR * max(table._period_xy)
     to_a, back = -table._sin, table._sin
     flight = ThermostatFlight(table._turn(qx, qy, to_a), table._turn(vx, vy, to_a), table.a)
-
-    t_lo = 0.0
-    best = None
-    for t_hi in _stages(span, t_cap):
-        best = _search_window(flight, table, t_lo, t_hi)
-        if best is not None:
-            break
-        t_lo = t_hi
+    best = _search(flight, table, t_cap)
     if best is None:
         x, y, vx, vy = flight.pos_vel_scalar(t_cap)
         return OpenFlight(t_cap, table.from_aligned((x, y)), table.from_aligned((vx, vy)),
@@ -299,125 +292,144 @@ def free_flight(table, q, v):
     return CollisionEvent(
         time_of_flight=t_star, scatterer=idx, point=np.array([px, py]),
         normal=np.array([nx, ny]), v_in=np.array([vx, vy]), v_out=np.array([ox, oy]),
-        cos_incidence=-vn, image_shift=shift, grazing=abs(vn) < GRAZING_TOL,
+        cos_incidence=-vn, image_shift=np.array(shift), grazing=abs(vn) < GRAZING_TOL,
         theta_in_aligned=math.atan2(vay, vax), theta_out_aligned=math.atan2(oay, oax),
     )
 
 
-def _stages(span, t_cap):
-    t = min(1.5 * span, t_cap)
-    while True:
-        yield t
-        if t >= t_cap:
-            return
-        t = min(4.0 * t, t_cap)
+def _search(flight, table, t_cap):
+    """Earliest scatterer entry in [0, t_cap] as (t_star, scatterer, world
+    image centre, image shift), or None.
 
+    Bound.  Let u = |p - c| for an image c of a centre, g = <p - c, v> = u u',
+    and k the flight's curvature bound: |E| on a curved flight, 0 on a
+    straight one.  Since |v| = 1 and |v'| <= k,
+    u'' = (1 - u'^2 + <p - c, v'>)/u >= -k for every r|E|, so
+    u(t + s) >= u + u's - k s^2/2 and the flight cannot enter the disc before
+    the first s at which this bound reaches r (``_entry_bound``).
 
-def _search_window(flight, table, t_lo, t_hi):
-    """Earliest crossing in [t_lo, t_hi], each scatterer seen through the image
-    of its centre nearest to the arc.
+    March.  At time t the bound is taken over the 2x2 block of images whose
+    centres surround p.  Every other image is at least min(L) from p, and
+    r < min(L)/2 (no disc meets its own image), so none is entered within
+    min(L)/2.  When every bound exceeds the cell length h = ``table.cell``,
+    the march advances by min(bounds, min(L)/2) - h/2: the margin stops each
+    step short of the earliest possible entry, and each step is at least h/2
+    long.  Otherwise the cell [t, t + h] is checked by ``_first_crossing``
+    for each image whose bound is at most h and whose distance d = u - r
+    exceeds BISECT_TOL at t, and the march goes on from t + h.
 
-    At each grid point p the nearest image of a centre c is
-    c' = c + round((p - c)/L) L.  One array pass fills a ``(k_scatterers,
-    n_grid)`` table of d = |p - c'| - r and g = <p - c', v>.  A cell is a
-    candidate only when both of its ends see the same image and d changes
-    sign across it, or it is a dip (below) with d <= cell at its start;
-    candidates go to ``_first_crossing``.
-
-    Completeness.  The grid cell is at most h = ``table.cell`` with
-    h <= r_min/4, r_max + h < min(L)/2, h <= 1/(4|E|) and, on every scatterer
-    with r|E| < 1, h <= sqrt(1 - r|E|)/|E|.
-
-    * On the rectangular lattice, rounding each coordinate picks the image
-      nearest to p, and an image within min(L)/2 of p is that nearest one
-      (every other image is min(L) from it).  The flight has unit speed, so
-      both ends of a cell that holds an entry into the circle about c' lie
-      within h of the entry point, within r + h < min(L)/2 of c': both see c'
-      and both have d <= h.  No entry is lost to the image or dip test.
-    * Let u = |p - c'| and g = u u'.  Since |v| = 1 and |v'| = |E sin(theta)|
-      <= |E|, u'' = (1 - g^2/u^2 + <p - c', v'>)/u >= -|E|.  Where g falls
-      through zero (the arc turns back towards c'), g' = 1 + <p - c', v'>
-      <= 0 forces u >= 1/|E|, and within time h of that point
-      u >= 1/|E| - |E| h^2/2 > r whenever 1 - r|E| > (h|E|)^2/2, which the
-      last cell bound gives on every scatterer with r|E| < 1.  Then on every
-      cell that meets the disc g changes sign at most once, from - to +, so
-      |p - c'| first falls and then rises: an entry shows either as a sign
-      change of d or, when the arc enters and leaves inside one cell, as a
-      dip (both ends outside, g < 0 at the start and > 0 at the end) whose
-      closest approach lies inside the circle, and each bracket holds one
-      root.
-    * For a scatterer with r|E| >= 1 the second step fails, so completeness
-      is unproven on it; it adds no cell bound of its own.
+    Cells.  ``_first_crossing`` brackets an entry by a sign change of d, or
+    by the closest approach of a dip (g from - to +); both find the first
+    entry when u has no local maximum on the cell before it.  At a zero of g,
+    p - c = +-u Jv, so g' = 1 + <p - c, v'> = 1 +- kappa u with |kappa| <= k:
+    g can fall through zero (u has a local maximum) only where u >= 1/k.
+    * r k < 1: within time h of such a point u >= 1/k - k h^2/2 > r, because
+      h <= sqrt(1 - r|E|)/|E| gives 1 - r k > (h k)^2/2.  A cell with a
+      local maximum of u holds no entry, and on every other cell u first
+      falls and then rises.
+    * r k >= 1: no cell length suffices, since where c is the flight's centre
+      of curvature a local maximum and minimum of u can lie arbitrarily
+      close.  ``_first_crossing`` then halves the cell until each part is
+      either excluded by the bound taken from both of its ends, or has g'
+      of one sign, so that g crosses zero at most once.  The halving stops at
+      parts shorter than BISECT_TOL: u moves less than that on such a part,
+      which starts more than BISECT_TOL outside, so it holds no entry.
     """
-    n_seg = max(2, math.ceil((t_hi - t_lo) / table.cell))
-    cell = (t_hi - t_lo) / n_seg
-    t_grid = t_lo + cell * np.arange(n_seg + 1)
-    pos_a, vel_a = flight.pos_vel(t_grid)
-    back = table._sin
-    px, py = table._turn(pos_a[:, 0], pos_a[:, 1], back)
-    vx, vy = table._turn(vel_a[:, 0], vel_a[:, 1], back)
-    # nearest image of every centre at every grid point, centres first
+    h, to_a, back = table.cell, -table._sin, table._sin
     Lx, Ly = table._period_xy
-    c0x, c0y = table._centers[:, :1], table._centers[:, 1:]
-    sx = np.rint((px - c0x) / Lx) * Lx
-    sy = np.rint((py - c0y) / Ly) * Ly
-    dx, dy = px - (c0x + sx), py - (c0y + sy)
-    d = np.hypot(dx, dy) - table._radii[:, None]
-    g = dx * vx + dy * vy
-    # candidate cells: one image at both ends, outside at the start and either
-    # inside at the end (a sign change of d) or a dip (outside at both ends,
-    # radial velocity g going from - to +) within a cell of the circle
-    same = (sx[:, :-1] == sx[:, 1:]) & (sy[:, :-1] == sy[:, 1:])
-    outside = d > BISECT_TOL
-    dip = (g[:, :-1] < 0.0) & (g[:, 1:] > 0.0) & (d[:, :-1] <= cell + 1e-9)
-    cells, rows = np.nonzero((same & outside[:, :-1] & (dip | ~outside[:, 1:])).T)
-
-    # in time order: a cell that starts after the best hit so far ends the search
-    best = None
-    for j, k in zip(cells.tolist(), rows.tolist()):
-        t0 = t_grid.item(j)
-        if best is not None and t0 > best[0]:
-            break
-        (cx, cy), r = table._discs[k]
-        shift = sx.item(k, j), sy.item(k, j)
-        c = cx + shift[0], cy + shift[1]
-        t_star = _first_crossing(flight, table._turn(*c, -back), r, t0, t_grid.item(j + 1),
-                                 d.item(k, j), d.item(k, j + 1), g.item(k, j),
-                                 g.item(k, j + 1))
-        if t_star is not None and (best is None or t_star < best[0]):
-            best = (t_star, k, c, np.array(shift))
-    return best
+    t, state = 0.0, (flight.x0, flight.y0, flight.vx0, flight.vy0)
+    while True:
+        px, py = table._turn(state[0], state[1], back)
+        near, step = [], 0.5 * min(Lx, Ly)
+        for idx, ((cx, cy), r) in enumerate(table._discs):
+            mx, my = math.floor((px - cx) / Lx), math.floor((py - cy) / Ly)
+            for shift in ((mx * Lx, my * Ly), ((mx + 1) * Lx, my * Ly),
+                          (mx * Lx, (my + 1) * Ly), ((mx + 1) * Lx, (my + 1) * Ly)):
+                c = cx + shift[0], cy + shift[1]
+                d = math.hypot(px - c[0], py - c[1]) - r
+                if d > step and d > h:
+                    continue        # at unit speed the bound is at least d
+                c_a = table._turn(*c, to_a)
+                e = _radial(state, c_a, r, flight.bend)
+                s = _entry_bound(e[0], e[1], flight.bend)
+                if s <= h:
+                    near.append((idx, c, c_a, r, shift, e))
+                elif s < step:
+                    step = s
+        t1 = min(t + h if near else t + step - 0.5 * h, t_cap)
+        state = flight.pos_vel_scalar(t1)
+        hits = [(_first_crossing(flight, c_a, r, t, t1, e, _radial(state, c_a, r, flight.bend)),
+                 idx, c, shift) for idx, c, c_a, r, shift, e in near if e[0] > BISECT_TOL]
+        hits = [hit for hit in hits if hit[0] is not None]
+        if hits or t1 >= t_cap:
+            return min(hits, key=lambda hit: hit[0], default=None)
+        t = t1
 
 
-def _first_crossing(flight, c_a, r, t0, t1, d0, d1, g0, g1):
+def _radial(state, c, r, k):
+    """(d, d', g, g') of the aligned flight state (x, y, vx, vy) about the
+    aligned centre c: d = |p - c| - r, g = <p - c, v> and
+    g' = 1 + <p - c, v'> with v' = -k sin(theta) (-sin(theta), cos(theta))."""
+    x, y, vx, vy = state
+    px, py = x - c[0], y - c[1]
+    rho = math.hypot(px, py)
+    g = px * vx + py * vy
+    return rho - r, g / rho, g, 1.0 + k * vy * (px * vy - py * vx)
+
+
+def _entry_bound(d, du, k):
+    """Least s > 0 at which the lower bound u + u's - k s^2/2 on the distance u
+    to a centre can reach the radius r, from d = u - r and du = u'; at least d,
+    since the flight has unit speed."""
+    d = d if d > 0.0 else 0.0
+    root = math.sqrt(du * du + 2.0 * k * d)
+    if du < 0.0:
+        return max(d, 2.0 * d / (root - du))
+    return (du + root) / k if k > 0.0 else math.inf
+
+
+def _first_crossing(flight, c_a, r, t0, t1, e0, e1):
     """First entry into the circle of radius r about c_a (aligned frame)
-    within the candidate cell [t0, t1], or None when a dip stays outside.
+    within the cell [t0, t1], or None.
 
-    d0, d1 and g0, g1 are the signed distance and the radial velocity
-    <p - c, v> at the cell ends.
+    e0 and e1 are ``_radial``'s (d, d', g, g') at the cell ends, with
+    d > BISECT_TOL at t0.  A sign change of d, or the closest approach of a
+    dip (g from - to +), is refined by ``_rtsafe``.  With r k >= 1 (k the
+    flight's curvature bound) the cell is first halved until g' keeps one
+    sign on it, as ``_search`` sets out: g' does so when it has one sign at
+    both ends and its Lipschitz bound, |g''| = |<p - c, v''>| <= u k^2 with
+    u <= (u0 + u1 + t1 - t0)/2, cannot bring it to zero in between.
     """
-    bend = 0.0 if flight.straight else flight.a
-    cx, cy = c_a
+    k = flight.bend
+    (d0, _, g0, dg0), (d1, _, g1, dg1) = e0, e1
 
     def distance(t):
-        # f = |p - c| - r, f' = g/|p - c|; also g = <p - c, v> and
-        # g' = 1 + <p - c, v'> with v' = -a sin(theta) (-sin(theta), cos(theta))
-        x, y, vx, vy = flight.pos_vel_scalar(t)
-        px, py = x - cx, y - cy
-        rho = math.hypot(px, py)
-        g = px * vx + py * vy
-        return rho - r, g / rho, g, 1.0 + bend * vy * (px * vy - py * vx)
+        return _radial(flight.pos_vel_scalar(t), c_a, r, k)
 
     def approach(t):
         f, _, g, dg = distance(t)
         return -g, -dg, f
 
+    drift = 0.5 * k * k * (d0 + d1 + 2.0 * r + t1 - t0) * (t1 - t0)   # of g' on the cell
+    if r * k >= 1.0 and t1 - t0 >= BISECT_TOL and not (
+            dg0 * dg1 > 0.0 and abs(dg0) + abs(dg1) > drift):
+        tm = 0.5 * (t0 + t1)
+        em = distance(tm)
+        for a, b, ea, eb in ((t0, tm, e0, em), (tm, t1, em, e1)):
+            # skip a half that starts inside, or that the bounds from both ends cover
+            if ea[0] > BISECT_TOL and (eb[0] <= BISECT_TOL or _entry_bound(ea[0], ea[1], k)
+                                       + _entry_bound(eb[0], -eb[1], k) <= b - a):
+                hit = _first_crossing(flight, c_a, r, a, b, ea, eb)
+                if hit is not None:
+                    return hit
+        return None
     if d1 <= BISECT_TOL:
         return _rtsafe(distance, t0, t1, d0, d1)[0]
-    # dip: the closest approach (g from - to +) decides whether the arc enters
-    t_min, (_, _, f_min) = _rtsafe(approach, t0, t1, -g0, -g1)
-    if f_min <= -BISECT_TOL:
-        return _rtsafe(distance, t0, t_min, d0, f_min)[0]
+    if g0 < 0.0 < g1:
+        # dip: the closest approach (g from - to +) decides whether the arc enters
+        t_min, (_, _, f_min) = _rtsafe(approach, t0, t1, -g0, -g1)
+        if f_min <= -BISECT_TOL:
+            return _rtsafe(distance, t0, t_min, d0, f_min)[0]
     return None
 
 
