@@ -314,7 +314,7 @@ def criterion_10(ctx):
 
     run = bl.run_billiard(table, np.array([0.7, 0.25]),
                           np.array([np.cos(0.6), np.sin(0.6)]),
-                          10_000, with_tangent=True)
+                          10_000)
 
     ys = np.linspace(-1.0, 1.0, 201)
     curve = np.stack([-np.log(np.cos(ys)), ys], axis=-1)

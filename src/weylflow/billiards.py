@@ -556,11 +556,11 @@ class BilliardRun:
     total_time: float
     grazing_count: int
     open_count: int
-    lambda1: float = None
-    exponents: np.ndarray = None
-    collision_times: np.ndarray = None
-    sbar: float = None             # time average of -phi(v) = -<E, q_end - q0> / total_time
-    pair_residual: float = None    # |lambda1 + lambda2 - sbar|
+    lambda1: float
+    exponents: np.ndarray
+    collision_times: np.ndarray
+    sbar: float             # time average of -phi(v) = -<E, q_end - q0> / total_time
+    pair_residual: float    # |lambda1 + lambda2 - sbar|
 
 
 def _aligned_angle(table, v):
@@ -590,10 +590,10 @@ def _tangent_step(tangent, f, shear, kick):
     return a0 / r11, c0 / r11, l0 + log_r11, l1 + math.log(abs(f)) - log_r11
 
 
-def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
+def run_billiard(table, q0, v0, n_collisions):
     """Iterate free flight + specular reflection for n_collisions events.
 
-    With tangent propagation, the 2x2 quotient map is carried as four floats
+    The 2x2 quotient tangent map is carried as four floats
     (``_tangent_step``): a unit vector and two log-sums, renormalised by a
     closed-form Gram-Schmidt after every flight and every collision.  The
     exponents are the log-sums per unit time.  The flight map needs the
@@ -639,10 +639,8 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
             consecutive_caps += 1
             if consecutive_caps > MAX_CONSECUTIVE_CAPS:
                 raise InvalidStateError("infinite-horizon abort: too many capped flights")
-            if with_tangent:
-                f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned,
-                                           ev.time_of_flight)
-                tangent = _tangent_step(tangent, f, shear, 0.0)
+            f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned, ev.time_of_flight)
+            tangent = _tangent_step(tangent, f, shear, 0.0)
             q, v = ev.end_q, ev.end_v
             th0 = _aligned_angle(table, v)
             t_total += ev.time_of_flight
@@ -655,33 +653,26 @@ def run_billiard(table, q0, v0, n_collisions, with_tangent=False):
             t_skip = ev.time_of_flight + 1e-9
             fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
             x, y, vx, vy = fl.pos_vel_scalar(t_skip)
-            if with_tangent:
-                f, shear = _flight_entries(table.a, th0, math.atan2(vy, vx), t_skip)
-                tangent = _tangent_step(tangent, f, shear, 0.0)
+            f, shear = _flight_entries(table.a, th0, math.atan2(vy, vx), t_skip)
+            tangent = _tangent_step(tangent, f, shear, 0.0)
             q, v = table.from_aligned((x, y)), table.from_aligned((vx, vy))
             th0 = _aligned_angle(table, v)
             continue
-        if with_tangent:
-            f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
-            kick = _reflection_kick(table, table.scatterers[ev.scatterer].radius,
-                                    ev.normal, ev.cos_incidence)
-            tangent = _tangent_step(tangent, f, shear, kick)
+        f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
+        kick = _reflection_kick(table, table.scatterers[ev.scatterer].radius,
+                                ev.normal, ev.cos_incidence)
+        tangent = _tangent_step(tangent, f, shear, kick)
         q, v = reflect(ev)
         th0 = ev.theta_out_aligned
         events.append(ev)
         times.append(t_total)
 
     sbar = -float(table.field @ (q + shift * table.periods - start)) / t_total
-    exps = pair_residual = None
-    if with_tangent:
-        exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]
-        pair_residual = abs(float(exps.sum()) - sbar)
+    exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]
     return BilliardRun(events=events, total_time=t_total, grazing_count=grazing,
-                       open_count=open_count,
-                       lambda1=float(exps[0]) if with_tangent else None,
-                       exponents=exps,
+                       open_count=open_count, lambda1=float(exps[0]), exponents=exps,
                        collision_times=np.array(times),
-                       sbar=sbar, pair_residual=pair_residual)
+                       sbar=sbar, pair_residual=abs(float(exps.sum()) - sbar))
 
 
 # -- periodic orbits -----------------------------------------------------------
@@ -693,8 +684,6 @@ class OrbitStability:
     eigenvalues: np.ndarray
     classification: str      # 'hyperbolic' | 'elliptic' | 'parabolic'
     period: float
-    points: list
-    normals: list
     re_product: float        # r |E| of the smaller scatterer involved
 
 
@@ -723,7 +712,6 @@ def periodic_orbit_stability(table):
     if L <= 0:
         raise NoOrbitError("scatterers too close for a bouncing orbit")
     p1 = s1.center + s1.radius * dhat
-    p2 = s2.center - s2.radius * dhat
     for k, s in enumerate(table.scatterers[2:], start=2):
         t = np.clip((s.center - p1) @ dhat, 0.0, L)
         if np.linalg.norm(p1 + t * dhat - s.center) < s.radius + 1e-12:
@@ -734,25 +722,19 @@ def periodic_orbit_stability(table):
     th_bwd = np.pi if sign > 0 else 0.0
     F_fwd = flight_tangent_matrix(table.a, th_fwd, th_fwd, L)
     F_bwd = flight_tangent_matrix(table.a, th_bwd, th_bwd, L)
-    N2 = -dhat
-    N1 = dhat
-    R2 = _reflection_matrix(table, s2.radius, N2)
-    R1 = _reflection_matrix(table, s1.radius, N1)
+    R2 = _reflection_matrix(table, s2.radius, -dhat)
+    R1 = _reflection_matrix(table, s1.radius, dhat)
     M = R1 @ F_bwd @ R2 @ F_fwd
     tr = float(np.trace(M))
     return OrbitStability(
         monodromy=M, trace=tr, eigenvalues=np.linalg.eigvals(M),
         classification=_classify(tr), period=2.0 * L,
-        points=[p1, p2], normals=[N1, N2],
         re_product=min(s1.radius, s2.radius) * table.a,
     )
 
 
 @dataclass
 class PeriodTwoOrbit:
-    psi: tuple                # boundary angles on the two circles (aligned frame)
-    points: list              # impact points (world frame, unwrapped images)
-    normals: list
     stability: OrbitStability
     image_trace: float        # classical trace in the straightened picture
     normal_residual: float
@@ -838,12 +820,9 @@ def find_period_two_orbit(table, pair, seed_psis):
     stab = OrbitStability(
         monodromy=M, trace=tr, eigenvalues=np.linalg.eigvals(M),
         classification=_classify(tr), period=2.0 * tof,
-        points=[p1_w, ev.point], normals=[N1_w, ev.normal],
         re_product=min(s1.radius, s2.radius) * table.a,
     )
-    return PeriodTwoOrbit(psi=(float(psi1), float(psi2)),
-                          points=[p1_w, ev.point], normals=[N1_w, ev.normal],
-                          stability=stab, image_trace=tr_image,
+    return PeriodTwoOrbit(stability=stab, image_trace=tr_image,
                           normal_residual=normal_residual)
 
 

@@ -58,12 +58,11 @@ NUMERICS = {
 @dataclass
 class RunConfig:
     task: str
-    preset: str
     scenario: object
     table: object
     initial: dict
     numerics: dict
-    output: dict
+    output: str      # the output directory
     echo: dict
 
 
@@ -83,10 +82,71 @@ def fmt(x):
 # strict parsing
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj, allowed, path, errors):
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{path}: unknown key {key!r}")
+# the rule of a manifold dimension, in _number's keywords
+DIM = {"positive": True, "integer": True, "maximum": MAX_DIM}
+
+# metric family: the keys it reads besides "family"
+METRIC_KEYS = {
+    "flat_torus": {"periods"},
+    "constant_curvature_chart": {"curvature", "dim"},
+    "sol_group": set(),
+    "conformal_torus": {"sigma", "periods"},
+    "product": {"factors"},
+}
+
+# field type whose data is one vector: its key, its builder and the metric
+# dimension it needs (None: any)
+VECTOR_FIELDS = {
+    "constant": ("components", ConstantField, None),
+    "closed_one_form": ("covector", ClosedOneFormField, None),
+    "sol_left_invariant": ("coefficients", lambda c: SolLeftInvariantField(*c), 3),
+}
+
+# field type: the keys it reads besides "type"
+FIELD_KEYS = {"zero": set(), "gradient_of_potential": {"potential"}, "fourier": {"components"},
+              **{ftype: {key} for ftype, (key, _, _) in VECTOR_FIELDS.items()}}
+
+_ABSENT = object()   # the value of a key that an object does not hold
+
+
+def _path(path, key):
+    """Key path of member key (a name, or an index into a list) of the value at path."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _lookup(doc, key, path, errors, required):
+    """doc[key]; _ABSENT when doc does not hold key, which is an error when required."""
+    if isinstance(key, int) or key in doc:
+        return doc[key]
+    if required:
+        errors.append(f"{_path(path, key)}: missing")
+    return _ABSENT
+
+
+def _kind(doc, key, tag, kinds):
+    """doc[key][tag] when it names one of kinds, else None."""
+    raw = doc.get(key)
+    kind = raw.get(tag) if isinstance(raw, dict) else None
+    return kind if isinstance(kind, str) and kind in kinds else None
+
+
+def _object(doc, key, path, errors, allowed, required=False):
+    """doc[key] as an object that holds only the allowed keys.
+
+    An absent optional object reads as {}.  An absent required object, and a
+    value that is not an object, are errors and read as None.
+    """
+    val = _lookup(doc, key, path, errors, required)
+    if val is _ABSENT:
+        return None if required else {}
+    where = _path(path, key)
+    if not isinstance(val, dict):
+        errors.append(f"{where}: expected an object")
+        return None
+    errors.extend(f"{where}: unknown key {k!r}" for k in val if k not in allowed)
+    return val
 
 
 def _finite(x):
@@ -99,218 +159,173 @@ def _finite(x):
         return False
 
 
-def _number(obj, key, path, errors, default=None, positive=False, integer=False,
-            nonnegative=False):
-    if key not in obj:
+def _number(doc, key, path, errors, default=None, required=False, positive=False,
+            integer=False, nonnegative=False, maximum=None):
+    """doc[key] as a finite number that keeps the rules; default when absent or bad."""
+    val = _lookup(doc, key, path, errors, required)
+    if val is _ABSENT:
         return default
-    val = obj[key]
+    where = _path(path, key)
     if not _finite(val):
-        errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
+        errors.append(f"{where}: expected a finite number, got {val!r}")
         return default
     if integer and not float(val).is_integer():
-        errors.append(f"{path}.{key}: expected an integer, got {val!r}")
+        errors.append(f"{where}: expected an integer, got {val!r}")
         return default
     if positive and val <= 0:
-        errors.append(f"{path}.{key}: must be positive, got {val!r}")
+        errors.append(f"{where}: must be positive, got {val!r}")
         return default
     if nonnegative and val < 0:
-        errors.append(f"{path}.{key}: must be >= 0, got {val!r}")
+        errors.append(f"{where}: must be >= 0, got {val!r}")
+        return default
+    if maximum is not None and val > maximum:
+        errors.append(f"{where}: at most {maximum}, got {val!r}")
         return default
     return int(val) if integer else float(val)
 
 
-def _vector(obj, key, path, errors, required=False):
-    if key not in obj:
-        if required:
-            errors.append(f"{path}.{key}: missing")
+def _vector(doc, key, path, errors, required=False, length=None):
+    """doc[key] as a non-empty list of finite numbers, length of them when
+    length is given; None when absent or bad."""
+    val = _lookup(doc, key, path, errors, required)
+    if val is _ABSENT:
         return None
-    val = obj[key]
-    if not isinstance(val, list) or not val or not all(_finite(x) for x in val):
-        errors.append(f"{path}.{key}: expected a list of finite numbers")
+    if (not isinstance(val, list) or not val or not all(_finite(x) for x in val)
+            or length not in (None, len(val))):
+        size = "" if length is None else f"{length} "
+        errors.append(f"{_path(path, key)}: expected a list of {size}finite numbers")
         return None
     return [float(x) for x in val]
 
 
-def _dimension(obj, key, path, errors, default=None):
-    """A manifold dimension: an integer in 1..MAX_DIM."""
-    n = _number(obj, key, path, errors, default=default, positive=True, integer=True)
-    if n is not None and n > MAX_DIM:
-        errors.append(f"{path}.{key}: at most {MAX_DIM}, got {n}")
-        return None
-    return n
-
-
-def _periods(obj, path, errors, dim=None):
+def _periods(doc, path, errors, dim=None):
     """Optional torus periods: positive numbers, dim of them when dim is given."""
-    periods = _vector(obj, "periods", path, errors)
-    if periods is None:
-        return None
-    if ((dim is not None and len(periods) != dim) or len(periods) > MAX_DIM
-            or min(periods) <= 0):
-        want = dim if dim is not None else f"1 to {MAX_DIM}"
-        errors.append(f"{path}.periods: expected {want} positive numbers, got {periods!r}")
+    periods = _vector(doc, "periods", path, errors, length=dim)
+    if periods is not None and (len(periods) > MAX_DIM or min(periods) <= 0):
+        errors.append(f"{path}.periods: expected at most {MAX_DIM} positive numbers,"
+                      f" got {periods!r}")
         return None
     return periods
 
 
-def _parse_fourier(doc, path, errors, dim=None):
+def _parse_fourier(parent, key, path, errors, dim=None):
     """Fourier series object; dim, when given, is the dimension it must have."""
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object")
-        return None
     n_errors = len(errors)
-    _check_keys(doc, {"dim", "terms", "periods"}, path, errors)
-    fdim = _dimension(doc, "dim", path, errors)
+    doc = _object(parent, key, path, errors, {"dim", "terms", "periods"}, required=True)
+    if doc is None:
+        return None
+    path = _path(path, key)
+    fdim = _number(doc, "dim", path, errors, required=True, **DIM)
     if fdim is None:
-        if "dim" not in doc:
-            errors.append(f"{path}.dim: missing")
         return None
     if dim is not None and fdim != dim:
         errors.append(f"{path}.dim: expected {dim}, got {fdim}")
         return None
-    terms = []
     term_docs = doc.get("terms", [])
     if not isinstance(term_docs, list):
         errors.append(f"{path}.terms: expected a list of term objects")
         term_docs = []
-    for i, term in enumerate(term_docs):
+    terms = []
+    for i in range(len(term_docs)):
+        term = _object(term_docs, i, f"{path}.terms", errors, {"k", "cos", "sin"})
+        if term is None:
+            continue
         tpath = f"{path}.terms[{i}]"
-        if not isinstance(term, dict):
-            errors.append(f"{tpath}: expected an object")
-            continue
-        _check_keys(term, {"k", "cos", "sin"}, tpath, errors)
-        k = _vector(term, "k", tpath, errors, required=True)
-        if k is None or len(k) != fdim or not all(x.is_integer() for x in k):
+        k = _vector(term, "k", tpath, errors, required=True, length=fdim)
+        if k is not None and not all(x.is_integer() for x in k):
             errors.append(f"{tpath}.k: expected {fdim} integers")
-            continue
-        terms.append((tuple(int(x) for x in k),
-                      _number(term, "cos", tpath, errors, default=0.0),
-                      _number(term, "sin", tpath, errors, default=0.0)))
+        elif k is not None:
+            terms.append((tuple(int(x) for x in k),
+                          _number(term, "cos", tpath, errors, default=0.0),
+                          _number(term, "sin", tpath, errors, default=0.0)))
     periods = _periods(doc, path, errors, fdim)
     if len(errors) > n_errors:
         return None
     return FourierField(fdim, terms, periods=periods)
 
 
-def _parse_field(doc, dim, path, errors):
-    if doc is None:
+def _parse_field(scenario, path, dim, errors):
+    """The scenario's field; an absent or null field is the zero field."""
+    if scenario.get("field") is None:
         return ZeroField(dim)
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object")
+    ftype = _kind(scenario, "field", "type", FIELD_KEYS)
+    doc = _object(scenario, "field", path, errors, {"type", *FIELD_KEYS.get(ftype, ())})
+    if doc is None:
         return None
-    exclusive = {"components", "potential", "covector", "coefficients"}
-    present = sorted(exclusive & set(doc))
+    path = f"{path}.field"
+    present = sorted(set().union(*FIELD_KEYS.values()) & set(doc))
     if len(present) > 1:
         errors.append(f"{path}: mutually exclusive field data {present}; give exactly one")
         return None
-    ftype = doc.get("type")
+    if ftype is None:
+        errors.append(f"{path}.type: unknown field type {doc.get('type')!r}")
+        return None
     if ftype == "zero":
-        _check_keys(doc, {"type"}, path, errors)
         return ZeroField(dim)
-    if ftype == "constant":
-        _check_keys(doc, {"type", "components"}, path, errors)
-        comp = _vector(doc, "components", path, errors, required=True)
-        if comp is not None and len(comp) != dim:
-            errors.append(f"{path}.components: expected length {dim}")
-            return None
-        return None if comp is None else ConstantField(comp)
     if ftype == "gradient_of_potential":
-        _check_keys(doc, {"type", "potential"}, path, errors)
-        if "potential" not in doc:
-            errors.append(f"{path}.potential: missing")
-            return None
-        U = _parse_fourier(doc["potential"], f"{path}.potential", errors, dim)
+        U = _parse_fourier(doc, "potential", path, errors, dim)
         return None if U is None else GradientField(U)
     if ftype == "fourier":
-        _check_keys(doc, {"type", "components"}, path, errors)
         comps = doc.get("components")
         if not isinstance(comps, list) or len(comps) != dim:
             errors.append(f"{path}.components: expected {dim} fourier objects")
             return None
-        fields = [_parse_fourier(c, f"{path}.components[{i}]", errors, dim)
-                  for i, c in enumerate(comps)]
-        if any(f is None for f in fields):
-            return None
-        return FourierComponentsField(fields)
-    if ftype == "closed_one_form":
-        _check_keys(doc, {"type", "covector"}, path, errors)
-        cov = _vector(doc, "covector", path, errors, required=True)
-        if cov is not None and len(cov) != dim:
-            errors.append(f"{path}.covector: expected length {dim}")
-            return None
-        return None if cov is None else ClosedOneFormField(cov)
-    if ftype == "sol_left_invariant":
-        _check_keys(doc, {"type", "coefficients"}, path, errors)
-        c = _vector(doc, "coefficients", path, errors, required=True)
-        if c is not None and len(c) != 3:
-            errors.append(f"{path}.coefficients: expected length 3")
-            return None
-        if dim != 3:
-            errors.append(f"{path}.type: sol_left_invariant needs a 3-dimensional metric")
-            return None
-        return None if c is None else SolLeftInvariantField(*c)
-    errors.append(f"{path}.type: unknown field type {ftype!r}")
-    return None
+        fields = [_parse_fourier(comps, i, f"{path}.components", errors, dim)
+                  for i in range(dim)]
+        return None if any(f is None for f in fields) else FourierComponentsField(fields)
+    key, build, need = VECTOR_FIELDS[ftype]
+    if need not in (None, dim):
+        errors.append(f"{path}.type: {ftype} needs a {need}-dimensional metric")
+        return None
+    data = _vector(doc, key, path, errors, required=True, length=dim)
+    return None if data is None else build(data)
 
 
-def _parse_scenario(doc, path, errors):
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object")
+def _parse_scenario(parent, key, path, errors):
+    """The scenario object parent[key]: a metric and an optional field."""
+    doc = _object(parent, key, path, errors, {"metric", "field"}, required=True)
+    if doc is None:
         return None
-    _check_keys(doc, {"metric", "field"}, path, errors)
-    metric_doc = doc.get("metric")
-    if not isinstance(metric_doc, dict):
-        errors.append(f"{path}.metric: missing or not an object")
+    path = _path(path, key)
+    family = _kind(doc, "metric", "family", METRIC_KEYS)
+    metric = _object(doc, "metric", path, errors, {"family", *METRIC_KEYS.get(family, ())},
+                     required=True)
+    if metric is None:
         return None
-    family = metric_doc.get("family")
     mpath = f"{path}.metric"
-    fam = None
+    n_errors = len(errors)
     if family == "flat_torus":
-        _check_keys(metric_doc, {"family", "periods"}, mpath, errors)
-        periods = _periods(metric_doc, mpath, errors)
-        if periods is not None or "periods" not in metric_doc:
-            fam = FlatTorus(periods or [1.0, 1.0])
+        fam = FlatTorus(_periods(metric, mpath, errors) or [1.0, 1.0])
     elif family == "constant_curvature_chart":
-        _check_keys(metric_doc, {"family", "curvature", "dim"}, mpath, errors)
-        K = _number(metric_doc, "curvature", mpath, errors)
-        n = _dimension(metric_doc, "dim", mpath, errors, default=2)
-        if K is None and "curvature" not in metric_doc:
-            errors.append(f"{mpath}.curvature: missing")
-        elif K is not None and n is not None:
-            fam = ConstantCurvatureChart(K, n)
+        K = _number(metric, "curvature", mpath, errors, required=True)
+        n = _number(metric, "dim", mpath, errors, default=2, **DIM)
+        fam = None if K is None else ConstantCurvatureChart(K, n)
     elif family == "sol_group":
-        _check_keys(metric_doc, {"family"}, mpath, errors)
         fam = SolGroup()
     elif family == "conformal_torus":
-        _check_keys(metric_doc, {"family", "sigma", "periods"}, mpath, errors)
-        if "sigma" not in metric_doc:
-            errors.append(f"{mpath}.sigma: missing")
-        else:
-            sigma = _parse_fourier(metric_doc["sigma"], f"{mpath}.sigma", errors)
-            periods = None if sigma is None else _periods(metric_doc, mpath, errors, sigma.dim)
-            if sigma is not None and (periods is not None or "periods" not in metric_doc):
-                fam = ConformalTorus(sigma, periods)
+        sigma = _parse_fourier(metric, "sigma", mpath, errors)
+        fam = None if sigma is None else ConformalTorus(
+            sigma, _periods(metric, mpath, errors, sigma.dim))
     elif family == "product":
-        _check_keys(metric_doc, {"family", "factors"}, mpath, errors)
-        factors = metric_doc.get("factors")
+        factors = metric.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             errors.append(f"{mpath}.factors: expected two scenario objects")
-        else:
-            s1 = _parse_scenario(factors[0], f"{mpath}.factors[0]", errors)
-            s2 = _parse_scenario(factors[1], f"{mpath}.factors[1]", errors)
-            if s1 is not None and s2 is not None:
-                if s1.dim + s2.dim > MAX_DIM:
-                    errors.append(f"{mpath}.factors: at most {MAX_DIM} dimensions in all,"
-                                  f" got {s1.dim + s2.dim}")
-                    return None
-                return product_scenario(s1, s2)
-        return None
+            return None
+        s1, s2 = [_parse_scenario(factors, i, f"{mpath}.factors", errors) for i in (0, 1)]
+        if s1 is None or s2 is None:
+            return None
+        if s1.dim + s2.dim > MAX_DIM:
+            errors.append(f"{mpath}.factors: at most {MAX_DIM} dimensions in all,"
+                          f" got {s1.dim + s2.dim}")
+            return None
+        return product_scenario(s1, s2)
     else:
-        errors.append(f"{mpath}.family: unknown metric family {family!r}")
-    if fam is None:
+        errors.append(f"{mpath}.family: unknown metric family {metric.get('family')!r}")
         return None
-    field = _parse_field(doc.get("field"), fam.dim, f"{path}.field", errors)
-    if field is None and doc.get("field") is not None:
+    if len(errors) > n_errors:
+        return None
+    field = _parse_field(doc, path, fam.dim, errors)
+    if field is None:
         return None
     try:
         return WeylScenario(fam, field)
@@ -319,59 +334,56 @@ def _parse_scenario(doc, path, errors):
         return None
 
 
-def _parse_table(doc, path, errors):
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object")
+def _parse_table(doc, errors):
+    """The billiard table object doc["billiard"]."""
+    table = _object(doc, "billiard", "", errors,
+                    {"periods", "scatterers", "field_magnitude", "field_angle"})
+    if table is None:
         return None
-    _check_keys(doc, {"periods", "scatterers", "field_magnitude", "field_angle"},
-                path, errors)
-    periods = _vector(doc, "periods", path, errors) or [1.0, 1.0]
-    if len(periods) != 2 or min(periods) <= 0:
-        errors.append(f"{path}.periods: expected two positive numbers, got {periods!r}")
-    mag = _number(doc, "field_magnitude", path, errors, nonnegative=True, default=0.0)
-    angle = _number(doc, "field_angle", path, errors, default=0.0)
-    scats = []
-    scat_docs = doc.get("scatterers")
+    periods = _periods(table, "billiard", errors, 2) or [1.0, 1.0]
+    mag = _number(table, "field_magnitude", "billiard", errors, default=0.0, nonnegative=True)
+    angle = _number(table, "field_angle", "billiard", errors, default=0.0)
+    scat_docs = table.get("scatterers")
     if not isinstance(scat_docs, list) or not scat_docs:
-        errors.append(f"{path}.scatterers: expected a non-empty list of scatterers")
+        errors.append("billiard.scatterers: expected a non-empty list of scatterers")
         scat_docs = []
-    for i, s in enumerate(scat_docs):
-        spath = f"{path}.scatterers[{i}]"
-        if not isinstance(s, dict):
-            errors.append(f"{spath}: expected an object")
-            continue
-        _check_keys(s, {"center", "radius"}, spath, errors)
-        center = _vector(s, "center", spath, errors, required=True)
-        if center is not None and len(center) != 2:
-            errors.append(f"{spath}.center: expected 2 numbers, got {len(center)}")
-            center = None
-        radius = _number(s, "radius", spath, errors, positive=True)
-        if radius is None and "radius" not in s:
-            errors.append(f"{spath}.radius: missing")
-        if center is not None and radius is not None:
-            scats.append((center, radius))
+    scats = []
+    for i in range(len(scat_docs)):
+        s = _object(scat_docs, i, "billiard.scatterers", errors, {"center", "radius"})
+        if s is not None:
+            spath = f"billiard.scatterers[{i}]"
+            scats.append((_vector(s, "center", spath, errors, required=True, length=2),
+                          _number(s, "radius", spath, errors, required=True, positive=True)))
     if errors:
         return None
     try:
         return billiards.BilliardTable(periods, scats, mag, angle)
     except WeylflowError as exc:
-        errors.append(f"{path}: {exc}")
+        errors.append(f"billiard: {exc}")
         return None
 
 
-def _check_initial(initial, scenario, table, errors):
-    """Initial q and v: the dimension of the space, v nonzero, q outside the scatterers."""
-    dim = 2 if table is not None else scenario.dim
+def _parse_initial(doc, scenario, table, errors):
+    """Optional initial q and v in the space of the table or scenario: v
+    nonzero, q inside the metric's chart and outside the scatterers."""
+    idoc = _object(doc, "initial", "", errors, {"q", "v"}) or {}
+    dim = 2 if table is not None else None if scenario is None else scenario.dim
+    initial = {key: _vector(idoc, key, "initial", errors, length=dim)
+               for key in ("q", "v") if key in idoc}
     q, v = initial.get("q"), initial.get("v")
-    if q is not None and len(q) != dim:
-        errors.append(f"initial.q: expected {dim} numbers, got {len(q)}")
-        q = None
-    if v is not None and len(v) != dim:
-        errors.append(f"initial.v: expected {dim} numbers, got {len(v)}")
-    elif v is not None and not any(v):
+    if v is not None and not any(v):
         errors.append("initial.v: must be nonzero")
-    if table is not None and q is not None and not table.outside(np.asarray(q), tol=1e-12):
-        errors.append(f"initial.q: {q} lies inside a scatterer")
+    if q is None:
+        return initial
+    if table is not None:
+        if not table.outside(np.asarray(q), tol=1e-12):
+            errors.append(f"initial.q: {q} lies inside a scatterer")
+    elif scenario is not None:
+        try:
+            scenario.metric_family.check_point(np.asarray(q))
+        except WeylflowError as exc:
+            errors.append(f"initial.q: {exc}")
+    return initial
 
 
 def parse_config(document):
@@ -397,20 +409,17 @@ def parse_config(document):
 
 def _parse_document(doc):
     errors = []
-    if not isinstance(doc, dict):
-        raise ConfigError(["top level: expected a JSON object"])
-    _check_keys(doc, {"task", "preset", "scenario", "billiard", "initial",
-                      "numerics", "output"}, "top level", errors)
+    # the whole document is the one member of a root object
+    doc = _object({"top level": doc}, "top level", "", errors,
+                  {"task", "preset", "scenario", "billiard", "initial", "numerics", "output"})
+    if doc is None:
+        raise ConfigError(errors)
 
     task = doc.get("task")
     if task not in TASKS:
         errors.append(f"task: expected one of {TASKS}, got {task!r}")
 
-    ndoc = doc.get("numerics", {})
-    if not isinstance(ndoc, dict):
-        errors.append("numerics: expected an object")
-        ndoc = {}
-    _check_keys(ndoc, NUMERICS, "numerics", errors)
+    ndoc = _object(doc, "numerics", "", errors, NUMERICS) or {}
     numerics = {key: _number(ndoc, key, "numerics", errors, default=default, **rule)
                 for key, (default, rule) in NUMERICS.items()}
     if numerics["T"] < numerics["dt"]:
@@ -428,23 +437,9 @@ def _parse_document(doc):
                           f" every numerics.renorm_every={numerics['renorm_every']} steps),"
                           f" leaving none of the {n_steps} steps of numerics.T to average over")
 
-    output = {"directory": ".", "formats": ["csv", "json"]}
-    odoc = doc.get("output", {})
-    if not isinstance(odoc, dict):
-        errors.append("output: expected an object")
-        odoc = {}
-    _check_keys(odoc, {"directory", "formats"}, "output", errors)
-    if "directory" in odoc:
-        if not isinstance(odoc["directory"], str):
-            errors.append("output.directory: expected a string")
-        else:
-            output["directory"] = odoc["directory"]
-    if "formats" in odoc:
-        if (not isinstance(odoc["formats"], list)
-                or not all(f in ("csv", "json") for f in odoc["formats"])):
-            errors.append("output.formats: expected a sublist of ['csv', 'json']")
-        else:
-            output["formats"] = list(odoc["formats"])
+    directory = (_object(doc, "output", "", errors, {"directory"}) or {}).get("directory", ".")
+    if not isinstance(directory, str):
+        errors.append("output.directory: expected a string")
 
     preset = doc.get("preset")
     scenario = None
@@ -461,32 +456,20 @@ def _parse_document(doc):
         else:
             errors.append(f"preset: unknown preset {preset!r}")
     if "scenario" in doc:
-        scenario = _parse_scenario(doc["scenario"], "scenario", errors)
+        scenario = _parse_scenario(doc, "scenario", "", errors)
     if "billiard" in doc:
-        table = _parse_table(doc["billiard"], "billiard", errors)
-
-    initial = {}
-    idoc = doc.get("initial", {})
-    if not isinstance(idoc, dict):
-        errors.append("initial: expected an object")
-        idoc = {}
-    _check_keys(idoc, {"q", "v"}, "initial", errors)
-    if "q" in idoc:
-        initial["q"] = _vector(idoc, "q", "initial", errors, required=True)
-    if "v" in idoc:
-        initial["v"] = _vector(idoc, "v", "initial", errors, required=True)
-    if scenario is not None or table is not None:
-        _check_initial(initial, scenario, table, errors)
+        table = _parse_table(doc, errors)
+    initial = _parse_initial(doc, scenario, table, errors)
 
     if task in ("simulate", "lyapunov", "curvature-scan") and scenario is None and not errors:
-        errors.append(f"{task}: needs a scenario or a geometry preset")
+        errors.append(f"task: {task} needs a scenario or a geometry preset")
     if task in ("billiard", "orbit-stability") and table is None and not errors:
-        errors.append(f"{task}: needs a billiard table or billiard preset")
+        errors.append(f"task: {task} needs a billiard table or billiard preset")
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(task=task, preset=preset, scenario=scenario, table=table,
-                     initial=initial, numerics=numerics, output=output, echo=doc)
+    return RunConfig(task=task, scenario=scenario, table=table, initial=initial,
+                     numerics=numerics, output=directory, echo=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +511,20 @@ def _json_text(obj):
                       default=acceptance._json_default) + "\n"
 
 
+def _start(cfg, draw_q, draw_v):
+    """Initial q and v: each the one the config gives, or else drawn by
+    draw_q or draw_v from one generator seeded by numerics.seed, q first."""
+    rng = np.random.default_rng(np.random.Philox(cfg.numerics["seed"]))
+    q = np.asarray(cfg.initial["q"], dtype=float) if "q" in cfg.initial else draw_q(rng)
+    v = np.asarray(cfg.initial["v"], dtype=float) if "v" in cfg.initial else draw_v(rng)
+    return q, v
+
+
 def _initial_state(cfg):
+    """The start on the unit tangent bundle: v is normalised at the q used."""
     sc = cfg.scenario
-    if "q" in cfg.initial and "v" in cfg.initial:
-        q = np.asarray(cfg.initial["q"], dtype=float)
-        v = np.asarray(cfg.initial["v"], dtype=float)
-        v = v / sc.norm(q, v)
-        return flows.PhaseState(q, v)
-    q, v = presets.default_initial_state(sc, seed=cfg.numerics["seed"])
-    return flows.PhaseState(q, v)
+    q, v = _start(cfg, sc.sample_point, lambda rng: rng.standard_normal(sc.dim))
+    return flows.PhaseState(q, v / sc.norm(q, v))
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +608,20 @@ def _task_curvature_scan(cfg, outdir):
 
 
 def _task_billiard(cfg, outdir):
-    rng = np.random.default_rng(np.random.Philox(cfg.numerics["seed"]))
     table = cfg.table
-    if "q" in cfg.initial:
-        q0 = np.asarray(cfg.initial["q"], dtype=float)
-    else:
+
+    def draw_q(rng):
         while True:
-            q0 = rng.uniform(0, table.periods)
-            if table.outside(q0, tol=1e-9):
-                break
-    if "v" in cfg.initial:
-        v0 = np.asarray(cfg.initial["v"], dtype=float)
-    else:
+            q = rng.uniform(0, table.periods)
+            if table.outside(q, tol=1e-9):
+                return q
+
+    def draw_v(rng):
         th = rng.uniform(0, 2 * np.pi)
-        v0 = np.array([np.cos(th), np.sin(th)])
-    run = billiards.run_billiard(table, q0, v0, cfg.numerics["n_collisions"],
-                                 with_tangent=True)
+        return np.array([np.cos(th), np.sin(th)])
+
+    q0, v0 = _start(cfg, draw_q, draw_v)
+    run = billiards.run_billiard(table, q0, v0, cfg.numerics["n_collisions"])
     header = ["index", "t", "scatterer", "impact_x", "impact_y",
               "angle_in", "angle_out"]
     events = run.events
@@ -721,7 +707,7 @@ def dispatch(cfg, out_override=None):
     """Run the configured task, write outputs and the manifest; returns the
     manifest dict.  A failure of any kind is serialized into the manifest
     (error class and message) before it is re-raised."""
-    outdir = Path(out_override or cfg.output["directory"])
+    outdir = Path(out_override or cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     manifest = {

@@ -82,7 +82,6 @@ class Trajectory:
     kind: str
     dt: float
     scenario: object
-    spec: object = None
 
     def state(self, i=-1):
         return PhaseState(self.q[i].copy(), self.v[i].copy(), float(self.times[i]))
@@ -246,8 +245,7 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
     return Trajectory(times=times, q=ys[:, :n], v=ys[:, n:], phi_v=phi_v,
                       speed_residual=speed_residual,
                       energy_residual=energy_residual, int_phi=int_phi,
-                      arc_length=arc_length, kind=kind, dt=dt,
-                      scenario=scenario, spec=spec)
+                      arc_length=arc_length, kind=kind, dt=dt, scenario=scenario)
 
 
 def _project(scenario, spec, kind, q, v):

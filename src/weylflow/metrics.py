@@ -146,9 +146,6 @@ class FlatTorus(MetricFamily):
     def sample_point(self, rng):
         return rng.uniform(0.0, self.periods)
 
-    def wrap(self, q):
-        return np.mod(q, self.periods)
-
 
 class ConstantCurvatureChart(MetricFamily):
     """Conformal model of constant sectional curvature K.

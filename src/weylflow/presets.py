@@ -27,17 +27,17 @@ def example_1_2():
                         name="example_1_2")
 
 
-def torus3_constant(magnitude=0.8):
+def torus3_constant():
     """Flat 3-torus with a constant field: nonpositive Weyl curvature."""
     return WeylScenario(FlatTorus((1.0, 1.0, 1.0)),
-                        ConstantField([magnitude, 0.0, 0.0]),
+                        ConstantField([0.8, 0.0, 0.0]),
                         name="torus3_constant")
 
 
-def torus3_closed_form(magnitude=0.8):
+def torus3_closed_form():
     """Same field presented as a constant closed 1-form (locally potential)."""
     return WeylScenario(FlatTorus((1.0, 1.0, 1.0)),
-                        ClosedOneFormField([magnitude, 0.0, 0.0]),
+                        ClosedOneFormField([0.8, 0.0, 0.0]),
                         name="torus3_closed_form")
 
 
@@ -46,13 +46,13 @@ def hyperbolic_geodesic():
     return WeylScenario(ConstantCurvatureChart(-1.0, 2), name="hyperbolic_geodesic")
 
 
-def hyperbolic_potential(amplitude=0.01):
+def hyperbolic_potential():
     """Curvature -1 chart with a small gradient field E = -grad U.
 
-    The amplitude keeps |div E| = |laplacian U| < 1, so the Weyl curvature
-    K - div E stays negative on the whole chart.
+    The amplitude 0.01 keeps |div E| = |laplacian U| < 1, so the Weyl
+    curvature K - div E stays negative on the whole chart.
     """
-    U = FourierField(2, [((1, 0), amplitude, 0.0), ((0, 1), 0.0, 0.6 * amplitude)])
+    U = FourierField(2, [((1, 0), 0.01, 0.0), ((0, 1), 0.0, 0.006)])
     return WeylScenario(ConstantCurvatureChart(-1.0, 2), GradientField(U),
                         name="hyperbolic_potential")
 
@@ -63,17 +63,17 @@ def sol_scan():
                         name="sol_scan")
 
 
-def flat2_gradient(amplitude=0.4):
+def flat2_gradient():
     """Flat 2-torus with E = -grad U for a nonconstant potential."""
-    U = FourierField(2, [((1, 0), amplitude, 0.0), ((0, 1), 0.0, 0.5 * amplitude)])
+    U = FourierField(2, [((1, 0), 0.4, 0.0), ((0, 1), 0.0, 0.2)])
     return WeylScenario(FlatTorus((1.0, 1.0)), GradientField(U),
                         name="flat2_gradient")
 
 
-def conformal_gradient(sigma_amp=0.15, pot_amp=0.3):
+def conformal_gradient():
     """Conformal torus metric with a gradient thermostat field."""
-    sigma = FourierField(2, [((1, 0), sigma_amp, 0.0), ((1, 1), 0.0, 0.4 * sigma_amp)])
-    U = FourierField(2, [((0, 1), pot_amp, 0.0)])
+    sigma = FourierField(2, [((1, 0), 0.15, 0.0), ((1, 1), 0.0, 0.06)])
+    U = FourierField(2, [((0, 1), 0.3, 0.0)])
     return WeylScenario(ConformalTorus(sigma), GradientField(U),
                         name="conformal_gradient")
 
@@ -137,10 +137,10 @@ def scenario_preset(name):
     return GEOMETRY_PRESETS[name]()
 
 
-def billiard_preset(name, **kwargs):
+def billiard_preset(name):
     if name not in BILLIARD_PRESETS:
         raise KeyError(f"unknown billiard preset {name!r}")
-    return BILLIARD_PRESETS[name](**kwargs)
+    return BILLIARD_PRESETS[name]()
 
 
 def default_initial_state(scenario, seed=0):

@@ -216,7 +216,7 @@ def test_run_billiard_unit_speed_and_determinism(sinai_field):
 def test_run_billiard_positive_exponent(sinai):
     run = bl.run_billiard(sinai, np.array([0.7, 0.25]),
                           np.array([np.cos(0.6), np.sin(0.6)]),
-                          2000, with_tangent=True)
+                          2000)
     assert run.lambda1 > 0.5
     assert run.exponents[0] == pytest.approx(-run.exponents[1], abs=1e-9)
 
@@ -224,8 +224,8 @@ def test_run_billiard_positive_exponent(sinai):
 def test_run_billiard_small_field_continuity(sinai, sinai_field):
     q0 = np.array([0.7, 0.25])
     v0 = np.array([np.cos(0.6), np.sin(0.6)])
-    lam0 = bl.run_billiard(sinai, q0, v0, 2000, with_tangent=True).lambda1
-    lamF = bl.run_billiard(sinai_field, q0, v0, 2000, with_tangent=True).lambda1
+    lam0 = bl.run_billiard(sinai, q0, v0, 2000).lambda1
+    lamF = bl.run_billiard(sinai_field, q0, v0, 2000).lambda1
     assert abs(lamF - lam0) / lam0 < 0.2
 
 
@@ -769,7 +769,7 @@ def _qr_replay(table, q, v, n_collisions):
 def test_billiard_pair_identity(name):
     # det F = e^{-int phi} and det R = 1: lambda1 + lambda2 = sbar
     table = PAIR_TABLES[name]()
-    run = bl.run_billiard(table, START_Q, START_V, 300, with_tangent=True)
+    run = bl.run_billiard(table, START_Q, START_V, 300)
     assert run.pair_residual < 1e-10
     if table.a == 0.0:
         assert run.sbar == 0.0
@@ -782,7 +782,7 @@ def test_billiard_pair_identity(name):
 @pytest.mark.parametrize("name", sorted(TANGENT_TABLES))
 def test_scalar_tangent_bookkeeping_matches_matrix_qr(name):
     table = TANGENT_TABLES[name]()
-    run = bl.run_billiard(table, START_Q, START_V, 300, with_tangent=True)
+    run = bl.run_billiard(table, START_Q, START_V, 300)
     assert run.grazing_count == 0
     assert run.lambda1 == run.exponents[0]
     np.testing.assert_allclose(run.exponents, _qr_replay(table, START_Q, START_V, 300),
@@ -794,7 +794,7 @@ def test_field_driven_orbit_runs_long_in_the_fundamental_cell():
     # digits of the start check and a flight "started inside" the scatterer
     table = bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), 0.05)], 1.0, math.sqrt(2.0))
     run = bl.run_billiard(table, np.array([0.7, 0.25]), np.array([math.cos(0.6), math.sin(0.6)]),
-                          10_000, with_tangent=True)
+                          10_000)
     assert len(run.events) == 10_000
     assert run.pair_residual < 1e-10
     assert run.sbar < 0.0
@@ -815,6 +815,6 @@ def test_grazing_restart_composes_its_flight_map(monkeypatch):
         return ev
 
     monkeypatch.setattr(bl, "free_flight", marking)
-    run = bl.run_billiard(_explicit(), START_Q, START_V, 300, with_tangent=True)
+    run = bl.run_billiard(_explicit(), START_Q, START_V, 300)
     assert run.grazing_count == 1
     assert run.pair_residual < 1e-10

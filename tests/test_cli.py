@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -299,6 +300,42 @@ def test_main_rejects_bad_billiard_config(tmp_path, capsys, billiard, initial, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("given", ["q", "v"])
+def test_a_lone_initial_q_or_v_is_used_and_the_other_drawn_from_the_seed(tmp_path, given):
+    part = {"q": [0.3, 0.4], "v": [0.0, 2.0]}[given]
+    starts = {}
+    for name, initial in (("drawn", {}), ("given", {given: part})):
+        cfg = cli.parse_config({"task": "simulate", "preset": "example_1_2", "initial": initial,
+                                "numerics": {"T": 0.002, "dt": 1e-3, "seed": 4}})
+        cli.dispatch(cfg, out_override=tmp_path / name)
+        row = (tmp_path / name / "trajectory.csv").read_text().splitlines()[1].split(",")
+        starts[name] = [float(x) for x in row[1:5]]
+    q, v = starts["given"][:2], starts["given"][2:]
+    if given == "q":
+        assert q == [0.3, 0.4]
+        assert math.hypot(*v) == pytest.approx(1.0, abs=1e-15)
+    else:
+        assert v == [0.0, 1.0]
+        assert q == starts["drawn"][:2]
+
+
+def test_main_rejects_an_initial_q_outside_the_chart(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": "simulate", "preset": "hyperbolic_geodesic",
+                                    "initial": {"q": [2.5, 0.0], "v": [1.0, 0.0]},
+                                    "numerics": {"T": 0.01, "dt": 0.001}}))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "initial.q: chart degenerate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_rejects_output_formats():
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(dict(MINIMAL, output={"directory": "out", "formats": ["csv"]}))
+    assert err.value.errors == ["output: unknown key 'formats'"]
+
+
 SCIPY_FREE_TASKS = """
 import sys, tempfile
 from pathlib import Path
@@ -462,7 +499,7 @@ _NUMERICS = {"T": 1.0, "dt": 0.01, "renorm_every": 10, "seed": 3, "burn_in": 0.0
              "n_points": 2, "n_planes": 2, "n_collisions": 5}
 PRESET_CONFIGS = (
     [{"task": "lyapunov", "preset": name, "numerics": _NUMERICS,
-      "output": {"directory": "out", "formats": ["csv", "json"]}}
+      "output": {"directory": "out"}}
      for name in sorted(presets.GEOMETRY_PRESETS)]
     + [{"task": "billiard", "preset": name, "initial": {"q": [0.5, 0.95], "v": [1, 0]},
         "numerics": _NUMERICS} for name in sorted(presets.BILLIARD_PRESETS)]
