@@ -4,10 +4,10 @@ Usage:  weylflow <task> --config <path> [--out <dir>]
         weylflow verify [--out <dir>]
 
 Tasks: simulate, lyapunov, curvature-scan, billiard, orbit-stability, verify.
-Configs are strict JSON: unknown keys are rejected and every validation error
-is reported, not just the first.  Outputs are CSV/JSON with fixed float
-formatting (17 significant digits) so identical configs produce byte-identical
-files; the manifest records a digest of everything written.
+Configs are strict JSON: unknown keys and keys the task does not read are
+rejected; every validation error is reported.  Outputs are CSV/JSON with fixed
+float formatting (17 significant digits) so identical configs produce
+byte-identical files; the manifest records a digest of everything written.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,9 +38,6 @@ from .fields import (
 from .metrics import ConformalTorus, ConstantCurvatureChart, FlatTorus, SolGroup
 from .scenario import WeylScenario, product_scenario
 
-TASKS = ("simulate", "lyapunov", "curvature-scan", "billiard",
-         "orbit-stability", "verify")
-
 MAX_DIM = 8   # largest manifold dimension a config may ask for (arrays grow as n^4)
 
 # numerics key: (default, rule), the rule in _number's keywords; checked in this order
@@ -55,13 +53,18 @@ NUMERICS = {
 }
 
 
+# a task: its runner run(cfg, outdir) -> (files, summary), the top-level key of the
+# space it runs on (or None), whether it reads "initial", and the numerics keys it reads
+Task = namedtuple("Task", "run space initial numerics")
+
+
 @dataclass
 class RunConfig:
     task: str
     scenario: object
     table: object
     initial: dict
-    numerics: dict
+    numerics: dict   # the numerics keys the task reads
     output: str      # the output directory
     echo: dict
 
@@ -307,6 +310,8 @@ def _parse_scenario(parent, key, path, errors):
         fam = None if sigma is None else ConformalTorus(
             sigma, _periods(metric, mpath, errors, sigma.dim))
     elif family == "product":
+        if "field" in doc:
+            errors.append(f"{path}.field: a product scenario takes its fields from its factors")
         factors = metric.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             errors.append(f"{mpath}.factors: expected two scenario objects")
@@ -334,24 +339,25 @@ def _parse_scenario(parent, key, path, errors):
         return None
 
 
-def _parse_table(doc, errors):
-    """The billiard table object doc["billiard"]."""
-    table = _object(doc, "billiard", "", errors,
-                    {"periods", "scatterers", "field_magnitude", "field_angle"})
+def _parse_table(parent, key, path, errors):
+    """The billiard table object parent[key]."""
+    table = _object(parent, key, path, errors,
+                    {"periods", "scatterers", "field_magnitude", "field_angle"}, required=True)
     if table is None:
         return None
-    periods = _periods(table, "billiard", errors, 2) or [1.0, 1.0]
-    mag = _number(table, "field_magnitude", "billiard", errors, default=0.0, nonnegative=True)
-    angle = _number(table, "field_angle", "billiard", errors, default=0.0)
+    path = _path(path, key)
+    periods = _periods(table, path, errors, 2) or [1.0, 1.0]
+    mag = _number(table, "field_magnitude", path, errors, default=0.0, nonnegative=True)
+    angle = _number(table, "field_angle", path, errors, default=0.0)
     scat_docs = table.get("scatterers")
     if not isinstance(scat_docs, list) or not scat_docs:
-        errors.append("billiard.scatterers: expected a non-empty list of scatterers")
+        errors.append(f"{path}.scatterers: expected a non-empty list of scatterers")
         scat_docs = []
     scats = []
     for i in range(len(scat_docs)):
-        s = _object(scat_docs, i, "billiard.scatterers", errors, {"center", "radius"})
+        s = _object(scat_docs, i, f"{path}.scatterers", errors, {"center", "radius"})
         if s is not None:
-            spath = f"billiard.scatterers[{i}]"
+            spath = f"{path}.scatterers[{i}]"
             scats.append((_vector(s, "center", spath, errors, required=True, length=2),
                           _number(s, "radius", spath, errors, required=True, positive=True)))
     if errors:
@@ -359,28 +365,34 @@ def _parse_table(doc, errors):
     try:
         return billiards.BilliardTable(periods, scats, mag, angle)
     except WeylflowError as exc:
-        errors.append(f"billiard: {exc}")
+        errors.append(f"{path}: {exc}")
         return None
 
 
-def _parse_initial(doc, scenario, table, errors):
-    """Optional initial q and v in the space of the table or scenario: v
+# space key: (its presets, the parser of its object)
+SPACES = {"scenario": (presets.GEOMETRY_PRESETS, _parse_scenario),
+          "billiard": (presets.BILLIARD_PRESETS, _parse_table)}
+
+
+def _parse_initial(doc, space, errors):
+    """Optional initial q and v in the space (a scenario, a table, or None): v
     nonzero, q inside the metric's chart and outside the scatterers."""
     idoc = _object(doc, "initial", "", errors, {"q", "v"}) or {}
-    dim = 2 if table is not None else None if scenario is None else scenario.dim
+    table = isinstance(space, billiards.BilliardTable)
+    dim = 2 if table else None if space is None else space.dim
     initial = {key: _vector(idoc, key, "initial", errors, length=dim)
                for key in ("q", "v") if key in idoc}
     q, v = initial.get("q"), initial.get("v")
     if v is not None and not any(v):
         errors.append("initial.v: must be nonzero")
-    if q is None:
+    if q is None or space is None:
         return initial
-    if table is not None:
-        if not table.outside(np.asarray(q), tol=1e-12):
+    if table:
+        if not space.outside(np.asarray(q), tol=1e-12):
             errors.append(f"initial.q: {q} lies inside a scatterer")
-    elif scenario is not None:
+    else:
         try:
-            scenario.metric_family.check_point(np.asarray(q))
+            space.metric_family.check_point(np.asarray(q))
         except WeylflowError as exc:
             errors.append(f"initial.q: {exc}")
     return initial
@@ -409,66 +421,67 @@ def parse_config(document):
 
 def _parse_document(doc):
     errors = []
+    known = {"task", "preset", "scenario", "billiard", "initial", "numerics", "output"}
     # the whole document is the one member of a root object
-    doc = _object({"top level": doc}, "top level", "", errors,
-                  {"task", "preset", "scenario", "billiard", "initial", "numerics", "output"})
+    doc = _object({"top level": doc}, "top level", "", errors, known)
     if doc is None:
         raise ConfigError(errors)
 
     task = doc.get("task")
-    if task not in TASKS:
-        errors.append(f"task: expected one of {TASKS}, got {task!r}")
+    spec = TASKS.get(task) if isinstance(task, str) else None
+    if spec is None:
+        errors.append(f"task: expected one of {tuple(TASKS)}, got {task!r}")
+        # without a task, check only numerics (every key), initial and output
+        spec, read = Task(None, None, False, tuple(NUMERICS)), known
+    else:
+        read = {"task", "output", *((spec.space, "preset") if spec.space else ()),
+                "initial" if spec.initial else None, "numerics" if spec.numerics else None}
+    errors.extend(f"{k}: task {task} does not read it" for k in doc if k in known - read)
+    body = {k: v for k, v in doc.items() if k in read}
 
-    ndoc = _object(doc, "numerics", "", errors, NUMERICS) or {}
+    ndoc = _object(body, "numerics", "", errors, NUMERICS) or {}
+    errors.extend(f"numerics.{k}: task {task} does not read it"
+                  for k in ndoc if k in NUMERICS and k not in spec.numerics)
     numerics = {key: _number(ndoc, key, "numerics", errors, default=default, **rule)
-                for key, (default, rule) in NUMERICS.items()}
-    if numerics["T"] < numerics["dt"]:
-        errors.append(f"numerics.T: must be >= numerics.dt, got T={numerics['T']!r}"
-                      f" and dt={numerics['dt']!r}")
-    if numerics["burn_in"] >= numerics["T"]:
-        errors.append(f"numerics.burn_in: must be < numerics.T, got burn_in="
-                      f"{numerics['burn_in']!r} and T={numerics['T']!r}")
-    elif numerics["T"] >= numerics["dt"] and math.isfinite(numerics["T"] / numerics["dt"]):
+                for key, (default, rule) in NUMERICS.items() if key in spec.numerics}
+    T, dt, burn_in = map(numerics.get, ("T", "dt", "burn_in"))
+    if T is not None and T < dt:
+        errors.append(f"numerics.T: must be >= numerics.dt, got T={T!r} and dt={dt!r}")
+    if burn_in is not None and burn_in >= T:
+        errors.append(f"numerics.burn_in: must be < numerics.T, got burn_in={burn_in!r} and T={T!r}")
+    elif burn_in is not None and T >= dt and math.isfinite(T / dt):
         # the burn-in ends at a renormalization event; one must come before the last step
-        burn = tangent.burn_steps(numerics["burn_in"], numerics["dt"], numerics["renorm_every"])
-        n_steps = flows.step_count(numerics["T"], numerics["dt"])
+        burn = tangent.burn_steps(burn_in, dt, numerics["renorm_every"])
+        n_steps = flows.step_count(T, dt)
         if burn >= n_steps:
             errors.append(f"numerics.burn_in: rounds up to step {burn} (a renormalization event"
                           f" every numerics.renorm_every={numerics['renorm_every']} steps),"
                           f" leaving none of the {n_steps} steps of numerics.T to average over")
 
-    directory = (_object(doc, "output", "", errors, {"directory"}) or {}).get("directory", ".")
+    directory = (_object(body, "output", "", errors, {"directory"}) or {}).get("directory", ".")
     if not isinstance(directory, str):
         errors.append("output.directory: expected a string")
 
-    preset = doc.get("preset")
-    scenario = None
-    table = None
-    if preset is not None and "scenario" in doc:
-        errors.append("preset and scenario are mutually exclusive")
-    if preset is not None:
-        if not isinstance(preset, str):
-            errors.append(f"preset: expected a preset name, got {preset!r}")
-        elif preset in presets.GEOMETRY_PRESETS:
-            scenario = presets.scenario_preset(preset)
-        elif preset in presets.BILLIARD_PRESETS:
-            table = presets.billiard_preset(preset)
+    space = None
+    if spec.space is not None:
+        space_presets, parse_space = SPACES[spec.space]
+        preset = body.get("preset")
+        if preset is not None and spec.space in body:
+            errors.append(f"preset and {spec.space} are mutually exclusive")
+        if spec.space in body:
+            space = parse_space(body, spec.space, "", errors)
+        elif preset is None:
+            errors.append(f"task: {task} needs a {spec.space} or a preset")
+        elif isinstance(preset, str) and preset in space_presets:
+            space = space_presets[preset]()
         else:
-            errors.append(f"preset: unknown preset {preset!r}")
-    if "scenario" in doc:
-        scenario = _parse_scenario(doc, "scenario", "", errors)
-    if "billiard" in doc:
-        table = _parse_table(doc, errors)
-    initial = _parse_initial(doc, scenario, table, errors)
-
-    if task in ("simulate", "lyapunov", "curvature-scan") and scenario is None and not errors:
-        errors.append(f"task: {task} needs a scenario or a geometry preset")
-    if task in ("billiard", "orbit-stability") and table is None and not errors:
-        errors.append(f"task: {task} needs a billiard table or billiard preset")
+            errors.append(f"preset: expected a {spec.space} preset, got {preset!r}")
+    initial = _parse_initial(body, space, errors)
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(task=task, scenario=scenario, table=table, initial=initial,
+    return RunConfig(task=task, scenario=space if spec.space == "scenario" else None,
+                     table=space if spec.space == "billiard" else None, initial=initial,
                      numerics=numerics, output=directory, echo=doc)
 
 
@@ -562,11 +575,8 @@ def _task_lyapunov(cfg, outdir):
              f"renorm_every={rep.renorm_every} seed={cfg.numerics['seed']} "
              f"finite_time={'yes' if rep.finite_time else 'no'}"]
     header = ["t"] + [f"lambda{i + 1}" for i in range(k)] + ["sbar_running", "jsep_margin"]
-    rows = [
-        [rep.window_times[i], *rep.window_exponents[i], rep.window_sbar[i],
-         rep.window_jsep[i]]
-        for i in range(len(rep.window_times))
-    ]
+    rows = [[t, *lam, sbar, jsep] for t, lam, sbar, jsep in zip(
+        rep.window_times, rep.window_exponents, rep.window_sbar, rep.window_jsep)]
     csv_text = lines[0] + "\n" + _csv(rows, header)
     report = {
         "exponents": rep.exponents.tolist(),
@@ -662,8 +672,7 @@ def _task_orbit_stability(cfg, outdir):
     gap = st.period / 2.0
     rows = []
     for re_val in np.linspace(0.0, 2.0, 21):
-        tb = presets.two_disk_orbit(re_val, radius=radius, gap=gap)
-        s = billiards.periodic_orbit_stability(tb)
+        s = billiards.periodic_orbit_stability(presets.two_disk_orbit(re_val, radius, gap))
         lam1 = float(np.log(np.abs(s.eigenvalues)).max() / s.period)
         rows.append([re_val, lam1, 1 if s.classification == "elliptic" else 0])
     header = ["parameter", "lambda1", "elliptic_flag"]
@@ -693,13 +702,15 @@ def _task_verify(cfg, outdir):
     return files, summary
 
 
-RUNNERS = {
-    "simulate": _task_simulate,
-    "lyapunov": _task_lyapunov,
-    "curvature-scan": _task_curvature_scan,
-    "billiard": _task_billiard,
-    "orbit-stability": _task_orbit_stability,
-    "verify": _task_verify,
+TASKS = {
+    "simulate": Task(_task_simulate, "scenario", True, ("dt", "T", "seed")),
+    "lyapunov": Task(_task_lyapunov, "scenario", True,
+                     ("dt", "T", "renorm_every", "seed", "burn_in")),
+    "curvature-scan": Task(_task_curvature_scan, "scenario", False,
+                           ("seed", "n_points", "n_planes")),
+    "billiard": Task(_task_billiard, "billiard", True, ("seed", "n_collisions")),
+    "orbit-stability": Task(_task_orbit_stability, "billiard", False, ()),
+    "verify": Task(_task_verify, None, False, ()),
 }
 
 
@@ -716,16 +727,13 @@ def dispatch(cfg, out_override=None):
         "config": cfg.echo,
     }
     try:
-        files, summary = RUNNERS[cfg.task](cfg, outdir)
-    except Exception as exc:
+        manifest["files"], manifest["summary"] = TASKS[cfg.task].run(cfg, outdir)
+    except BaseException as exc:
         manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
+        raise
+    finally:
         manifest["wall_time_s"] = time.perf_counter() - start
         (outdir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
-        raise
-    manifest["files"] = files
-    manifest["summary"] = summary
-    manifest["wall_time_s"] = time.perf_counter() - start
-    (outdir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     return manifest
 
 
@@ -739,17 +747,15 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory (overrides config)")
     args = parser.parse_args(argv)
 
-    if args.config is None:
-        if args.task != "verify":
-            print(f"error: task {args.task} requires --config", file=sys.stderr)
-            return 2
-        doc = {"task": "verify"}
-    else:
-        try:
-            doc = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
+    if args.config is None and args.task != "verify":
+        print(f"error: task {args.task} requires --config", file=sys.stderr)
+        return 2
+    try:
+        doc = ({"task": "verify"} if args.config is None
+               else Path(args.config).read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
 
     try:
         cfg = parse_config(doc)

@@ -137,12 +137,6 @@ def scenario_preset(name):
     return GEOMETRY_PRESETS[name]()
 
 
-def billiard_preset(name):
-    if name not in BILLIARD_PRESETS:
-        raise KeyError(f"unknown billiard preset {name!r}")
-    return BILLIARD_PRESETS[name]()
-
-
 def default_initial_state(scenario, seed=0):
     """Deterministic generic initial condition on the unit tangent bundle."""
     rng = np.random.default_rng(np.random.Philox(seed))

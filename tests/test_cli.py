@@ -387,13 +387,13 @@ def test_parse_rejects_a_burn_in_that_rounds_up_to_T():
 
 def test_parse_rejects_non_finite_numbers():
     # Python's json module reads NaN and Infinity
-    doc = {"task": "billiard", "numerics": {"T": float("inf")},
+    doc = {"task": "billiard", "numerics": {"n_collisions": float("inf")},
            "billiard": dict(BILLIARD, scatterers=[{"center": [0.5, float("nan")],
                                                    "radius": 0.2}])}
     with pytest.raises(ConfigError) as err:
         cli.parse_config(json.dumps(doc))
     msgs = "\n".join(err.value.errors)
-    assert "numerics.T" in msgs
+    assert "numerics.n_collisions" in msgs
     assert "billiard.scatterers[0].center" in msgs
 
 
@@ -449,7 +449,7 @@ def test_runtime_failure_writes_manifest_and_exits_1(tmp_path, capsys, monkeypat
     def broken(cfg, outdir):
         raise RuntimeError("runner broke")
 
-    monkeypatch.setitem(cli.RUNNERS, "simulate", broken)
+    monkeypatch.setitem(cli.TASKS, "simulate", cli.TASKS["simulate"]._replace(run=broken))
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(MINIMAL))
     out = tmp_path / "out"
@@ -487,6 +487,105 @@ def test_verify_streams_one_line_per_criterion(tmp_path, capsys, monkeypatch):
         assert not re.search(r"\d\.\d\d s", (out / name).read_text())
 
 
+# -- each task accepts exactly the keys it reads --------------------------------
+
+# task: (the top-level keys it reads besides "task", the numerics keys it reads)
+READS = {
+    "simulate": ({"preset", "scenario", "initial", "numerics", "output"}, {"dt", "T", "seed"}),
+    "lyapunov": ({"preset", "scenario", "initial", "numerics", "output"},
+                 {"dt", "T", "renorm_every", "seed", "burn_in"}),
+    "curvature-scan": ({"preset", "scenario", "numerics", "output"},
+                       {"seed", "n_points", "n_planes"}),
+    "billiard": ({"preset", "billiard", "initial", "numerics", "output"},
+                 {"seed", "n_collisions"}),
+    "orbit-stability": ({"preset", "billiard", "output"}, set()),
+    "verify": ({"output"}, set()),
+}
+TOP_VALUES = {"preset": "example_1_2", "scenario": MINIMAL["scenario"], "billiard": BILLIARD,
+              "initial": {"q": [0.5, 0.95]}, "numerics": {}, "output": {"directory": "out"}}
+
+
+def _base(task):
+    """A valid config of the task: its preset, if it runs on a space, and nothing else."""
+    top = READS[task][0]
+    preset = "example_1_2" if "scenario" in top else "sinai_thermostat"
+    return {"task": task, **({"preset": preset} if "preset" in top else {})}
+
+
+def _errors(doc):
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(doc)
+    return err.value.errors
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_each_task_accepts_exactly_the_keys_it_reads(task):
+    top, numerics = READS[task]
+    base = _base(task)
+    cli.parse_config(base)
+    for key, value in TOP_VALUES.items():
+        doc = dict(base, **{key: value})
+        if key not in top:
+            assert _errors(doc) == [f"{key}: task {task} does not read it"]
+        elif key != "preset":
+            if key in ("scenario", "billiard"):
+                del doc["preset"]      # a space object replaces the preset
+            cli.parse_config(doc)
+    for key, value in _NUMERICS.items():
+        doc = dict(base, numerics={key: value})
+        if key in numerics:
+            assert cli.parse_config(doc).numerics[key] == value
+        else:
+            where = "numerics." + key if "numerics" in top else "numerics"
+            assert _errors(doc) == [f"{where}: task {task} does not read it"]
+    assert set(cli.parse_config(base).numerics) == numerics
+
+
+@pytest.mark.parametrize("doc, unread", [
+    ({"task": "simulate", "preset": "torus3_constant", "billiard": BILLIARD,
+      "initial": {"q": [0.5, 0.95], "v": [1, 0]}}, ["billiard"]),
+    ({"task": "orbit-stability", "preset": "two_disk_orbit", "initial": {"q": [0.5, 0.95]},
+      "numerics": {"T": 3.0}}, ["initial", "numerics"]),
+    ({"task": "curvature-scan", "preset": "sol_scan", "initial": {"q": [0.1, 0.2, 0.3]},
+      "numerics": {"n_collisions": 5}}, ["initial", "numerics.n_collisions"]),
+    ({"task": "verify", "preset": "example_1_2", "initial": {"q": [0.1, 0.2]},
+      "numerics": {"T": 1.0}}, ["preset", "initial", "numerics"]),
+    ({"task": "billiard", "preset": "sinai_thermostat",
+      "numerics": {"T": 0.0005, "dt": 0.001, "n_collisions": 5}}, ["numerics.T", "numerics.dt"]),
+], ids=["geometry_task_with_a_table", "orbit_stability_with_initial",
+        "curvature_scan_with_initial", "verify_with_preset", "billiard_with_T"])
+def test_main_rejects_keys_the_task_does_not_read(tmp_path, capsys, monkeypatch, doc, unread):
+    monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("dispatched"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    for key in unread:
+        assert f"  - {key}: task {doc['task']} does not read it" in lines
+    assert not any("must be >= numerics.dt" in ln for ln in lines)
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_rejects_a_field_next_to_a_product_metric():
+    flat1 = {"metric": {"family": "flat_torus", "periods": [1.0]}}
+    doc = {"task": "simulate", "numerics": {"T": 0.01},
+           "scenario": {"metric": {"family": "product", "factors": [flat1, flat1]},
+                        "field": {"type": "constant", "components": [5.0, 0.0]}}}
+    errors = _errors(doc)
+    assert [e.split(":")[0] for e in errors] == ["scenario.field"]
+    del doc["scenario"]["field"]
+    assert cli.parse_config(doc).scenario.dim == 2
+
+
+def test_every_readme_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        cli.parse_config(block)
+
+
 # -- the parser raises ConfigError and nothing else -----------------------------
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -497,14 +596,21 @@ from weylflow import presets  # noqa: E402
 _FOURIER = {"dim": 2, "terms": [{"k": [1, 0], "cos": 0.2, "sin": 0.1}], "periods": [1.0, 1.0]}
 _NUMERICS = {"T": 1.0, "dt": 0.01, "renorm_every": 10, "seed": 3, "burn_in": 0.0,
              "n_points": 2, "n_planes": 2, "n_collisions": 5}
+
+
+def _numerics(task):
+    """The values of _NUMERICS that the task reads."""
+    return {k: v for k, v in _NUMERICS.items() if k in cli.TASKS[task].numerics}
+
+
 PRESET_CONFIGS = (
-    [{"task": "lyapunov", "preset": name, "numerics": _NUMERICS,
+    [{"task": "lyapunov", "preset": name, "numerics": _numerics("lyapunov"),
       "output": {"directory": "out"}}
      for name in sorted(presets.GEOMETRY_PRESETS)]
     + [{"task": "billiard", "preset": name, "initial": {"q": [0.5, 0.95], "v": [1, 0]},
-        "numerics": _NUMERICS} for name in sorted(presets.BILLIARD_PRESETS)]
+        "numerics": _numerics("billiard")} for name in sorted(presets.BILLIARD_PRESETS)]
     + [{"task": "simulate", "initial": {"q": [0.1, 0.2], "v": [0.6, 0.8]},
-        "numerics": _NUMERICS, "scenario": doc} for doc in (
+        "numerics": _numerics("simulate"), "scenario": doc} for doc in (
         MINIMAL["scenario"],
         {"metric": {"family": "constant_curvature_chart", "curvature": -1.0, "dim": 2},
          "field": {"type": "gradient_of_potential", "potential": _FOURIER}},

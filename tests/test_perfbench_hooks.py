@@ -59,3 +59,14 @@ def test_names_the_workloads_read_exist():
 
     tv = tangent.TangentVector(0.0, np.ones(1), np.zeros(1))
     assert tv.xi0 == 0.0
+
+
+def test_every_benchmark_config_parses(monkeypatch, tmp_path):
+    """build_ops parses each task config with cli.parse_config, so a config that
+    the parser rejects raises ConfigError here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert sorted(workloads.BUILDERS) == ["curvature_census", "flow_curved", "flow_light",
+                                          "lorentz_gas"]
+    for workload in workloads.BUILDERS:
+        assert workloads.build_ops(workload, 0, tmp_path / workload)
