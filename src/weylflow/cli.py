@@ -346,6 +346,7 @@ def _parse_table(parent, key, path, errors):
     if table is None:
         return None
     path = _path(path, key)
+    n_errors = len(errors)
     periods = _periods(table, path, errors, 2) or [1.0, 1.0]
     mag = _number(table, "field_magnitude", path, errors, default=0.0, nonnegative=True)
     angle = _number(table, "field_angle", path, errors, default=0.0)
@@ -360,7 +361,7 @@ def _parse_table(parent, key, path, errors):
             spath = f"{path}.scatterers[{i}]"
             scats.append((_vector(s, "center", spath, errors, required=True, length=2),
                           _number(s, "radius", spath, errors, required=True, positive=True)))
-    if errors:
+    if len(errors) > n_errors:
         return None
     try:
         return billiards.BilliardTable(periods, scats, mag, angle)

@@ -4,20 +4,25 @@ Scalar fields expose value/grad/hess and value_grad, the value and gradient
 from one evaluation, bit for bit equal to value and grad (the conformal
 metric reads sigma through it).  A FourierField also has grad_hess: both
 derivatives from one cos/sin evaluation, bit for bit equal to grad and hess;
-the gradient and reduced fields read their potential through it.
+the reduced field's Jacobian reads its potential through it.
 
-Vector (thermostat) fields expose one ``jet(q, metric)`` that returns the
-contravariant components and their Jacobian together, raising indices with
-the metric's jet at q (see metrics.MetricJet), so a point costs one
-evaluation.  Everything is evaluated in chart coordinates and is
-deterministic: the same point always returns the same bits.
+Vector (thermostat) fields expose ``value(q, metric)``, the contravariant
+components E, and ``jacobian(q, metric, E)``, their Jacobian given E, raising
+indices with the metric's jet at q (see metrics.MetricJet).  E has one
+formula, so the flows and the frame transport, which read E alone, pay
+nothing for the Jacobian.
+
+Every scalar method and every ``jacobian`` also takes q with leading axes, a
+stack of points (with a MetricJet and E of the same stack), and gives the
+stack of the single-point results.  Everything is evaluated in chart coordinates and is deterministic:
+the same point always returns the same bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .metrics import check_periods
+from .metrics import check_periods, matvec, vecdot, vecmat
 
 
 class FourierField:
@@ -43,43 +48,35 @@ class FourierField:
         periods = np.ones(self.dim) if periods is None else check_periods(periods, self.dim)
         self.freq = 2.0 * np.pi * self.ks / periods  # per-term angular frequency vector
 
+    def _trig(self, q):
+        """cos and sin of the phases freq . q, (..., terms); with no terms every
+        sum below is empty and gives 0."""
+        arg = matvec(self.freq, np.asarray(q, dtype=float))
+        return np.cos(arg), np.sin(arg)
+
     def value(self, q):
-        if len(self.a) == 0:
-            return 0.0
-        arg = self.freq @ np.asarray(q, dtype=float)
-        return float(self.a @ np.cos(arg) + self.b @ np.sin(arg))
+        cos, sin = self._trig(q)
+        return vecdot(cos, self.a) + vecdot(sin, self.b)
 
     def grad(self, q):
-        if len(self.a) == 0:
-            return np.zeros(self.dim)
-        arg = self.freq @ np.asarray(q, dtype=float)
-        coef = -self.a * np.sin(arg) + self.b * np.cos(arg)
-        return coef @ self.freq
+        cos, sin = self._trig(q)
+        return vecmat(-self.a * sin + self.b * cos, self.freq)
 
     def hess(self, q):
-        if len(self.a) == 0:
-            return np.zeros((self.dim, self.dim))
-        arg = self.freq @ np.asarray(q, dtype=float)
-        coef = -self.a * np.cos(arg) - self.b * np.sin(arg)
-        return (self.freq.T * coef) @ self.freq
+        cos, sin = self._trig(q)
+        return (self.freq.T * (-self.a * cos - self.b * sin)[..., None, :]) @ self.freq
 
     def value_grad(self, q):
         """(value(q), grad(q)) from one evaluation of the cosines and sines."""
-        if len(self.a) == 0:
-            return 0.0, np.zeros(self.dim)
-        arg = self.freq @ np.asarray(q, dtype=float)
-        cos, sin = np.cos(arg), np.sin(arg)
-        return (float(self.a @ cos + self.b @ sin),
-                (-self.a * sin + self.b * cos) @ self.freq)
+        cos, sin = self._trig(q)
+        return (vecdot(cos, self.a) + vecdot(sin, self.b),
+                vecmat(-self.a * sin + self.b * cos, self.freq))
 
     def grad_hess(self, q):
         """(grad(q), hess(q)) from one evaluation of the cosines and sines."""
-        if len(self.a) == 0:
-            return np.zeros(self.dim), np.zeros((self.dim, self.dim))
-        arg = self.freq @ np.asarray(q, dtype=float)
-        cos, sin = np.cos(arg), np.sin(arg)
-        return ((-self.a * sin + self.b * cos) @ self.freq,
-                (self.freq.T * (-self.a * cos - self.b * sin)) @ self.freq)
+        cos, sin = self._trig(q)
+        return (vecmat(-self.a * sin + self.b * cos, self.freq),
+                (self.freq.T * (-self.a * cos - self.b * sin)[..., None, :]) @ self.freq)
 
     @property
     def is_zero(self):
@@ -97,7 +94,7 @@ class HalfLogField:
     def _margin(self, q, w=None):
         """h - W(q), from W(q) = w when the caller has it; raises unless positive."""
         m = self.h - (self.potential.value(q) if w is None else w)
-        if m <= 0.0:
+        if (m <= 0.0).any():
             raise DegenerateMetricError(f"h - W <= 0 at q={np.asarray(q)}")
         return m
 
@@ -108,16 +105,16 @@ class HalfLogField:
         """(value(q), grad(q)) from one evaluation of the potential."""
         w, gw = self.potential.value_grad(q)
         m = self._margin(q, w)
-        return 0.5 * np.log(m), -0.5 * gw / m
+        return 0.5 * np.log(m), -0.5 * gw / m[..., None]
 
     def grad(self, q):
         m = self._margin(q)
-        return -0.5 * self.potential.grad(q) / m
+        return -0.5 * self.potential.grad(q) / m[..., None]
 
     def hess(self, q):
-        m = self._margin(q)
+        m = self._margin(q)[..., None, None]
         g = self.potential.grad(q)
-        return -0.5 * self.potential.hess(q) / m - 0.5 * np.outer(g, g) / m**2
+        return -0.5 * self.potential.hess(q) / m - 0.5 * (g[..., :, None] * g[..., None, :]) / m**2
 
     @property
     def is_zero(self):
@@ -125,15 +122,18 @@ class HalfLogField:
 
 
 # ---------------------------------------------------------------------------
-# Thermostat (vector) fields.  jet(q, metric) returns (E, dE): contravariant
-# components E^k and dE[k, m] = d E^k / d q_m, given the MetricJet at q, from
-# one evaluation of the field's data.
+# Thermostat (vector) fields.  value(q, metric) returns the contravariant
+# components E^k, and jacobian(q, metric, E) returns dE[k, m] = d E^k / d q_m
+# given E = value(q, metric), each from the MetricJet at q.
 # ---------------------------------------------------------------------------
 
 class VectorField:
     is_constant = False
 
-    def jet(self, q, metric):
+    def value(self, q, metric):
+        raise NotImplementedError
+
+    def jacobian(self, q, metric, E):
         raise NotImplementedError
 
     def constant_on(self, scenario):
@@ -157,8 +157,11 @@ class ConstantField(VectorField):
         self.c = np.asarray(components, dtype=float)
         self._jac = np.zeros((len(self.c), len(self.c)))
 
-    def jet(self, q, metric):
-        return self.c, self._jac
+    def value(self, q, metric):
+        return self.c
+
+    def jacobian(self, q, metric, E):
+        return self._jac
 
     @property
     def is_zero(self):
@@ -176,9 +179,11 @@ class FourierComponentsField(VectorField):
     def __init__(self, components):
         self.fields = tuple(components)
 
-    def jet(self, q, metric):
-        values, grads = zip(*(f.value_grad(q) for f in self.fields))
-        return np.array(values), np.array(grads)
+    def value(self, q, metric):
+        return np.stack([f.value(q) for f in self.fields], axis=-1)
+
+    def jacobian(self, q, metric, E):
+        return np.stack([f.grad(q) for f in self.fields], axis=-2)
 
     @property
     def is_zero(self):
@@ -191,9 +196,11 @@ class GradientField(VectorField):
     def __init__(self, potential):
         self.potential = potential
 
-    def jet(self, q, metric):
-        grad, hess = self.potential.grad_hess(q)
-        return metric.raise_index(-grad, -hess)
+    def value(self, q, metric):
+        return metric.raise_index(-self.potential.grad(q))
+
+    def jacobian(self, q, metric, E):
+        return metric.raised_jacobian(E, -self.potential.hess(q))
 
     @property
     def is_zero(self):
@@ -207,8 +214,11 @@ class ClosedOneFormField(VectorField):
         self.cov = np.asarray(covector, dtype=float)
         self._dcov = np.zeros((len(self.cov), len(self.cov)))
 
-    def jet(self, q, metric):
-        return metric.raise_index(self.cov, self._dcov)
+    def value(self, q, metric):
+        return metric.raise_index(self.cov)
+
+    def jacobian(self, q, metric, E):
+        return metric.raised_jacobian(E, self._dcov)
 
     def constant_on(self, scenario):
         return scenario.metric_family.is_constant_metric
@@ -221,15 +231,18 @@ class ClosedOneFormField(VectorField):
 class SolLeftInvariantField(VectorField):
     """Constant combination of the SOL frame (e^{-z} dx, e^{z} dy, dz)."""
 
+    _RATES = np.array([-1.0, 1.0, 0.0])    # E^k = c_k e^{rate_k z}
+
     def __init__(self, c1=0.0, c2=0.0, c3=1.0):
         self.c = np.array([c1, c2, c3], dtype=float)
 
-    def jet(self, q, metric):
-        a, b = self.c[0] * np.exp(-q[2]), self.c[1] * np.exp(q[2])
-        jac = np.zeros((3, 3))
-        jac[0, 2] = -a
-        jac[1, 2] = b
-        return np.array([a, b, self.c[2]]), jac
+    def value(self, q, metric):
+        return self.c * np.exp(self._RATES * np.asarray(q, dtype=float)[..., 2, None])
+
+    def jacobian(self, q, metric, E):
+        jac = np.zeros(np.shape(E) + (3,))
+        jac[..., 2] = self._RATES * E
+        return jac
 
     @property
     def is_zero(self):
@@ -242,21 +255,31 @@ class RotationalField(VectorField):
     E = (c / (lam r)) * (-q2, q1); singular at the chart origin.
     """
 
+    _DPERP = np.array([[0.0, -1.0], [1.0, 0.0]])   # d(-q2, q1)/dq
+
     def __init__(self, c):
         self.cnorm = float(c)
 
-    def jet(self, q, metric):
-        lam = np.sqrt(metric.g[0, 0])
-        dlam = metric.dg[:, 0, 0] / (2.0 * lam)
-        r = float(np.hypot(q[0], q[1]))
-        if r < 1e-12:
+    def _polar(self, q, metric):
+        """q, lam, r (each with a trailing axis of 1) and perp = (-q2, q1)."""
+        q = np.asarray(q, dtype=float)
+        lam = np.sqrt(metric.g[..., 0, 0])[..., None]
+        r = np.hypot(q[..., 0], q[..., 1])[..., None]
+        if (r < 1e-12).any():
             raise DegenerateMetricError("rotational field undefined at the chart origin")
-        perp = np.array([-q[1], q[0]])
-        dperp = np.array([[0.0, -1.0], [1.0, 0.0]])
+        return q, lam, r, np.stack([-q[..., 1], q[..., 0]], axis=-1)
+
+    def value(self, q, metric):
+        _, lam, r, perp = self._polar(q, metric)
+        return (self.cnorm / (lam * r)) * perp
+
+    def jacobian(self, q, metric, E):
+        q, lam, r, perp = self._polar(q, metric)
+        dlam = metric.dg[..., :, 0, 0] / (2.0 * lam)
         # E = c * perp / (lam r): product rule on 1/(lam r)
-        dinv = -(dlam * r + lam * np.asarray(q) / r) / (lam * r) ** 2
-        return ((self.cnorm / (lam * r)) * perp,
-                self.cnorm * (dperp / (lam * r) + np.outer(perp, dinv)))
+        dinv = -(dlam * r + lam * q / r) / (lam * r) ** 2
+        return self.cnorm * (self._DPERP / (lam * r)[..., None]
+                             + perp[..., :, None] * dinv[..., None, :])
 
     @property
     def is_zero(self):
@@ -270,14 +293,17 @@ class ProductField(VectorField):
         self.f1, self.n1 = f1, n1
         self.f2, self.n2 = f2, n2
 
-    def jet(self, q, metric):
+    def value(self, q, metric):
         n1, n = self.n1, self.n1 + self.n2
-        E1, dE1 = self.f1.jet(q[:n1], metric.block(0, n1))
-        E2, dE2 = self.f2.jet(q[n1:], metric.block(n1, n))
-        jac = np.zeros((n, n))
-        jac[:n1, :n1] = dE1
-        jac[n1:, n1:] = dE2
-        return np.concatenate([E1, E2]), jac
+        return np.concatenate([self.f1.value(q[:n1], metric.block(0, n1)),
+                               self.f2.value(q[n1:], metric.block(n1, n))])
+
+    def jacobian(self, q, metric, E):
+        n1, n = self.n1, self.n1 + self.n2
+        jac = np.zeros(np.shape(q)[:-1] + (n, n))
+        jac[..., :n1, :n1] = self.f1.jacobian(q[..., :n1], metric.block(0, n1), E[..., :n1])
+        jac[..., n1:, n1:] = self.f2.jacobian(q[..., n1:], metric.block(n1, n), E[..., n1:])
+        return jac
 
     def constant_on(self, scenario):
         fam = scenario.metric_family
@@ -296,12 +322,17 @@ class ReducedField(VectorField):
         self.base = base_field
         self.h = float(h)
 
-    def jet(self, q, metric):
+    def value(self, q, metric):
         m = self.h - self.potential.value(q)
+        num = self.base.value(q, metric) - metric.raise_index(self.potential.grad(q))
+        return num / (2.0 * m)
+
+    def jacobian(self, q, metric, E):
+        m = (self.h - self.potential.value(q))[..., None, None]
         gw, hw = self.potential.grad_hess(q)
-        grad_w, dgrad_w = metric.raise_index(gw, hw)
-        E, dE = self.base.jet(q, metric)
-        num = E - grad_w
-        dnum = dE - dgrad_w
-        # d/dq_m [num_k / (2m)] = dnum/(2m) + num_k * W_m / (2 m^2)
-        return num / (2.0 * m), dnum / (2.0 * m) + np.outer(num, gw) / (2.0 * m**2)
+        grad_w = metric.raise_index(gw)
+        # num = E_base - grad W = 2 m E_tilde, so
+        # d/dq_m [num_k / (2m)] = dnum/(2m) + num_k W_m / (2 m^2) = (dnum + 2 E_tilde_k W_m) / (2m)
+        E_base = 2.0 * m[..., 0] * E + grad_w
+        dnum = self.base.jacobian(q, metric, E_base) - metric.raised_jacobian(grad_w, hw)
+        return (dnum + 2.0 * E[..., :, None] * gw[..., None, :]) / (2.0 * m)

@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .fields import ReducedField
-from .metrics import MetricJet
 
 KINETIC_FLOOR = 1e-6
 REDUCE_CHECK_POINTS = 64     # seeded sample points at which reduce_to_wflow checks h > W
@@ -94,27 +93,27 @@ def isokinetic_rhs(scenario, q, v):
 
     Returns (dq/dt, dv/dt) with dv/dt = E - <E,v> v - Gamma(v, v).
     """
-    loc = scenario.local(q)
+    pt = scenario.point(q)
     if scenario.metric_family.is_flat:
-        return v, loc.E - float(loc.E @ v) * v
-    return v, loc.E - float(loc.phi @ v) * v - np.einsum("kij,i,j->k", loc.gamma, v, v)
+        return v, pt.E - float(pt.E @ v) * v
+    return v, pt.E - float(pt.phi @ v) * v - np.einsum("kij,i,j->k", pt.gamma, v, v)
 
 
 def isoenergetic_rhs(scenario, spec, q, v):
     """Isoenergetic thermostat:  Dv/dt = -grad W + E - (<E,v>/v^2) v."""
-    jet = scenario.metric_family.jet(q)
-    E = spec.field.jet(q, jet)[0]
+    pt = scenario.point(q)
+    E = spec.field.value(q, pt.jet)
     gw = spec.potential.grad(q)
     flat = scenario.metric_family.is_flat
-    gv = v if flat else jet.g @ v
+    gv = v if flat else pt.g @ v
     v2 = float(v @ gv)
     if v2 < KINETIC_FLOOR:
         raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
     phi_v = float(gv @ E)
     if flat:
         return v, -gw + E - (phi_v / v2) * v
-    return v, (-jet.ginv @ gw + E - (phi_v / v2) * v
-               - np.einsum("kij,i,j->k", jet.gamma, v, v))
+    return v, (-pt.ginv @ gw + E - (phi_v / v2) * v
+               - np.einsum("kij,i,j->k", pt.gamma, v, v))
 
 
 def weyl_geodesic_rhs(scenario, q, w):
@@ -265,9 +264,9 @@ def _project(scenario, spec, kind, q, v):
 def _sample(scenario, spec, kind, q, v, w):
     """(|v|_g, phi(v), W, energy residual) of a stored sample, from the point
     record the projection read (the isoenergetic kind's E is spec.field's)."""
-    loc = scenario.local(q)
-    E = spec.field.jet(q, MetricJet(*loc[:4]))[0] if kind == "isoenergetic" else loc.E
-    gv = loc.g @ v
+    pt = scenario.point(q)
+    E = spec.field.value(q, pt.jet) if kind == "isoenergetic" else pt.E
+    gv = pt.g @ v
     speed = np.sqrt(v @ gv)
     if kind != "isoenergetic":
         return speed, gv @ E, 0.0, 0.0

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegeneratePlaneError
+from .metrics import matvec, vecdot, vecmat
 
 ZERO_CENSUS_TOL = 1e-9  # |Khat| below this counts as an analytic zero in scans
 DEPENDENCE_TOL = 1e-12  # curvature_operator rejects X, Y whose angle has sin^2 at most this
@@ -86,8 +87,8 @@ def gram_schmidt_plane(scenario, q, X, Y):
 def antisymmetric_split(scenario, q, A):
     """Split operator A (n, n), or a (P, n, n) stack, into g-antisymmetric and
     g-symmetric parts at q."""
-    loc = scenario.local(q)
-    adjoint = loc.ginv @ np.swapaxes(A, -1, -2) @ loc.g
+    pt = scenario.point(q)
+    adjoint = pt.ginv @ np.swapaxes(A, -1, -2) @ pt.g
     return 0.5 * (A - adjoint), 0.5 * (A + adjoint)
 
 
@@ -166,21 +167,17 @@ def jacobi_operator(scenario, q, v, frame):
                   + phi_a phi_b - < grad_{e_b} E, e_a >
 
     The last term is not symmetrized: for a non-closed E the matrix is not
-    symmetric.  This is the one single-point entry: _jacobi on a stack of one,
-    with the frame's products formed here, where the co-integration passes
-    its own stage stacks.
+    symmetric.  This is _jacobi at one point; the co-integration calls _jacobi
+    on the stacks of a block's stage points.
     """
-    loc = scenario.local(q)
-    ge = frame if scenario.metric_family.is_flat else frame @ loc.g
-    W, shift = _jacobi_inputs(scenario, q, loc, v)
-    return _jacobi((ge @ loc.E)[None], ge[None], frame[None],
-                   None if W is None else W[None], np.array([shift]))[0]
+    return _jacobi(scenario, q, scenario.point(q), v, frame)[0]
 
 
-def _jacobi_inputs(scenario, q, loc, v):
-    """The point part of the Jacobi matrix at loc = scenario.local(q): the
-    operator W = R(., v) v - N, [d, a] = R^d_{cab} v^c v^b - N^d_a, and the
-    shift < grad_v E, v >.
+def _jacobi_inputs(scenario, q, pt, v):
+    """The point part of the Jacobi matrix at q, from its point record pt and
+    the unit vector v: the operator W = R(., v) v - N, with components
+    W[d, a] = R^d_{cab} v^c v^b - N^d_a, and the shift < grad_v E, v >.
+    q, pt and v may carry leading axes, a stack of points.
 
     N is identically 0 on a zero field and on a homogeneous scenario; its terms
     are skipped there, and W is None when nothing is left (flat and N = 0).
@@ -189,29 +186,34 @@ def _jacobi_inputs(scenario, q, loc, v):
     W = None
     shift = 0.0
     if not flat:
-        n = scenario.dim
-        R = scenario.curvature_lc_tensor(q)
-        W = v @ (R.reshape(-1, n) @ v).reshape(n, n, n)
+        n = v.shape[-1]
+        R = scenario.lc_curvature(q, pt.gamma)
+        Rv = matvec(R.reshape(R.shape[:-4] + (n ** 3, n)), v)     # [d, c, a]
+        W = vecmat(v[..., None, :], Rv.reshape(Rv.shape[:-1] + (n, n, n)))
     if not (scenario.is_homogeneous or scenario.field_is_zero):
-        shift = float((v if flat else loc.g @ v) @ (loc.N @ v))
-        W = -loc.N if W is None else W - loc.N
+        N = scenario.field_derivative(q, pt)[1]
+        shift = vecdot(v if flat else matvec(pt.g, v), matvec(N, v))
+        W = -N if W is None else W - N
     return W, shift
 
 
-def _jacobi(phi_e, ge, frame, W, shift):
-    """Jacobi matrices (S, n-1, n-1) of S stage points, from stacks of their
-    phi_e = phi(e_a) (S, n-1), frame products ge = frame @ g (S, n-1, n; the
-    frame itself when flat), frames (S, n-1, n), point operators W (S, n, n),
-    or None for W = 0, and shifts < grad_v E, v > (S,) (see _jacobi_inputs).
+def _jacobi(scenario, q, pt, v, frame):
+    """Jacobi matrices R (..., n-1, n-1) and phi_e = phi(e_a) (..., n-1) at q,
+    from the point record pt there, the unit vector v and its frame (n-1, n);
+    each may carry leading axes, a stack of points.
 
-    The curvature and field terms share one sandwich ge @ (W @ frame^T).
+    The curvature and field terms share one sandwich ge @ (W @ frame^T), with
+    ge = frame @ g (the frame itself when flat) and W from _jacobi_inputs.
     """
-    S, nm1 = phi_e.shape
-    Rmat = phi_e[:, :, None] * phi_e[:, None, :]
+    ge = frame if scenario.metric_family.is_flat else frame @ pt.g
+    phi_e = matvec(ge, pt.E)
+    W, shift = _jacobi_inputs(scenario, q, pt, v)
+    Rmat = phi_e[..., :, None] * phi_e[..., None, :]
     if W is not None:
-        Rmat += ge @ (W @ frame.transpose(0, 2, 1))
-    Rmat.reshape(S, -1)[:, :: nm1 + 1] -= ((phi_e * phi_e).sum(axis=1) + shift)[:, None]
-    return Rmat
+        Rmat += ge @ (W @ np.swapaxes(frame, -1, -2))
+    diag = np.arange(phi_e.shape[-1])
+    Rmat[..., diag, diag] -= ((phi_e * phi_e).sum(axis=-1) + shift)[..., None]
+    return Rmat, phi_e
 
 
 def anosov_margin(scenario, q, X, Y):
@@ -300,6 +302,6 @@ def compatibility_residual(scenario, q, X, step=1e-5):
     ghat = scenario.weyl_christoffel(q)
     corr = (np.einsum("lki,k,lj->ij", ghat, X, g)
             + np.einsum("lkj,k,il->ij", ghat, X, g))
-    resid = dg_X - corr + 2.0 * float(scenario.local(q).phi @ X) * g
+    resid = dg_X - corr + 2.0 * float(scenario.point(q).phi @ X) * g
     return float(np.abs(resid).max())
 

@@ -15,6 +15,11 @@ Index conventions:
     jet(q).dg[m, i, j]          = d_m g_ij
     jet(q).gamma[k, i, j]       = Gamma^k_ij
     christoffel_d1(q)[m, k, i, j] = d_m Gamma^k_ij
+
+``jet`` takes one point.  ``christoffel_d1``, ``riemann_tensor`` and the
+MetricJet methods also take q (and jets) with leading axes, a stack of
+points, and give the stack of the single-point results: the co-integration
+evaluates a block's stage points in one call.
 """
 from __future__ import annotations
 
@@ -26,24 +31,49 @@ import numpy as np
 from .errors import DegenerateMetricError, InvalidStateError, UnsupportedConfigurationError
 
 
+# Products over leading axes, one matrix-vector or dot product per point
+# (np.matvec, np.vecmat and np.vecdot need NumPy 2.2).  One point (a 1-d
+# vector) takes the plain @ product, which gives the same bits and costs one
+# numpy call; a row of a stack gives the bits of that point alone.
+
+def matvec(A, x):
+    """A x over leading axes: (..., m, n) and (..., n) give (..., m)."""
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+
+
+def vecmat(x, A):
+    """x A over leading axes: (..., m) and (..., m, n) give (..., n)."""
+    return x @ A if x.ndim == 1 else (x[..., None, :] @ A)[..., 0, :]
+
+
+def vecdot(x, y):
+    """sum_i x_i y_i over leading axes: (..., n) and (..., n) give (...)."""
+    return x @ y if x.ndim == y.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 class MetricJet(NamedTuple):
-    """g, g^{-1}, dg and the Levi-Civita Gamma at one point (shared arrays: do not mutate)."""
+    """g, g^{-1}, dg and the Levi-Civita Gamma at a point or a stack of points
+    (shared arrays: do not mutate)."""
 
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
     gamma: np.ndarray
 
-    def raise_index(self, w, dw):
-        """E = g^{-1} w and its Jacobian dE[k, m] = d_m E^k, for a covector w
-        with dw[l, m] = d_m w_l:  d_m E = g^{-1} (d_m w - d_m g E)."""
-        E = self.ginv @ w
-        return E, self.ginv @ (dw - (self.dg @ E).T)
+    def raise_index(self, w):
+        """E = g^{-1} w for a covector w."""
+        return matvec(self.ginv, w)
+
+    def raised_jacobian(self, E, dw):
+        """The Jacobian dE[k, m] = d_m E^k of E = g^{-1} w, given E and dw[l, m] =
+        d_m w_l:  d_m E = g^{-1} (d_m w - d_m g E)."""
+        return self.ginv @ (dw - np.swapaxes(matvec(self.dg, E[..., None, :]), -1, -2))
 
     def block(self, lo, hi):
         """The jet of the factor spanning coordinates lo:hi of a block-diagonal metric."""
         s = slice(lo, hi)
-        return MetricJet(self.g[s, s], self.ginv[s, s], self.dg[s, s, s], self.gamma[s, s, s])
+        return MetricJet(self.g[..., s, s], self.ginv[..., s, s], self.dg[..., s, s, s],
+                         self.gamma[..., s, s, s])
 
 
 def check_periods(periods, dim=None):
@@ -91,8 +121,8 @@ def _conformal_jet(w, h, eye):
 
 def _conformal_christoffel_d1(dh):
     """d_m Gamma^k_ij of g = w I from dh[m, i] = d_m h_i."""
-    n = len(dh)
-    return (dh @ _conformal_basis(n).reshape(-1, n).T).reshape(n, n, n, n)
+    n = dh.shape[-1]
+    return (dh @ _conformal_basis(n).reshape(-1, n).T).reshape(dh.shape[:-2] + (n,) * 4)
 
 
 class MetricFamily:
@@ -132,16 +162,15 @@ class FlatTorus(MetricFamily):
         self.dim = n = len(self.periods)
         eye = np.eye(n)
         self._jet = MetricJet(eye, eye, np.zeros((n, n, n)), np.zeros((n, n, n)))
-        self._z4 = np.zeros((n, n, n, n))
 
     def jet(self, q):
         return self._jet
 
     def christoffel_d1(self, q):
-        return self._z4
+        return np.zeros(np.shape(q)[:-1] + (self.dim,) * 4)
 
     def riemann_tensor(self, q):
-        return self._z4
+        return self.christoffel_d1(q)
 
     def sample_point(self, rng):
         return rng.uniform(0.0, self.periods)
@@ -162,8 +191,8 @@ class ConstantCurvatureChart(MetricFamily):
         self._eye = np.eye(self.dim)
 
     def _factor(self, q):
-        d = 1.0 + self.c * float(q @ q)
-        if d <= 1e-9:
+        d = 1.0 + self.c * vecdot(q, q)
+        if (d <= 1e-9).any():
             raise DegenerateMetricError(f"chart degenerate at q={np.asarray(q)}")
         return 1.0 / d
 
@@ -177,13 +206,14 @@ class ConstantCurvatureChart(MetricFamily):
 
     def christoffel_d1(self, q):
         q = np.asarray(q, dtype=float)
-        F = self._factor(q)
+        F = self._factor(q)[..., None, None]
         # dh[m, i] = d_m h_i = -2c (delta_mi F + q_i d_m F),  d_m F = -2c q_m F^2
-        dh = -2.0 * self.c * (self._eye * F + np.outer(-2.0 * self.c * q * F**2, q))
+        dF = -2.0 * self.c * q[..., :, None] * F**2
+        dh = -2.0 * self.c * (self._eye * F + dF * q[..., None, :])
         return _conformal_christoffel_d1(dh)
 
     def riemann_tensor(self, q):
-        return (self.K * self._factor(q) ** 2) * _curvature_basis(self.dim)
+        return np.multiply.outer(self.K * self._factor(q) ** 2, _curvature_basis(self.dim))
 
     def sample_point(self, rng):
         if self.K < 0:
@@ -238,16 +268,18 @@ class SolGroup(MetricFamily):
         return MetricJet(np.diag([a, b, 1.0]), np.diag([b, a, 1.0]), dg, G)
 
     def christoffel_d1(self, q):
-        D = np.zeros((3, 3, 3, 3))
-        D[2, 2, 0, 0] = -2 * np.exp(2 * q[2])
-        D[2, 2, 1, 1] = -2 * np.exp(-2 * q[2])
+        z = np.asarray(q, dtype=float)[..., 2]
+        D = np.zeros(z.shape + (3, 3, 3, 3))
+        D[..., 2, 2, 0, 0] = -2 * np.exp(2 * z)
+        D[..., 2, 2, 1, 1] = -2 * np.exp(-2 * z)
         return D
 
     def riemann_tensor(self, q):
         """R^d_{cab} = K_ab g_cc (delta^d_a delta_cb - delta^d_b delta_ca): the coordinate
         planes have sectional curvature K_xy = 1, K_xz = K_yz = -1 and R is diagonal on them."""
-        g_diag = np.array([np.exp(2 * q[2]), np.exp(-2 * q[2]), 1.0])
-        return _curvature_basis(3) * (g_diag[:, None, None] * _SOL_PLANE_CURVATURE)
+        z = np.asarray(q, dtype=float)[..., 2]
+        g_diag = np.stack([np.exp(2 * z), np.exp(-2 * z), np.ones_like(z)], axis=-1)
+        return _curvature_basis(3) * (g_diag[..., None, :, None, None] * _SOL_PLANE_CURVATURE)
 
     def sample_point(self, rng):
         return np.array([rng.uniform(), rng.uniform(), rng.uniform(-1.0, 1.0)])
@@ -274,7 +306,8 @@ class ConformalTorus(MetricFamily):
         if self.dim != 2:
             return None
         # K e^{2 sigma} = -lap sigma
-        return -np.trace(self.sigma.hess(q)) * _curvature_basis(2)
+        lap = np.trace(self.sigma.hess(q), axis1=-2, axis2=-1)
+        return np.multiply.outer(-lap, _curvature_basis(2))
 
     def sample_point(self, rng):
         return rng.uniform(0.0, self.periods)
@@ -299,12 +332,14 @@ class ProductMetric(MetricFamily):
         self._jet = None   # the q-independent jet of a constant metric, once built
 
     def split(self, q):
-        return q[: self.n1], q[self.n1:]
+        return q[..., : self.n1], q[..., self.n1:]
 
-    def _blocks(self, a1, a2):
-        out = np.zeros((self.dim,) * a1.ndim)
-        out[(slice(None, self.n1),) * a1.ndim] = a1
-        out[(slice(self.n1, None),) * a1.ndim] = a2
+    def _blocks(self, a1, a2, rank):
+        """The block diagonal of two stacks of rank-index tensors of the factors."""
+        lead = np.broadcast_shapes(a1.shape[:a1.ndim - rank], a2.shape[:a2.ndim - rank])
+        out = np.zeros(lead + (self.dim,) * rank)
+        out[(...,) + (slice(None, self.n1),) * rank] = a1
+        out[(...,) + (slice(self.n1, None),) * rank] = a2
         return out
 
     def jet(self, q):
@@ -313,14 +348,14 @@ class ProductMetric(MetricFamily):
         q1, q2 = self.split(q)
         j1 = self.s1.metric_family.jet(q1)
         j2 = self.s2.metric_family.jet(q2)
-        jet = MetricJet(*(self._blocks(a1, a2) for a1, a2 in zip(j1, j2)))
+        jet = MetricJet(*(self._blocks(a1, a2, a1.ndim) for a1, a2 in zip(j1, j2)))
         if self.is_constant_metric:
             self._jet = jet
         return jet
 
     def christoffel_d1(self, q):
         q1, q2 = self.split(q)
-        return self._blocks(self.s1.christoffel_d1(q1), self.s2.christoffel_d1(q2))
+        return self._blocks(self.s1.christoffel_d1(q1), self.s2.christoffel_d1(q2), 4)
 
     def check_point(self, q):
         q1, q2 = self.split(q)

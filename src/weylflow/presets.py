@@ -1,8 +1,6 @@
 """Named scenario presets used by the command line and the acceptance suite."""
 from __future__ import annotations
 
-import numpy as np
-
 from .billiards import BilliardTable
 from .fields import (
     ClosedOneFormField,
@@ -136,11 +134,3 @@ def scenario_preset(name):
         raise KeyError(f"unknown scenario preset {name!r}")
     return GEOMETRY_PRESETS[name]()
 
-
-def default_initial_state(scenario, seed=0):
-    """Deterministic generic initial condition on the unit tangent bundle."""
-    rng = np.random.default_rng(np.random.Philox(seed))
-    q = scenario.sample_point(rng)
-    v = rng.standard_normal(scenario.dim)
-    v = v / scenario.norm(q, v)
-    return q, v

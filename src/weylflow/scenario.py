@@ -4,19 +4,24 @@ The pair (g, E) defines the Weyl structure; phi = g E is the associated
 1-form.  The scenario is the single entry point the rest of the package uses
 to evaluate metric data, field data, connection coefficients and curvature.
 
-``local(q)`` is the one evaluation of a point: the metric family's jet and the
-field's jet, computed once, with phi = g E and N = grad E (the Levi-Civita
-derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j) assembled from them.  The
-per-quantity methods (metric, field, christoffel, ...) are thin views of it.
+A point is evaluated at two depths.  ``point(q)`` is what a flow reads: the
+metric family's jet, the field's value E and phi = g E, with no derivative
+of E.  ``local(q)`` extends it with dE, the field's Jacobian, and N = grad E
+(the Levi-Civita derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j), for
+the curvature formulas that read grad E.  The per-quantity views (metric,
+field, christoffel, norm, ...) read ``point``.  ``field_derivative`` (dE and
+N) and ``lc_curvature`` (the Levi-Civita R) take q with leading axes, so the
+co-integration builds them once per block over all its stage points, from
+point records it stored; ``local`` runs the same code at one point.
 
-One caching rule covers the per-point quantities (``local``,
+One caching rule covers the per-point quantities (``point``, ``local``,
 ``weyl_christoffel``, ``curvature_hat_tensor``, ``curvature_lc_tensor``): each
 is remembered for the last point it was computed at, keyed by the bytes of
 q, or for every point on a homogeneous scenario, where it is q-independent.
-So the views, the kernel's Jacobi operator and the ~100 planes of a census
-point share one evaluation, and a caller may mutate its q freely between
-calls.  Remembered arrays are shared with every later caller: read-only by
-contract, never mutated.
+So the views, the flows' stage points and the ~100 planes of a census point
+share one evaluation, and a caller may mutate its q freely between calls.
+Remembered arrays are shared with every later caller: read-only by contract,
+never mutated.
 """
 from __future__ import annotations
 
@@ -27,19 +32,34 @@ import numpy as np
 
 from .errors import DegenerateMetricError
 from .fields import ProductField, ZeroField
-from .metrics import ConstantCurvatureChart, FlatTorus, ProductMetric
+from .metrics import ConstantCurvatureChart, FlatTorus, MetricJet, ProductMetric, matvec
 
 
-class LocalGeometry(NamedTuple):
-    """Metric and field data at one point (shared arrays: do not mutate)."""
+class PointRecord(NamedTuple):
+    """Metric data, E and phi at a point or a stack of points (shared arrays: do not mutate)."""
 
     g: np.ndarray       # g_ij
     ginv: np.ndarray    # g^ij
     dg: np.ndarray      # d_m g_ij, [m, i, j]
     gamma: np.ndarray   # Gamma^k_ij, [k, i, j]
     E: np.ndarray       # E^k
-    dE: np.ndarray      # d_m E^k, [k, m]
     phi: np.ndarray     # phi_j = g_jk E^k
+
+    @property
+    def jet(self):
+        return MetricJet(*self[:4])
+
+
+class LocalGeometry(NamedTuple):
+    """The point record extended by the field's derivatives (shared arrays: do not mutate)."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    gamma: np.ndarray
+    E: np.ndarray
+    phi: np.ndarray
+    dE: np.ndarray      # d_m E^k, [k, m]
     N: np.ndarray       # grad_m E^k = d_m E^k + Gamma^k_mj E^j, [k, m]
 
 
@@ -90,19 +110,31 @@ class WeylScenario:
                 raise DegenerateMetricError(f"metric not positive definite at q={q}")
 
     @_per_point
-    def local(self, q):
-        """LocalGeometry at q from one pass over the metric and field data."""
+    def point(self, q):
+        """PointRecord at q: the metric family's jet, the field's value and phi."""
         jet = self.metric_family.jet(q)
-        E, dE = self.field_spec.jet(q, jet)
-        return LocalGeometry(*jet, E, dE, jet.g @ E, dE + jet.gamma @ E)
+        E = self.field_spec.value(q, jet)
+        return PointRecord(*jet, E, jet.g @ E)
+
+    @_per_point
+    def local(self, q):
+        """LocalGeometry at q: the point record with dE and N."""
+        pt = self.point(q)
+        return LocalGeometry(*pt, *self.field_derivative(q, pt))
+
+    def field_derivative(self, q, pt):
+        """(dE, N) at q, given the point record pt there; q and pt may carry
+        leading axes, a stack of points."""
+        dE = self.field_spec.jacobian(q, pt.jet, pt.E)
+        return dE, dE + matvec(pt.gamma, pt.E[..., None, :])
 
     # -- metric data --------------------------------------------------------
 
     def metric(self, q):
-        return self.local(q).g
+        return self.point(q).g
 
     def metric_inv(self, q):
-        return self.local(q).ginv
+        return self.point(q).ginv
 
     def norm(self, q, X):
         return float(np.sqrt(max(X @ self.metric(q) @ X, 0.0)))
@@ -110,7 +142,7 @@ class WeylScenario:
     # -- field data ----------------------------------------------------------
 
     def field(self, q):
-        return self.local(q).E
+        return self.point(q).E
 
     def one_form_d1(self, q):
         """dphi[m, j] = d_m phi_j with phi = g E."""
@@ -124,18 +156,18 @@ class WeylScenario:
     # -- connection and curvature arrays --------------------------------------
 
     def christoffel(self, q):
-        return self.local(q).gamma
+        return self.point(q).gamma
 
     def christoffel_d1(self, q):
         return self.metric_family.christoffel_d1(q)
 
     def weyl_correction(self, q):
         """C^k_ij = delta^k_i phi_j + delta^k_j phi_i - g_ij E^k."""
-        loc = self.local(q)
+        pt = self.point(q)
         eye = np.eye(self.dim)
-        return (np.einsum("ki,j->kij", eye, loc.phi)
-                + np.einsum("kj,i->kij", eye, loc.phi)
-                - np.einsum("ij,k->kij", loc.g, loc.E))
+        return (np.einsum("ki,j->kij", eye, pt.phi)
+                + np.einsum("kj,i->kij", eye, pt.phi)
+                - np.einsum("ij,k->kij", pt.g, pt.E))
 
     def weyl_correction_d1(self, q):
         loc = self.local(q)
@@ -160,19 +192,29 @@ class WeylScenario:
 
     @_per_point
     def curvature_lc_tensor(self, q):
+        return self.lc_curvature(q, self.christoffel(q))
+
+    def lc_curvature(self, q, gamma):
+        """Levi-Civita R^d_{cab} at q, given Gamma there: the family's closed form,
+        or the assembly from Gamma and its derivatives.  q and gamma may carry
+        leading axes, a stack of points."""
         closed = self.metric_family.riemann_tensor(q)
-        return self._curvature_tensor(q, weyl=False) if closed is None else closed
+        return _riemann(gamma, self.christoffel_d1(q)) if closed is None else closed
 
     def _curvature_tensor(self, q, weyl):
         if weyl:
-            G, dG = self.weyl_christoffel(q), self.weyl_christoffel_d1(q)
-        else:
-            G, dG = self.christoffel(q), self.christoffel_d1(q)
-        t1 = np.einsum("adbc->dcab", dG)
-        t2 = np.einsum("bdac->dcab", dG)
-        t3 = np.einsum("dae,ebc->dcab", G, G)
-        t4 = np.einsum("dbe,eac->dcab", G, G)
-        return t1 - t2 + t3 - t4
+            return _riemann(self.weyl_christoffel(q), self.weyl_christoffel_d1(q))
+        return _riemann(self.christoffel(q), self.christoffel_d1(q))
+
+
+def _riemann(G, dG):
+    """R^d_{cab} = d_a G^d_bc - d_b G^d_ac + G^d_ae G^e_bc - G^d_be G^e_ac of a
+    connection G^k_ij with derivatives dG[m, k, i, j] = d_m G^k_ij (leading axes allowed)."""
+    t1 = np.einsum("...adbc->...dcab", dG)
+    t2 = np.einsum("...bdac->...dcab", dG)
+    t3 = np.einsum("...dae,...ebc->...dcab", G, G)
+    t4 = np.einsum("...dbe,...eac->...dcab", G, G)
+    return t1 - t2 + t3 - t4
 
 
 def flat_torus_scenario(periods=(1.0, 1.0), field=None, name=""):

@@ -11,12 +11,9 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-Each stage point is one pass over its point: one scenario.local(q) lookup,
-one product frame @ g and one phi(e_a) = (frame @ g) @ E, which the kernel
-uses for the transport and which the Jacobi formula reads.  The formula
-(geometry._jacobi, whose single-point entry is geometry.jacobi_operator) builds R
-in closed form from the Levi-Civita curvature and grad E (N X = grad_X E,
-phi_c = phi(e_c)):
+The Jacobi formula (geometry._jacobi, whose single-point form is
+geometry.jacobi_operator) builds R in closed form from the Levi-Civita
+curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
               + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -38,15 +35,18 @@ each block of BLOCK steps runs in two passes:
 
 * pass 1 advances [q, v, frame, int phi] with rk4_step, step after step, by
   the same operations as a run without columns, so q, v, the frames and
-  int phi carry the same bits whatever k is.  Each of its 4 b + 1 stage
-  points (4 per step and the next step's k1) writes the Jacobi inputs into
-  a stage row: phi(v), phi(e_a), frame @ g, the frame, W = R(., v) v - N
-  and the shift < grad_v E, v >;
-* pass 2 forms the block's Jacobi matrices in one batched call, then each
-  step's RK4 propagator P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) of the linear
-  system in stacked matmuls, and advances M <- P M.  This is exactly the RK4
-  step of the columns, so only their roundoff differs from stepping them
-  with the base.
+  int phi carry the same bits whatever k is.  Its transport reads only the
+  point record, scenario.point(q): g, Gamma, E and phi, no derivative of E
+  and no curvature.  Each of its 4 b + 1 stage points (4 per step and the
+  next step's k1) stores [q, v, frame] and the point record in a stage row;
+* pass 2 makes one geometry._jacobi call over the block's stage rows: it
+  builds each point's field Jacobian, N = grad E, the Levi-Civita curvature,
+  W = R(., v) v - N, the shift < grad_v E, v >, phi(e_a) and the Jacobi
+  matrices, each as one stacked evaluation.  Then it forms each step's RK4
+  propagator P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) of the linear system in
+  stacked matmuls and advances M <- P M.  This is exactly the RK4 step of
+  the columns, so only their roundoff differs from stepping them with the
+  base.
 
 Memory does not grow with T: the stage rows hold one block.  The run is in
 one of two modes:
@@ -71,8 +71,9 @@ import numpy as np
 
 from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
 from .flows import rk4_step, step_count
-from .geometry import _jacobi, _jacobi_inputs
+from .geometry import _jacobi
 from .metrics import ConstantCurvatureChart
+from .scenario import PointRecord
 
 CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
 BLOCK = 64           # steps per two-pass block of the co-integration
@@ -155,9 +156,9 @@ def _g_gram_schmidt(g, v, rows, tol):
 class _Kernel:
     """Per-stage geometric coefficients for the co-integrated system.
 
-    ``transport`` gives the flow and frame derivatives and the products the
-    Jacobi formula reads; pass 2 of the co-integration forms the Jacobi
-    matrices from those products, batched over a block's stage points.
+    ``transport`` gives the flow and frame derivatives from the point record;
+    pass 2 of the co-integration forms the Jacobi matrices from the stored
+    records, batched over a block's stage points.
     """
 
     def __init__(self, scenario):
@@ -165,22 +166,21 @@ class _Kernel:
         self.flat = scenario.metric_family.is_flat
 
     def transport(self, q, v, frame):
-        """phi(v), phi(e_a), dv/dt, de/dt, and the point record and frame @ g
-        that the Jacobi formula reads."""
-        loc = self.sc.local(q)
-        E = loc.E
-        ge = frame if self.flat else frame @ loc.g    # rows: <e_a, .>
+        """phi(v), dv/dt, de/dt and the point record at q, which pass 2 reads."""
+        pt = self.sc.point(q)
+        E = pt.E
+        ge = frame if self.flat else frame @ pt.g    # rows: <e_a, .>
         phi_e = ge @ E
-        phi_v = float((E if self.flat else loc.phi) @ v)
+        phi_v = float((E if self.flat else pt.phi) @ v)
         dv = E - phi_v * v
         # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
         de = (ge @ v)[:, None] * E - phi_e[:, None] * v
         if not self.flat:
             # gv[k, j] = Gamma^k_{ij} v^i
-            gv = loc.gamma.transpose(0, 2, 1) @ v
+            gv = pt.gamma.transpose(0, 2, 1) @ v
             dv = dv - gv @ v
             de = de - frame @ gv.T
-        return phi_v, phi_e, dv, de, (loc, ge)
+        return phi_v, dv, de, pt
 
 
 def transport_frame(scenario, trajectory):
@@ -276,35 +276,32 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     else:
         out.update(xi0=Mh[:, 2 * nm1], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
 
-    # stage rows: rk4_step's k1..k4 (phi(v) in the last column) and the Jacobi inputs
+    # stage rows: rk4_step's k1..k4 (phi(v) in the last column) and what pass 2 reads:
+    # the stage's [q, v, frame] and its point record but phi (g, g^-1, dg, Gamma, E)
     kst = np.empty((S, o_p + 1))
     stages = [kst]
     if k:
-        fst = np.empty((S, nm1, n))
-        gst = np.empty((S, nm1, n))
+        yst = np.empty((S, o_p))
+        fst = yst[:, o_e:].reshape(S, nm1, n)
+        ptst = [np.empty((S,) + (n,) * rank) for rank in (2, 2, 3, 3, 1)]
         pst = np.empty((S, nm1))
-        sst = np.empty(S)
-        Wst = np.zeros((S, n, n))    # stays 0 where _jacobi_inputs gives no W
         Rst = np.empty((S, nm1, nm1))
-        stages += [fst, gst, pst, sst, Wst, Rst]
+        stages += [yst, *ptst, pst, Rst]
         diag = np.arange(nm1)
         A = np.zeros((S - 1, d, d))
         A[:, diag, diag + nm1] = 1.0
     row = [0]
 
     def rhs(y):
-        # pass 1: the base derivative, written into its stage row with the Jacobi inputs
+        # pass 1: the base derivative, written into its stage row with the point record
         r = row[0]
         row[0] = r + 1
-        q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
-        phi_v, phi_e, dv, de, (loc, ge) = kern.transport(q, v, frame)
+        v = y[n:o_e]
+        phi_v, dv, de, pt = kern.transport(y[:n], v, y[o_e:o_p].reshape(nm1, n))
         if k:
-            fst[r] = frame
-            gst[r] = ge
-            pst[r] = phi_e
-            W, sst[r] = _jacobi_inputs(scenario, q, loc, v)
-            if W is not None:
-                Wst[r] = W
+            yst[r] = y[:o_p]
+            for buf, a in zip(ptst, pt):
+                buf[r] = a
         return np.concatenate((v, dv, de.ravel(), [phi_v]), out=kst[r])
 
     def columns(i0, b):
@@ -317,7 +314,9 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         if not k:
             return
         lo, hi = (1 if i0 else 0), 4 * b + 1
-        Rst[lo:hi] = _jacobi(pst[lo:hi], gst[lo:hi], fst[lo:hi], Wst[lo:hi], sst[lo:hi])
+        pts = PointRecord(*(buf[lo:hi] for buf in ptst), None)
+        Rst[lo:hi], pst[lo:hi] = _jacobi(scenario, yst[lo:hi, :n], pts, yst[lo:hi, n:o_e],
+                                         fst[lo:hi])
         Ab = A[:4 * b]
         Ab[:, diag, diag] = -kst[:4 * b, -1, None]
         Ab[:, nm1:2 * nm1, :nm1] = -Rst[:4 * b]

@@ -300,6 +300,18 @@ def test_main_rejects_bad_billiard_config(tmp_path, capsys, billiard, initial, k
     assert not (tmp_path / "out").exists()
 
 
+def test_a_table_is_checked_against_initial_q_after_an_earlier_error():
+    # a bad numerics value must not hide the initial.q check against the scatterers
+    doc = {"task": "billiard",
+           "billiard": {"scatterers": [{"center": [0.25, 0.25], "radius": 0.36}]},
+           "initial": {"q": [0.25, 0.3]}, "numerics": {"n_collisions": -1}}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(doc)
+    msgs = "\n".join(err.value.errors)
+    assert "numerics.n_collisions" in msgs
+    assert "initial.q" in msgs and "inside a scatterer" in msgs
+
+
 @pytest.mark.parametrize("given", ["q", "v"])
 def test_a_lone_initial_q_or_v_is_used_and_the_other_drawn_from_the_seed(tmp_path, given):
     part = {"q": [0.3, 0.4], "v": [0.0, 2.0]}[given]

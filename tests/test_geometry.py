@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import default_initial_state
 
 from weylflow import geometry as geo
 from weylflow import flows, presets, tangent
@@ -601,7 +602,7 @@ def read_only_memo(monkeypatch):
 def test_no_caller_mutates_memoised_arrays(read_only_memo, name):
     sc = presets.scenario_preset(name)
     assert isinstance(sc._memo, _ReadOnlyMemo)
-    state = PhaseState(*presets.default_initial_state(sc))
+    state = PhaseState(*default_initial_state(sc))
     tangent.lyapunov_spectrum(sc, state, T=0.1, dt=1e-2)
     n = sc.dim
     tv = tangent.TangentVector(0.1, np.full(n - 1, 0.1), np.full(n - 1, -0.1))
@@ -840,7 +841,7 @@ def test_property_weyl_connection_is_compatible(sc, seed):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(sc=_conformal_scenario(), seed=st.integers(0, 2**16))
 def test_property_isokinetic_involution_round_trip(sc, seed):
-    st0 = PhaseState(*presets.default_initial_state(sc, seed))
+    st0 = PhaseState(*default_initial_state(sc, seed))
     f = flows.integrate(sc, st0, T=0.4, dt=1e-3)
     b = flows.integrate(sc, flows.involution(f.state(-1)), T=0.4, dt=1e-3)
     assert np.abs(b.q[-1] - st0.q).max() < 1e-6

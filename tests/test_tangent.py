@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import conformal_torus3, default_initial_state, hyperbolic_times_flat
 
 from weylflow import flows, presets, tangent
 from weylflow import geometry as geo
@@ -7,7 +8,8 @@ from weylflow.errors import FrameCollapseError, NonFiniteStateError, WeylflowErr
 from weylflow.fields import ConstantField, VectorField
 from weylflow.flows import PhaseState, involution
 from weylflow.metrics import ConstantCurvatureChart, FlatTorus
-from weylflow.scenario import WeylScenario, constant_curvature_scenario, flat_torus_scenario
+from weylflow.scenario import (PointRecord, WeylScenario, constant_curvature_scenario,
+                               flat_torus_scenario)
 from weylflow.tangent import TangentVector
 
 
@@ -94,9 +96,9 @@ def _count_jacobi_stage_points(monkeypatch):
     points = [0]
     jacobi = tangent._jacobi
 
-    def counting(phi_e, *args):
-        points[0] += len(phi_e)
-        return jacobi(phi_e, *args)
+    def counting(sc, q, *args):
+        points[0] += len(q)
+        return jacobi(sc, q, *args)
 
     monkeypatch.setattr(tangent, "_jacobi", counting)
     return points
@@ -106,7 +108,7 @@ def test_transport_frame_builds_no_jacobi_matrix(monkeypatch):
     # a frame-only run has no tangent columns to read the Jacobi matrix
     points = _count_jacobi_stage_points(monkeypatch)
     sc = presets.scenario_preset("conformal_gradient")
-    q0, v0 = presets.default_initial_state(sc)
+    q0, v0 = default_initial_state(sc)
     traj = flows.integrate(sc, PhaseState(q0, v0), T=0.05, dt=1e-3)
     tangent.transport_frame(sc, traj)
     assert points[0] == 0
@@ -270,28 +272,33 @@ def test_corollary_sign_check_negative_curvature_runs():
 
 @pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
 def test_kernel_jacobi_matrix_matches_public_operator(name):
-    # the kernel's frame @ g and phi(e_a), fed to the Jacobi core as pass 2 does
+    # the kernel's point records of five stage points, stacked and fed to the Jacobi
+    # formula in one call as pass 2 does, against the public single-point operator
     sc = presets.scenario_preset(name)
     kern = tangent._Kernel(sc)
     rng = np.random.default_rng(41)
+    qs, vs, frames, records = [], [], [], []
     for _ in range(5):
         q = sc.sample_point(rng)
         v = rng.standard_normal(sc.dim)
         v = v / sc.norm(q, v)
         frame = tangent.complete_frame(sc, q, v)
+        records.append([a.copy() for a in kern.transport(q, v, frame)[3]])
+        qs.append(q), vs.append(v), frames.append(frame)
+    pts = PointRecord(*(np.stack(rows) for rows in zip(*records)))
+    got, phi_e = geo._jacobi(sc, np.stack(qs), pts, np.stack(vs), np.stack(frames))
+    for s, (q, v, frame) in enumerate(zip(qs, vs, frames)):
         want = geo.jacobi_operator(sc, q, v, frame)
-        _, phi_e, _, _, (loc, ge) = kern.transport(q, v, frame)
-        W, shift = geo._jacobi_inputs(sc, q, loc, v)
-        got = geo._jacobi(phi_e[None], ge[None], frame[None],
-                          None if W is None else W[None], np.array([shift]))[0]
-        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+        assert np.abs(got[s] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+        ge = frame if kern.flat else frame @ sc.metric(q)
+        assert np.array_equal(phi_e[s], ge @ sc.field(q))
 
 
 @pytest.mark.parametrize("name", ["hyperbolic_potential", "sol_scan"])
 def test_jsep_margins_match_the_post_qr_states(name):
     # every QR event, the last step's included, reads its margin at the state it left
     sc = presets.scenario_preset(name)
-    st = PhaseState(*presets.default_initial_state(sc, seed=3))
+    st = PhaseState(*default_initial_state(sc, seed=3))
     T, dt, every = 1.0, 5e-3, 10
     run = tangent._co_integrate(sc, st, T=T, dt=dt, renorm_every=every,
                                 M0=np.eye(2 * (sc.dim - 1)), qr=True, burn_in=0.1)
@@ -317,14 +324,14 @@ def test_lyapunov_run_makes_four_kernel_calls_per_step(monkeypatch):
     sc = presets.scenario_preset("hyperbolic_potential")
     dt = 5e-3
     T = (2 * tangent.BLOCK + 3) * dt
-    tangent.lyapunov_spectrum(sc, PhaseState(*presets.default_initial_state(sc)), T=T, dt=dt)
+    tangent.lyapunov_spectrum(sc, PhaseState(*default_initial_state(sc)), T=T, dt=dt)
     assert len(calls) == points[0] == 4 * flows.step_count(T, dt) + 1
 
 
 def test_lyapunov_rejects_a_burn_in_that_rounds_up_to_T():
     # 5 steps of burn-in round up to the QR event at step 10, the last step
     sc = presets.scenario_preset("example_1_2")
-    st = PhaseState(*presets.default_initial_state(sc))
+    st = PhaseState(*default_initial_state(sc))
     with pytest.raises(WeylflowError, match="burn_in"):
         tangent.lyapunov_spectrum(sc, st, T=0.1, dt=0.01, renorm_every=10, burn_in=0.05)
     rep = tangent.lyapunov_spectrum(sc, st, T=0.1, dt=0.01, renorm_every=5, burn_in=0.05)
@@ -359,8 +366,8 @@ def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False,
 
     def deriv(y):
         q, v, frame, M = split(y)
-        phi_v, phi_e, dv, de, _ = kern.transport(q, v, frame)
-        Rmat = geo.jacobi_operator(scenario, q, v, frame)
+        phi_v, dv, de, pt = kern.transport(q, v, frame)
+        Rmat, phi_e = geo._jacobi(scenario, q, pt, v, frame)
         Mxi = M[:nm1]
         dM = np.concatenate((-phi_v * Mxi + M[nm1:], -Rmat @ Mxi))
         dx = [] if qr else [phi_e @ Mxi]
@@ -427,13 +434,21 @@ def _close(got, want, rel=1e-12):
     return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
+# every preset, and two scenarios whose Levi-Civita curvature is assembled from the
+# Christoffels (no preset has that route)
+ORACLE_SCENARIOS = {**{name: lambda name=name: presets.scenario_preset(name)
+                       for name in presets.GEOMETRY_PRESETS},
+                    "hyperbolic_times_flat": hyperbolic_times_flat,
+                    "conformal_torus3": conformal_torus3}
+
+
 @pytest.mark.parametrize("mode", ["qr", "raw"])
-@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
 def test_two_passes_match_the_one_pass_oracle(name, mode):
     # three full blocks and a remainder; QR events every 7 steps straddle the block ends,
     # a burn-in of 25 steps rounds up to 28, and hyperbolic_geodesic recentres in qr mode
-    sc = presets.scenario_preset(name)
-    st = PhaseState(*presets.default_initial_state(sc, seed=5))
+    sc = ORACLE_SCENARIOS[name]()
+    st = PhaseState(*default_initial_state(sc, seed=5))
     nm1 = sc.dim - 1
     dt = 2e-3
     T = (3 * tangent.BLOCK + 11) * dt
@@ -475,8 +490,11 @@ def test_propagator_is_the_rk4_step_of_the_linear_system():
 class _NanPastX(VectorField):
     """E = (1, 0) for x < 0.3 and NaN beyond: a field that blows the base flow up."""
 
-    def jet(self, q, metric):
-        return np.array([1.0 if q[0] < 0.3 else np.nan, 0.0]), np.zeros((2, 2))
+    def value(self, q, metric):
+        return np.array([1.0 if q[0] < 0.3 else np.nan, 0.0])
+
+    def jacobian(self, q, metric, E):
+        return np.zeros((2, 2))
 
 
 @pytest.mark.parametrize("columns", [0, 2])
