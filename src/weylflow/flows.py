@@ -12,6 +12,12 @@ whatever it co-integrates) into one array and reads the parts back through
 fixed-offset views.  Packing is what lets one stepper serve every flow: the
 stage arithmetic is a few numpy operations on one array whatever the state
 holds, where a tuple of arrays would cost a numpy call per part per stage.
+``rk4_step`` sums the stages in place, in the textbook order and with its bits.
+``integrate`` writes each stage into one of four preallocated rows and forms
+each sample's record (|v|_g, phi(v), the residuals) after the loop, over all
+samples at once.  The isokinetic step (``isokinetic_accel``) and the
+projection's speed (``g_norm``) have one home, shared with the co-integration's
+frame transport, so both loops advance (q, v) with the same bits.
 
 Line integrals along the stored samples use ``cumulative_simpson``, a numpy
 port of scipy's routine of that name that gives the same bits.  It is here
@@ -22,7 +28,9 @@ imports scipy's ``CubicSpline`` when it runs.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +44,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .fields import ReducedField
+from .metrics import vecdot
 
 KINETIC_FLOOR = 1e-6
 REDUCE_CHECK_POINTS = 64     # seeded sample points at which reduce_to_wflow checks h > W
@@ -88,15 +97,27 @@ class Trajectory:
 
 # -- right-hand sides --------------------------------------------------------
 
-def isokinetic_rhs(scenario, q, v):
-    """Gaussian thermostat on |v| = 1:  Dv/dt = E - <E, v> v.
+def isokinetic_accel(pt, v, flat):
+    """(dv/dt, phi(v), Gamma v) of the isokinetic flow at the point record pt:
+    dv/dt = E - phi(v) v - Gamma(v, v), and Gamma v [k, j] = Gamma^k_ij v^i is
+    the product the frame transport reuses (None on a flat metric)."""
+    E = pt.E
+    if flat:
+        phi_v = E @ v
+        return E - phi_v * v, phi_v, None
+    phi_v = pt.phi @ v
+    gv = pt.gamma.transpose(0, 2, 1) @ v
+    return E - phi_v * v - gv @ v, phi_v, gv
 
-    Returns (dq/dt, dv/dt) with dv/dt = E - <E,v> v - Gamma(v, v).
-    """
-    pt = scenario.point(q)
-    if scenario.metric_family.is_flat:
-        return v, pt.E - float(pt.E @ v) * v
-    return v, pt.E - float(pt.phi @ v) * v - np.einsum("kij,i,j->k", pt.gamma, v, v)
+
+def g_norm(v, g):
+    """|v|_g, the projection's speed; g None is the flat metric (numpy's norm of v)."""
+    return np.sqrt(v @ v) if g is None else np.sqrt(v @ g @ v)
+
+
+def isokinetic_rhs(scenario, q, v):
+    """(dq/dt, dv/dt) of the Gaussian thermostat on |v|_g = 1:  Dv/dt = E - <E, v> v."""
+    return v, isokinetic_accel(scenario.point(q), v, scenario.metric_family.is_flat)[0]
 
 
 def isoenergetic_rhs(scenario, spec, q, v):
@@ -118,7 +139,6 @@ def isoenergetic_rhs(scenario, spec, q, v):
 
 def weyl_geodesic_rhs(scenario, q, w):
     """Weyl geodesic with its distinguished parameter:  dw/ds = -Ghat(w, w)."""
-    w = np.asarray(w, dtype=float)
     if float(w @ w) == 0.0:
         raise UnsupportedConfigurationError("weyl geodesic undefined at w = 0")
     ghat = scenario.weyl_christoffel(q)
@@ -148,11 +168,18 @@ def step_count(T, dt):
 
 
 def rk4_step(rhs, y, dt, k1):
-    """One classical RK4 step of y' = rhs(y) from y, given k1 = rhs(y)."""
+    """One classical RK4 step of y' = rhs(y) from y, given k1 = rhs(y); rhs may
+    return rows that it reuses in later steps, since the sum is a fresh array."""
     k2 = rhs(y + (0.5 * dt) * k1)
     k3 = rhs(y + (0.5 * dt) * k2)
     k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    acc = 2 * k2
+    acc += k1
+    acc += 2 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def cumulative_simpson(y, x):
@@ -199,78 +226,70 @@ def integrate(scenario, initial, T, dt, kind="isokinetic", spec=None):
     on the stored samples.
     """
     n_steps = step_count(T, dt)
+    if kind not in ("isokinetic", "isoenergetic", "weyl_geodesic"):
+        raise ValueError(f"unknown kind {kind!r}")
     if kind == "isoenergetic" and spec is None:
         raise ValueError("isoenergetic integration needs an IsoenergeticSpec")
 
-    if kind == "isokinetic":
-        rhs = lambda q, v: isokinetic_rhs(scenario, q, v)
-    elif kind == "isoenergetic":
-        rhs = lambda q, v: isoenergetic_rhs(scenario, spec, q, v)
-    elif kind == "weyl_geodesic":
-        rhs = lambda q, v: weyl_geodesic_rhs(scenario, q, v)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
     n = scenario.dim
+    point, flat = scenario.point, scenario.metric_family.is_flat
+    unit, energetic = kind == "isokinetic", kind == "isoenergetic"
+    rows = itertools.cycle(np.empty((4, 2 * n)))    # the stage rows k1..k4, in call order
+    if unit:
+        def deriv(y):
+            v = y[n:]
+            return np.concatenate((v, isokinetic_accel(point(y[:n]), v, flat)[0]), out=next(rows))
+    else:
+        rhs = (partial(isoenergetic_rhs, scenario, spec) if energetic
+               else partial(weyl_geodesic_rhs, scenario))
 
-    def f(y):
-        return np.concatenate(rhs(y[:n], y[n:]))
+        def deriv(y):
+            return np.concatenate(rhs(y[:n], y[n:]), out=next(rows))
 
+    # what each sample's record reads: E (spec.field's if isoenergetic), g v and W
     m = n_steps + 1
     ys = np.empty((m, 2 * n))
-    rec = np.empty((m, 4))    # per sample: speed, phi(v), W and the energy residual
+    Es = np.empty((m, n))
+    gvs = ys[:, n:] if flat else np.empty((m, n))
+    ws = np.zeros(m)
     y = np.concatenate((initial.q, initial.v), dtype=float)
-    w = spec.potential.value(y[:n]) if kind == "isoenergetic" else 0.0
-    ys[0] = y
-    rec[0] = _sample(scenario, spec, kind, y[:n], y[n:], w)
-    for i in range(n_steps):
-        y = rk4_step(f, y, dt, f(y))
-        if not np.isfinite(y).all():
-            raise NonFiniteStateError(f"non-finite state at step {i + 1}")
-        y[n:], w = _project(scenario, spec, kind, y[:n], y[n:])
-        ys[i + 1] = y
-        rec[i + 1] = _sample(scenario, spec, kind, y[:n], y[n:], w)
+    for i in range(m):
+        if i:
+            y = rk4_step(deriv, y, dt, deriv(y))
+            if not np.isfinite(y).all():
+                raise NonFiniteStateError(f"non-finite state at step {i}")
+        q, v = y[:n], y[n:]
+        pt = point(q)
+        Es[i] = spec.field.value(q, pt.jet) if energetic else pt.E
+        if energetic:
+            ws[i] = spec.potential.value(q)
+        if i and unit:
+            v /= g_norm(v, None if flat else pt.g)
+        elif i and energetic:
+            kinetic = 2.0 * (spec.h - ws[i])
+            if kinetic < KINETIC_FLOOR:
+                raise KineticFloorError(f"kinetic energy {kinetic:.3e} below floor at q={q}")
+            v *= np.sqrt(kinetic) / g_norm(v, None if flat else pt.g)
+        ys[i] = y
+        if not flat:
+            np.matmul(pt.g, v, out=gvs[i])
 
     times = initial.t + dt * np.arange(m)
-    speed, phi_v, w_vals, energy_residual = rec.T
+    speed = np.sqrt(vecdot(ys[:, n:], gvs))
+    phi_v = vecdot(gvs, Es)
     int_phi = cumulative_simpson(phi_v, times)
     arc_length = cumulative_simpson(speed, times)
-    if kind == "isokinetic":
+    energy_residual = 0.5 * speed ** 2 + ws - spec.h if energetic else np.zeros(m)
+    if unit:
         speed_residual = speed - 1.0
-    elif kind == "isoenergetic":
-        speed_residual = speed - np.sqrt(np.maximum(2.0 * (spec.h - w_vals), 0.0))
+    elif energetic:
+        speed_residual = speed - np.sqrt(np.maximum(2.0 * (spec.h - ws), 0.0))
     else:
         speed_residual = speed - np.exp(-int_phi)
     return Trajectory(times=times, q=ys[:, :n], v=ys[:, n:], phi_v=phi_v,
                       speed_residual=speed_residual,
                       energy_residual=energy_residual, int_phi=int_phi,
                       arc_length=arc_length, kind=kind, dt=dt, scenario=scenario)
-
-
-def _project(scenario, spec, kind, q, v):
-    """The projected v and, for the isoenergetic kind, the W(q) it read (else 0)."""
-    if kind == "weyl_geodesic":
-        return v, 0.0
-    speed = scenario.norm(q, v)
-    if kind == "isokinetic":
-        return v / speed, 0.0
-    w = spec.potential.value(q)
-    kinetic = 2.0 * (spec.h - w)
-    if kinetic < KINETIC_FLOOR:
-        raise KineticFloorError(f"kinetic energy {kinetic:.3e} below floor at q={q}")
-    return v * (np.sqrt(kinetic) / speed), w
-
-
-def _sample(scenario, spec, kind, q, v, w):
-    """(|v|_g, phi(v), W, energy residual) of a stored sample, from the point
-    record the projection read (the isoenergetic kind's E is spec.field's)."""
-    pt = scenario.point(q)
-    E = spec.field.value(q, pt.jet) if kind == "isoenergetic" else pt.E
-    gv = pt.g @ v
-    speed = np.sqrt(v @ gv)
-    if kind != "isoenergetic":
-        return speed, gv @ E, 0.0, 0.0
-    return speed, gv @ E, w, 0.5 * speed ** 2 + w - spec.h
 
 
 def reparametrize_by_arclength(traj, s_grid):
@@ -314,13 +333,9 @@ def dettmann_morriss(traj, U):
 
     # field must be locally potential with the supplied potential along the path
     worst = 0.0
-    for i in range(0, len(traj.times), max(1, len(traj.times) // 64)):
-        q = traj.q[i]
+    for q in traj.q[::max(1, len(traj.times) // 64)]:
         loc = sc.local(q)
-        resid = np.abs(loc.E + U.grad(q)).max()
-        jac = loc.dE
-        closed = np.abs(jac - jac.T).max()
-        worst = max(worst, resid, closed)
+        worst = max(worst, np.abs(loc.E + U.grad(q)).max(), np.abs(loc.dE - loc.dE.T).max())
     if worst > 1e-8:
         raise NotLocallyPotentialError(
             f"field is not -grad U along the path (residual {worst:.3e})")
@@ -331,12 +346,9 @@ def dettmann_morriss(traj, U):
     H = 0.5 * np.exp(2 * u) * np.einsum("ij,ij->i", p, p)
 
     from scipy.interpolate import CubicSpline
-    q_spline = CubicSpline(tau, traj.q, axis=0)
-    p_spline = CubicSpline(tau, p, axis=0)
-    m = len(tau)
-    tau_grid = np.linspace(tau[0], tau[-1], m)
-    qr = q_spline(tau_grid)
-    pr = p_spline(tau_grid)
+    tau_grid = np.linspace(tau[0], tau[-1], len(tau))
+    qr = CubicSpline(tau, traj.q, axis=0)(tau_grid)
+    pr = CubicSpline(tau, p, axis=0)(tau_grid)
     ur = np.array([U.value(qi) for qi in qr])
     gur = np.array([U.grad(qi) for qi in qr])
     Hr = 0.5 * np.exp(2 * ur) * np.einsum("ij,ij->i", pr, pr)
@@ -398,28 +410,25 @@ def transport_tangent_pairs(scenario, initial, pairs, T, dt):
         xi = y[2 * n:o_eta].reshape(k, n)
         eta = y[o_eta:].reshape(k, n)
         loc = scenario.local(q)
-        E, A = loc.E, loc.dE
-        ev = float(E @ v)
-        Axi = xi @ A.T
-        dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ E, v) - ev * eta)
-        return np.concatenate((v, E - ev * v, eta.ravel(), dEta.ravel()))
+        dv, ev, _ = isokinetic_accel(loc, v, True)
+        Axi = xi @ loc.dE.T
+        dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ loc.E, v) - ev * eta)
+        return np.concatenate((v, dv, eta.ravel(), dEta.ravel()))
 
     m = n_steps + 1
     ys = np.empty((m, 2 * n + 2 * k * n))
+    Es = np.empty((m, n))
     y = np.concatenate([initial.q, initial.v]
                        + [p[0] for p in pairs] + [p[1] for p in pairs], dtype=float)
-    ys[0] = y
-    phis = np.empty(m)
-    phis[0] = float(scenario.field(y[:n]) @ y[n:2 * n])
-    for i in range(n_steps):
-        y = rk4_step(rhs, y, dt, rhs(y))
-        q, v = y[:n], y[n:2 * n]
-        v /= np.linalg.norm(v)
-        ys[i + 1] = y
-        phis[i + 1] = float(scenario.field(q) @ v)
+    for i in range(m):
+        if i:
+            y = rk4_step(rhs, y, dt, rhs(y))
+            y[n:2 * n] /= g_norm(y[n:2 * n], None)
+        ys[i] = y
+        Es[i] = scenario.field(y[:n])
 
     times = initial.t + dt * np.arange(m)
-    int_phi = cumulative_simpson(phis, times)
+    int_phi = cumulative_simpson(vecdot(ys[:, n:2 * n], Es), times)
     return TangentPairRun(times=times, q=ys[:, :n], v=ys[:, n:2 * n],
                           xi=ys[:, 2 * n:o_eta].reshape(m, k, n),
                           eta=ys[:, o_eta:].reshape(m, k, n), int_phi=int_phi)

@@ -32,7 +32,7 @@ from .errors import DegenerateMetricError, InvalidStateError, UnsupportedConfigu
 
 
 # Products over leading axes, one matrix-vector or dot product per point
-# (np.matvec, np.vecmat and np.vecdot need NumPy 2.2).  One point (a 1-d
+# (np.vecdot needs NumPy 2.0, np.matvec and np.vecmat 2.2).  One point (a 1-d
 # vector) takes the plain @ product, which gives the same bits and costs one
 # numpy call; a row of a stack gives the bits of that point alone.
 

@@ -37,8 +37,10 @@ each block of BLOCK steps runs in two passes:
   the same operations as a run without columns, so q, v, the frames and
   int phi carry the same bits whatever k is.  Its transport reads only the
   point record, scenario.point(q): g, Gamma, E and phi, no derivative of E
-  and no curvature.  Each of its 4 b + 1 stage points (4 per step and the
-  next step's k1) stores [q, v, frame] and the point record in a stage row;
+  and no curvature; its base step and projection are flows.isokinetic_accel
+  and flows.g_norm, so q and v carry the bits of flows.integrate's isokinetic
+  run.  Each of its 4 b + 1 stage points (4 per step and the next step's k1)
+  stores [q, v, frame] and the point record in a stage row;
 * pass 2 makes one geometry._jacobi call over the block's stage rows: it
   builds each point's field Jacobian, N = grad E, the Levi-Civita curvature,
   W = R(., v) v - N, the shift < grad_v E, v >, phi(e_a) and the Jacobi
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
-from .flows import rk4_step, step_count
+from .flows import g_norm, isokinetic_accel, rk4_step, step_count
 from .geometry import _jacobi
 from .metrics import ConstantCurvatureChart
 from .scenario import PointRecord
@@ -168,17 +170,11 @@ class _Kernel:
     def transport(self, q, v, frame):
         """phi(v), dv/dt, de/dt and the point record at q, which pass 2 reads."""
         pt = self.sc.point(q)
-        E = pt.E
         ge = frame if self.flat else frame @ pt.g    # rows: <e_a, .>
-        phi_e = ge @ E
-        phi_v = float((E if self.flat else pt.phi) @ v)
-        dv = E - phi_v * v
+        dv, phi_v, gv = isokinetic_accel(pt, v, self.flat)
         # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
-        de = (ge @ v)[:, None] * E - phi_e[:, None] * v
+        de = (ge @ v)[:, None] * pt.E - (ge @ pt.E)[:, None] * v
         if not self.flat:
-            # gv[k, j] = Gamma^k_{ij} v^i
-            gv = pt.gamma.transpose(0, 2, 1) @ v
-            dv = dv - gv @ v
             de = de - frame @ gv.T
         return phi_v, dv, de, pt
 
@@ -367,21 +363,16 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         for j in range(b):
             y = rk4_step(rhs, y, dt, kst[4 * j])
             q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
-            if kern.flat:
-                g = None
-                v /= np.linalg.norm(v)
-            else:
-                g = scenario.metric(q)
-                v /= np.sqrt(v @ g @ v)
+            g = scenario.point(q).g      # the identity on a flat metric
+            v /= g_norm(v, None if kern.flat else g)
             step_no = i0 + j + 1
             if step_no % renorm_every == 0:
                 if not np.isfinite(y).all():
                     raise NonFiniteStateError(f"non-finite state by step {step_no}")
-                gg = np.eye(n) if g is None else g
-                gram = frame @ gg @ frame.T
+                gram = frame @ g @ frame.T
                 if np.abs(gram - np.eye(n - 1)).max() > 0.5:
                     raise FrameCollapseError("frame drifted too far between cleanups")
-                frame[:] = _g_gram_schmidt(gg, v, frame, 1e-6)
+                frame[:] = _g_gram_schmidt(g, v, frame, 1e-6)
                 if recenter:
                     move, push = fam.recenter_map(q)
                     v[:] = push(q, v)

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from conftest import default_initial_state
 
-from weylflow import flows
+from weylflow import flows, presets, tangent
 from weylflow.errors import (
     InvalidEnergyLevelError,
     InvalidStepError,
     KineticFloorError,
+    NonFiniteStateError,
     NotLocallyPotentialError,
     TooFewSamplesError,
 )
-from weylflow.fields import ConstantField, FourierField, GradientField, HalfLogField
+from weylflow.fields import ConstantField, FourierField, GradientField, HalfLogField, VectorField
 from weylflow.flows import IsoenergeticSpec, PhaseState, involution
 from weylflow.metrics import ConstantCurvatureChart, FlatTorus
 from weylflow.scenario import WeylScenario, flat_torus_scenario
@@ -406,3 +410,107 @@ def test_integrate_one_step_integrals_match_scipy(example_scenario):
     for got, y in ((traj.int_phi, traj.phi_v), (traj.arc_length, speed)):
         want = scipy_cumulative_simpson(y, x=traj.times, initial=0.0)
         assert got.tobytes() == want.tobytes()
+
+
+# -- the integrator's loop: its finite check, its record and the shared base step --
+
+class _HugePastX(VectorField):
+    """E = 0 for x <= 0.5025 and (0, 1e200) beyond: on a straight unit-speed run
+    along x from x = 0 at dt = 0.01, step 51's second stage point is the first past
+    0.5025, and the state overflows within that step."""
+
+    def value(self, q, metric):
+        return np.array([0.0, 1e200 if q[0] > 0.5025 else 0.0])
+
+    def jacobian(self, q, metric, E):
+        return np.zeros((2, 2))
+
+
+def test_integrate_raises_at_the_step_that_overflows(monkeypatch):
+    # the check runs every step: the run stops at step 51 of 100
+    steps = []
+    rk4_step = flows.rk4_step
+    monkeypatch.setattr(flows, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+    sc = WeylScenario(FlatTorus((1.0, 1.0)), _HugePastX())
+    with pytest.raises(NonFiniteStateError, match=r"at step 51$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        flows.integrate(sc, PhaseState([0.0, 0.1], [1.0, 0.0]), T=1.0, dt=0.01)
+    assert len(steps) == 51
+
+
+def _isoenergetic_spec(n):
+    W = FourierField(n, [((1,) + (0,) * (n - 1), 0.2, 0.0)])
+    return IsoenergeticSpec(potential=W, field=ConstantField([0.3] + [0.2] * (n - 1)), h=1.0)
+
+
+@pytest.mark.parametrize("name", ["flat2_gradient", "conformal_gradient"])
+@pytest.mark.parametrize("kind", ["isokinetic", "isoenergetic", "weyl_geodesic"])
+def test_integrate_record_matches_each_sample_evaluated_alone(name, kind):
+    # the record is formed after the loop over all samples at once; each sample's
+    # entry is what its point record alone gives
+    sc = presets.scenario_preset(name)
+    q0, v0 = default_initial_state(sc)
+    spec = None
+    if kind == "isoenergetic":
+        spec = _isoenergetic_spec(sc.dim)
+        v0 = v0 * np.sqrt(2.0 * (spec.h - spec.potential.value(q0)))
+    traj = flows.integrate(sc, PhaseState(q0, v0), T=0.2, dt=1e-3, kind=kind, spec=spec)
+    speed, phi_v, w = (np.empty(len(traj.times)) for _ in range(3))
+    for i, (q, v) in enumerate(zip(traj.q, traj.v)):
+        pt = sc.point(q)
+        E = spec.field.value(q, pt.jet) if spec else pt.E
+        gv = pt.g @ v
+        speed[i], phi_v[i] = np.sqrt(v @ gv), gv @ E
+        w[i] = spec.potential.value(q) if spec else 0.0
+    assert np.array_equal(traj.phi_v, phi_v)
+    assert np.array_equal(traj.int_phi, flows.cumulative_simpson(phi_v, traj.times))
+    assert np.array_equal(traj.arc_length, flows.cumulative_simpson(speed, traj.times))
+    want = {"isokinetic": speed - 1.0,
+            "isoenergetic": speed - np.sqrt(np.maximum(2.0 * (1.0 - w), 0.0)),
+            "weyl_geodesic": speed - np.exp(-traj.int_phi)}[kind]
+    assert np.array_equal(traj.speed_residual, want)
+    if spec is None:
+        assert not traj.energy_residual.any()
+    else:
+        # speed ** 2 squares exactly on the stack, where a single numpy float calls
+        # pow, which can be 1 ulp off: the one operation whose bits may differ
+        want = np.array([0.5 * s ** 2 + wi - spec.h for s, wi in zip(speed, w)])
+        assert (np.abs(traj.energy_residual - want) <= np.spacing(speed * speed)).all()
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_integrate_and_the_frame_transport_share_the_base_step(name):
+    # flows.integrate and the co-integration's pass 1 advance (q, v) by one isokinetic
+    # step and one projection: over 1000 steps they give the same bits
+    sc = presets.scenario_preset(name)
+    q, v = default_initial_state(sc)
+    for _ in range(10):      # a v that the co-integration's start normalization keeps
+        if np.array_equal(v / sc.norm(q, v), v):
+            break
+        v = v / sc.norm(q, v)
+    traj = flows.integrate(sc, PhaseState(q, v), T=1.0, dt=1e-3)
+    run = tangent.transport_frame(sc, traj)
+    assert len(traj.times) == 1001
+    assert np.array_equal(run.q, traj.q)
+    assert np.array_equal(run.v, traj.v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rk4_step_in_place_sum_has_the_textbook_bits(seed):
+    # on random stacked states, with an rhs that writes its result into reused rows
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((64, 6)) * 10.0 ** rng.integers(0, 3)
+    dt = float(rng.uniform(0.01, 0.5))
+    rows = itertools.cycle(np.empty((4,) + y.shape))
+
+    def rhs(x):
+        return np.multiply(np.sin(x), x[:, ::-1], out=next(rows))
+
+    k1 = rhs(y)
+    got = flows.rk4_step(rhs, y, dt, k1)
+    k1 = np.sin(y) * y[:, ::-1]
+    f = lambda x: np.sin(x) * x[:, ::-1]
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    assert np.array_equal(got, y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
