@@ -29,6 +29,7 @@ imports scipy's ``CubicSpline`` when it runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -103,16 +104,25 @@ def isokinetic_accel(pt, v, flat):
     the product the frame transport reuses (None on a flat metric)."""
     E = pt.E
     if flat:
-        phi_v = E @ v
+        phi_v = E.dot(v)
         return E - phi_v * v, phi_v, None
-    phi_v = pt.phi @ v
-    gv = pt.gamma.transpose(0, 2, 1) @ v
-    return E - phi_v * v - gv @ v, phi_v, gv
+    phi_v = pt.phi.dot(v)
+    gv, gvv = gamma_vv(pt.gamma, v)
+    return E - phi_v * v - gvv, phi_v, gv
+
+
+def gamma_vv(G, v):
+    """(G v, G(v, v)) of a connection G^k_ij, the one spelling of G(v, v):
+    G v [k, j] = G^k_ij v^i and G(v, v) = (G v) v.  G v is a stack of n
+    vector-matrix products, so it keeps the matmul: v.dot(G) sums in another
+    order and differs from it by roundoff for n >= 4."""
+    gv = v @ G
+    return gv, gv.dot(v)
 
 
 def g_norm(v, g):
     """|v|_g, the projection's speed; g None is the flat metric (numpy's norm of v)."""
-    return np.sqrt(v @ v) if g is None else np.sqrt(v @ g @ v)
+    return math.sqrt(v.dot(v) if g is None else v.dot(g).dot(v))
 
 
 def isokinetic_rhs(scenario, q, v):
@@ -122,27 +132,25 @@ def isokinetic_rhs(scenario, q, v):
 
 def isoenergetic_rhs(scenario, spec, q, v):
     """Isoenergetic thermostat:  Dv/dt = -grad W + E - (<E,v>/v^2) v."""
-    pt = scenario.point(q)
-    E = spec.field.value(q, pt.jet)
+    jet = scenario.point(q).jet
+    E = spec.field.value(q, jet)
     gw = spec.potential.grad(q)
     flat = scenario.metric_family.is_flat
-    gv = v if flat else pt.g @ v
-    v2 = float(v @ gv)
+    gv = v if flat else jet.g.dot(v)
+    v2 = float(v.dot(gv))
     if v2 < KINETIC_FLOOR:
         raise KineticFloorError(f"kinetic energy {v2:.3e} below floor at q={q}")
-    phi_v = float(gv @ E)
+    phi_v = float(gv.dot(E))
     if flat:
         return v, -gw + E - (phi_v / v2) * v
-    return v, (-pt.ginv @ gw + E - (phi_v / v2) * v
-               - np.einsum("kij,i,j->k", pt.gamma, v, v))
+    return v, -jet.raise_index(gw) + E - (phi_v / v2) * v - gamma_vv(jet.gamma, v)[1]
 
 
 def weyl_geodesic_rhs(scenario, q, w):
     """Weyl geodesic with its distinguished parameter:  dw/ds = -Ghat(w, w)."""
-    if float(w @ w) == 0.0:
+    if float(w.dot(w)) == 0.0:
         raise UnsupportedConfigurationError("weyl geodesic undefined at w = 0")
-    ghat = scenario.weyl_christoffel(q)
-    return w, -np.einsum("kij,i,j->k", ghat, w, w)
+    return w, -gamma_vv(scenario.weyl_christoffel(q), w)[1]
 
 
 def reduce_to_wflow(scenario, spec):

@@ -114,7 +114,7 @@ class WeylScenario:
         """PointRecord at q: the metric family's jet, the field's value and phi."""
         jet = self.metric_family.jet(q)
         E = self.field_spec.value(q, jet)
-        return PointRecord(*jet, E, jet.g @ E)
+        return PointRecord(*jet, E, jet.g.dot(E))
 
     @_per_point
     def local(self, q):

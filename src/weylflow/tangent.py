@@ -67,6 +67,7 @@ one of two modes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +144,11 @@ def _g_gram_schmidt(g, v, rows, tol):
     drifted frame itself (tol 1e-6, so any collapsed row fails it).
     """
     n = len(v)
-    basis = [v / np.sqrt(v @ g @ v)]
+    basis = [v / math.sqrt(v.dot(g).dot(v))]
     for cand in rows:
         for b in basis:
-            cand = cand - (b @ g @ cand) * b
-        norm = np.sqrt(max(cand @ g @ cand, 0.0))
+            cand = cand - b.dot(g).dot(cand) * b
+        norm = math.sqrt(max(cand.dot(g).dot(cand), 0.0))
         if norm > tol:
             basis.append(cand / norm)
             if len(basis) == n:
@@ -170,12 +171,12 @@ class _Kernel:
     def transport(self, q, v, frame):
         """phi(v), dv/dt, de/dt and the point record at q, which pass 2 reads."""
         pt = self.sc.point(q)
-        ge = frame if self.flat else frame @ pt.g    # rows: <e_a, .>
+        ge = frame if self.flat else frame.dot(pt.g)    # rows: <e_a, .>
         dv, phi_v, gv = isokinetic_accel(pt, v, self.flat)
         # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
-        de = (ge @ v)[:, None] * pt.E - (ge @ pt.E)[:, None] * v
+        de = ge.dot(v)[:, None] * pt.E - ge.dot(pt.E)[:, None] * v
         if not self.flat:
-            de = de - frame @ gv.T
+            de -= frame.dot(gv.T)
         return phi_v, dv, de, pt
 
 
@@ -369,7 +370,7 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
             if step_no % renorm_every == 0:
                 if not np.isfinite(y).all():
                     raise NonFiniteStateError(f"non-finite state by step {step_no}")
-                gram = frame @ g @ frame.T
+                gram = frame.dot(g).dot(frame.T)
                 if np.abs(gram - np.eye(n - 1)).max() > 0.5:
                     raise FrameCollapseError("frame drifted too far between cleanups")
                 frame[:] = _g_gram_schmidt(g, v, frame, 1e-6)

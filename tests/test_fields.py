@@ -199,3 +199,27 @@ def test_property_value_grad_is_value_and_grad_bit_for_bit(terms, period, q):
     sig = HalfLogField(10.0, f)
     value, grad = sig.value_grad(q)
     assert value == sig.value(q) and np.array_equal(grad, sig.grad(q))
+
+
+def test_fields_that_do_not_read_the_metric_run_without_one():
+    # a product hands such factors no block views of its jet, only None
+    from weylflow import presets
+    from weylflow.fields import FourierComponentsField, ProductField, SolLeftInvariantField
+    U = FourierField(2, [((1, 0), 0.3, 0.1)])
+    jet2 = ConformalTorus(U).jet(np.array([0.2, 0.7]))
+    cases = [(ConstantField([0.4, -0.3]), jet2),
+             (FourierComponentsField([U, FourierField(2)]), jet2),
+             (SolLeftInvariantField(0.2, -0.1, 1.0),
+              ConformalTorus(FourierField(3)).jet(np.zeros(3)))]
+    for f, jet in cases:
+        assert f.reads_metric is False
+        q = np.linspace(0.1, 0.5, len(jet.g))
+        E = f.value(q, None)
+        assert np.array_equal(E, f.value(q, jet))
+        assert np.array_equal(f.jacobian(q, None, E), f.jacobian(q, jet, E))
+    assert ProductField(GradientField(U), 2, ConstantField([0.4, -0.3]), 2).reads_metric
+    assert not ProductField(cases[0][0], 2, cases[1][0], 2).reads_metric
+    sc = presets.product_mixed()
+    q = np.array([0.3, 0.1, 0.6, 0.9])
+    assert np.array_equal(sc.point(q).E, np.concatenate([sc.metric_family.s1.field(q[:2]),
+                                                         sc.metric_family.s2.field(q[2:])]))
