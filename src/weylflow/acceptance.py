@@ -282,17 +282,8 @@ def criterion_10(ctx):
     # closed-form flights against a dense batched RK4 oracle
     rng = np.random.default_rng(np.random.Philox(10))
     n_fl = 100
-    qs = np.empty((n_fl, 2))
-    vs = np.empty((n_fl, 2))
-    got = 0
-    while got < n_fl:
-        q = rng.uniform(0, 1, 2)
-        if not table.outside(q, tol=1e-9):
-            continue
-        th = rng.uniform(0, 2 * np.pi)
-        qs[got] = q
-        vs[got] = (np.cos(th), np.sin(th))
-        got += 1
+    starts = [(bl.draw_q(table, rng), bl.draw_v(rng)) for _ in range(n_fl)]
+    qs, vs = (np.array(x) for x in zip(*starts))
     T_oracle = 0.3
     dt = 1e-6
     E = table.field

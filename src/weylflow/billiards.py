@@ -33,6 +33,7 @@ from .errors import (
 )
 
 GRAZING_TOL = 1e-10
+GRAZE_SKIP = 1e-9            # time a grazing restart runs on past the tangency
 FLIGHT_CAP_FACTOR = 10.0
 BISECT_TOL = 1e-12
 MAX_CONSECUTIVE_CAPS = 100   # capped flights in a row before an infinite-horizon abort
@@ -150,6 +151,21 @@ class BilliardTable:
             if math.hypot(ox - Lx * round(ox / Lx), oy - Ly * round(oy / Ly)) < r - tol:
                 return False
         return True
+
+
+def draw_q(table, rng):
+    """A uniform point of the fundamental cell, by rejection of points deeper
+    than 1e-9 inside a scatterer."""
+    while True:
+        q = rng.uniform(0, table.periods)
+        if table.outside(q, tol=1e-9):
+            return q
+
+
+def draw_v(rng):
+    """A unit velocity at a uniform angle."""
+    th = rng.uniform(0, 2 * np.pi)
+    return np.array([np.cos(th), np.sin(th)])
 
 
 def _intervals_cover_circle(intervals, period):
@@ -275,9 +291,7 @@ def free_flight(table, q, v):
     flight = ThermostatFlight(table._turn(qx, qy, to_a), table._turn(vx, vy, to_a), table.a)
     best = _search(flight, table, t_cap)
     if best is None:
-        x, y, vx, vy = flight.pos_vel_scalar(t_cap)
-        return OpenFlight(t_cap, table.from_aligned((x, y)), table.from_aligned((vx, vy)),
-                          math.atan2(vy, vx))
+        return _coast(table, flight, t_cap)
 
     t_star, idx, (cx, cy), shift = best
     x, y, vax, vay = flight.pos_vel_scalar(t_star)
@@ -295,6 +309,13 @@ def free_flight(table, q, v):
         cos_incidence=-vn, image_shift=np.array(shift), grazing=abs(vn) < GRAZING_TOL,
         theta_in_aligned=math.atan2(vay, vax), theta_out_aligned=math.atan2(oay, oax),
     )
+
+
+def _coast(table, flight, t):
+    """The OpenFlight of flight run for time t with no reflection."""
+    x, y, vx, vy = flight.pos_vel_scalar(t)
+    return OpenFlight(t, table.from_aligned((x, y)), table.from_aligned((vx, vy)),
+                      math.atan2(vy, vx))
 
 
 def _search(flight, table, t_cap):
@@ -612,9 +633,10 @@ def run_billiard(table, q0, v0, n_collisions):
     <E, q_end + shift * periods - q0>, so ``sbar`` costs one dot product;
     ``pair_residual`` is the gap between the two.
 
-    Grazing collisions are skipped (counted) by restarting the flight just
-    past the impact; the tangent map composes the flight up to the restart
-    and drops only the reflection.
+    Grazing collisions are skipped (counted) by restarting the flight
+    GRAZE_SKIP past the impact: the clock and the tangent map take the
+    flight up to the restart, the same no-reflection path as a capped
+    flight, and only the reflection is dropped.
     """
     q = np.asarray(q0, dtype=float)
     v = np.asarray(v0, dtype=float)
@@ -639,23 +661,18 @@ def run_billiard(table, q0, v0, n_collisions):
             consecutive_caps += 1
             if consecutive_caps > MAX_CONSECUTIVE_CAPS:
                 raise InvalidStateError("infinite-horizon abort: too many capped flights")
+        else:
+            consecutive_caps = 0
+            if ev.grazing:
+                grazing += 1
+                # restart just past the tangency, keeping the incoming direction
+                fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
+                ev = _coast(table, fl, ev.time_of_flight + GRAZE_SKIP)
+        t_total += ev.time_of_flight
+        if isinstance(ev, OpenFlight):      # capped or restarted: no reflection
             f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned, ev.time_of_flight)
             tangent = _tangent_step(tangent, f, shear, 0.0)
             q, v = ev.end_q, ev.end_v
-            th0 = _aligned_angle(table, v)
-            t_total += ev.time_of_flight
-            continue
-        consecutive_caps = 0
-        t_total += ev.time_of_flight
-        if ev.grazing:
-            grazing += 1
-            # restart just past the tangency, keeping the incoming direction
-            t_skip = ev.time_of_flight + 1e-9
-            fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
-            x, y, vx, vy = fl.pos_vel_scalar(t_skip)
-            f, shear = _flight_entries(table.a, th0, math.atan2(vy, vx), t_skip)
-            tangent = _tangent_step(tangent, f, shear, 0.0)
-            q, v = table.from_aligned((x, y)), table.from_aligned((vx, vy))
             th0 = _aligned_angle(table, v)
             continue
         f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
@@ -695,6 +712,20 @@ def _classify(trace):
     return "parabolic"
 
 
+def _period_two_stability(table, s1, s2, F12, F21, N1, N2, period):
+    """The OrbitStability of the period-2 orbit whose flights F12 (s1 to s2) and
+    F21 (back) reflect off s2 along the normal N2 and off s1 along N1."""
+    R1 = _reflection_matrix(table, s1.radius, N1)
+    R2 = _reflection_matrix(table, s2.radius, N2)
+    M = R1 @ F21 @ R2 @ F12
+    tr = float(np.trace(M))
+    return OrbitStability(
+        monodromy=M, trace=tr, eigenvalues=np.linalg.eigvals(M),
+        classification=_classify(tr), period=period,
+        re_product=min(s1.radius, s2.radius) * table.a,
+    )
+
+
 def periodic_orbit_stability(table):
     """Monodromy of the period-2 bouncing orbit between two scatterers whose
     axis is parallel to E (on-axis flights are the invariant straight lines)."""
@@ -722,15 +753,7 @@ def periodic_orbit_stability(table):
     th_bwd = np.pi if sign > 0 else 0.0
     F_fwd = flight_tangent_matrix(table.a, th_fwd, th_fwd, L)
     F_bwd = flight_tangent_matrix(table.a, th_bwd, th_bwd, L)
-    R2 = _reflection_matrix(table, s2.radius, -dhat)
-    R1 = _reflection_matrix(table, s1.radius, dhat)
-    M = R1 @ F_bwd @ R2 @ F_fwd
-    tr = float(np.trace(M))
-    return OrbitStability(
-        monodromy=M, trace=tr, eigenvalues=np.linalg.eigvals(M),
-        classification=_classify(tr), period=2.0 * L,
-        re_product=min(s1.radius, s2.radius) * table.a,
-    )
+    return _period_two_stability(table, s1, s2, F_fwd, F_bwd, dhat, -dhat, 2.0 * L)
 
 
 @dataclass
@@ -808,20 +831,11 @@ def find_period_two_orbit(table, pair, seed_psis):
     th_in1 = np.arctan2(-np.sin(th_out1), -np.cos(th_out1))
     F21 = flight_tangent_matrix(table.a, th_out2, th_in1, tof)
     N2_w = table.from_aligned(np.array([np.cos(psi2), np.sin(psi2)]))
-    R1 = _reflection_matrix(table, s1.radius, N1_w)
-    R2 = _reflection_matrix(table, s2.radius, N2_w)
-    M = R1 @ F21 @ R2 @ F12
-    tr = float(np.trace(M))
+    stab = _period_two_stability(table, s1, s2, F12, F21, N1_w, N2_w, 2.0 * tof)
 
     D = abs(ch)
     pt, qt = 2.0 * kim2, 2.0 * kim1
     tr_image = 2.0 + 2.0 * pt * D + 2.0 * qt * D + pt * qt * D * D
-
-    stab = OrbitStability(
-        monodromy=M, trace=tr, eigenvalues=np.linalg.eigvals(M),
-        classification=_classify(tr), period=2.0 * tof,
-        re_product=min(s1.radius, s2.radius) * table.a,
-    )
     return PeriodTwoOrbit(stability=stab, image_trace=tr_image,
                           normal_residual=normal_residual)
 

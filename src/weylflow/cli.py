@@ -73,12 +73,8 @@ FLOAT_FORMAT = "%.17g"   # 17 significant digits: every float64 reads back exact
 
 
 def fmt(x):
-    """Fixed 17-significant-digit float formatting for reproducible CSV."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return FLOAT_FORMAT % float(x)
+    """One number as one CSV cell formats it (_cell_format)."""
+    return _cell_format(type(x)) % (x,)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +494,9 @@ def _write_text(path, text):
 
 
 def _cell_format(cls):
-    """The % conversion of one CSV cell type: fmt's rule for numbers, str otherwise."""
-    if issubclass(cls, (int, np.integer)):      # bool too: "%d" % True == "1"
+    """The % conversion of one CSV cell type: bools and integers as integers
+    ("%d" % True == "1"), floats to 17 significant digits, str otherwise."""
+    if issubclass(cls, (int, np.integer, np.bool_)):
         return "%d"
     if issubclass(cls, (float, np.floating)):
         return FLOAT_FORMAT
@@ -620,18 +617,7 @@ def _task_curvature_scan(cfg, outdir):
 
 def _task_billiard(cfg, outdir):
     table = cfg.table
-
-    def draw_q(rng):
-        while True:
-            q = rng.uniform(0, table.periods)
-            if table.outside(q, tol=1e-9):
-                return q
-
-    def draw_v(rng):
-        th = rng.uniform(0, 2 * np.pi)
-        return np.array([np.cos(th), np.sin(th)])
-
-    q0, v0 = _start(cfg, draw_q, draw_v)
+    q0, v0 = _start(cfg, functools.partial(billiards.draw_q, table), billiards.draw_v)
     run = billiards.run_billiard(table, q0, v0, cfg.numerics["n_collisions"])
     header = ["index", "t", "scatterer", "impact_x", "impact_y",
               "angle_in", "angle_out"]

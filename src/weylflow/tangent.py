@@ -35,12 +35,13 @@ each block of BLOCK steps runs in two passes:
 
 * pass 1 advances [q, v, frame, int phi] with rk4_step, step after step, by
   the same operations as a run without columns, so q, v, the frames and
-  int phi carry the same bits whatever k is.  Its transport reads only the
-  point record, scenario.point(q): g, Gamma, E and phi, no derivative of E
-  and no curvature; its base step and projection are flows.isokinetic_accel
-  and flows.g_norm, so q and v carry the bits of flows.integrate's isokinetic
-  run.  Each of its 4 b + 1 stage points (4 per step and the next step's k1)
-  stores [q, v, frame] and the point record in a stage row;
+  int phi carry the same bits whatever k is.  Its stage function calls
+  scenario.point(q) and reads only that record: g, Gamma, E and phi, no
+  derivative of E and no curvature.  It calls flows.isokinetic_accel for the
+  base step and the projection calls flows.g_norm, so q and v carry the bits
+  of flows.integrate's isokinetic run.  Each of its 4 b + 1 stage points
+  (4 per step and the next step's k1) stores [q, v, frame] and the point
+  record in a stage row;
 * pass 2 makes one geometry._jacobi call over the block's stage rows: it
   builds each point's field Jacobian, N = grad E, the Levi-Civita curvature,
   W = R(., v) v - N, the shift < grad_v E, v >, phi(e_a) and the Jacobi
@@ -156,30 +157,6 @@ def _g_gram_schmidt(g, v, rows, tol):
     raise FrameCollapseError("could not complete an orthonormal frame")
 
 
-class _Kernel:
-    """Per-stage geometric coefficients for the co-integrated system.
-
-    ``transport`` gives the flow and frame derivatives from the point record;
-    pass 2 of the co-integration forms the Jacobi matrices from the stored
-    records, batched over a block's stage points.
-    """
-
-    def __init__(self, scenario):
-        self.sc = scenario
-        self.flat = scenario.metric_family.is_flat
-
-    def transport(self, q, v, frame):
-        """phi(v), dv/dt, de/dt and the point record at q, which pass 2 reads."""
-        pt = self.sc.point(q)
-        ge = frame if self.flat else frame.dot(pt.g)    # rows: <e_a, .>
-        dv, phi_v, gv = isokinetic_accel(pt, v, self.flat)
-        # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
-        de = ge.dot(v)[:, None] * pt.E - ge.dot(pt.E)[:, None] * v
-        if not self.flat:
-            de -= frame.dot(gv.T)
-        return phi_v, dv, de, pt
-
-
 def transport_frame(scenario, trajectory):
     """Weyl-parallel transport of an initial orthonormal frame along a trajectory,
     normalized by e^{int phi}; returns the frame history in the trajectory's chart."""
@@ -235,9 +212,10 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     n = scenario.dim
     nm1 = n - 1
     k = M0.shape[1]
-    kern = _Kernel(scenario)
+    point = scenario.point
 
     fam = scenario.metric_family
+    flat = fam.is_flat
     recenter = (qr and isinstance(fam, ConstantCurvatureChart) and fam.K < 0
                 and fam.dim == 2 and scenario.field_is_zero)
 
@@ -293,8 +271,14 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         # pass 1: the base derivative, written into its stage row with the point record
         r = row[0]
         row[0] = r + 1
-        v = y[n:o_e]
-        phi_v, dv, de, pt = kern.transport(y[:n], v, y[o_e:o_p].reshape(nm1, n))
+        v, frame = y[n:o_e], y[o_e:o_p].reshape(nm1, n)
+        pt = point(y[:n])
+        ge = frame if flat else frame.dot(pt.g)    # rows: <e_a, .>
+        dv, phi_v, gv = isokinetic_accel(pt, v, flat)
+        # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
+        de = ge.dot(v)[:, None] * pt.E - ge.dot(pt.E)[:, None] * v
+        if not flat:
+            de -= frame.dot(gv.T)
         if k:
             yst[r] = y[:o_p]
             for buf, a in zip(ptst, pt):
@@ -364,8 +348,8 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         for j in range(b):
             y = rk4_step(rhs, y, dt, kst[4 * j])
             q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
-            g = scenario.point(q).g      # the identity on a flat metric
-            v /= g_norm(v, None if kern.flat else g)
+            g = point(q).g      # the identity on a flat metric
+            v /= g_norm(v, None if flat else g)
             step_no = i0 + j + 1
             if step_no % renorm_every == 0:
                 if not np.isfinite(y).all():

@@ -802,19 +802,25 @@ def test_field_driven_orbit_runs_long_in_the_fundamental_cell():
 
 def test_grazing_restart_composes_its_flight_map(monkeypatch):
     # a fake tangency half-way along the fifth flight: the run restarts there,
-    # outside every scatterer, and drops only the reflection
+    # outside every scatterer, drops only the reflection, and its clock is the
+    # sum of the flight times it advanced, GRAZE_SKIP past the tangency included
     real = bl.free_flight
-    calls = [0]
+    advanced = []
 
     def marking(table, q, v):
         ev = real(table, q, v)
-        calls[0] += 1
-        if calls[0] == 5:
-            return dataclasses.replace(ev, time_of_flight=0.5 * ev.time_of_flight,
-                                       grazing=True)
+        if len(advanced) == 4:
+            ev = dataclasses.replace(ev, time_of_flight=0.5 * ev.time_of_flight, grazing=True)
+            advanced.append(ev.time_of_flight + bl.GRAZE_SKIP)
+        else:
+            advanced.append(ev.time_of_flight)
         return ev
 
     monkeypatch.setattr(bl, "free_flight", marking)
     run = bl.run_billiard(_explicit(), START_Q, START_V, 300)
     assert run.grazing_count == 1
     assert run.pair_residual < 1e-10
+    t = 0.0
+    for tof in advanced:
+        t += tof
+    assert run.total_time == run.collision_times[-1] == t

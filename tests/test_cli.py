@@ -157,7 +157,7 @@ def test_billiard_rows_match_per_event_reference(tmp_path):
         p = table.wrap(ev.point)
         row = [i, run.collision_times[i], ev.scatterer, p[0], p[1],
                np.arctan2(ev.v_in[1], ev.v_in[0]), np.arctan2(ev.v_out[1], ev.v_out[0])]
-        ref.append(",".join(cli.fmt(x) for x in row))
+        ref.append(",".join(_reference_cell(x) for x in row))
     assert (tmp_path / "collisions.csv").read_text() == "\n".join(ref) + "\n"
 
 
@@ -229,13 +229,22 @@ def test_float_formatting_17_digits():
 
 
 
+def _reference_cell(x):
+    """The per-cell rule, written out apart from cli: bools as 1/0, integers by int,
+    floats to 17 significant digits, str otherwise."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % float(x)
+    return str(x)
+
+
 def _reference_csv(rows, header):
-    """The per-cell rule: fmt for Python and numpy numbers and bools, str otherwise."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cli.fmt(x) if isinstance(x, (int, float, np.floating,
-                                                            np.integer, bool))
-                              else str(x) for x in row))
+        lines.append(",".join(_reference_cell(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -253,6 +262,9 @@ def test_csv_matches_per_cell_reference():
     assert cli._csv(rows, header) == _reference_csv(rows, header)
     assert cli._csv(iter(rows), header) == _reference_csv(rows, header)
     assert cli._csv([], header) == "c0,c1,c2,c3,c4,c5\n"
+    numbers = [x for row in rows for x in row if not isinstance(x, (str, type(None)))]
+    assert [cli.fmt(x) for x in numbers] == [_reference_cell(x) for x in numbers]
+    assert cli._csv([[np.True_, np.False_, True]], ["a", "b", "c"]) == "a,b,c\n1,0,1\n"
 
 
 def test_write_text_records_the_bytes_written(tmp_path):

@@ -158,7 +158,7 @@ PER_STAGE = [
     ("flows", "g_norm"),
     ("flows", "isoenergetic_rhs"),
     ("flows", "weyl_geodesic_rhs"),
-    ("tangent", "_Kernel.transport"),
+    ("tangent", "_co_integrate.rhs"),      # pass 1's stage function
     ("tangent", "complete_frame"),
     ("tangent", "_g_gram_schmidt"),
     ("metrics", "_conformal_jet"),
@@ -169,15 +169,19 @@ PER_STAGE_METHODS = {"fields": ("value", "value_grad"), "metrics": ("jet",)}
 
 
 def functions(tree):
-    """Qualified name -> def node of each function and method at module level."""
+    """Qualified name -> def node of each function and method at module level, and of
+    each def nested directly in one of their bodies (outer.inner)."""
     found = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            found[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    found[f"{node.name}.{item.name}"] = item
+
+    def add(prefix, body, classes):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                found[prefix + node.name] = node
+                add(f"{prefix}{node.name}.", node.body, False)
+            elif classes and isinstance(node, ast.ClassDef):
+                add(f"{node.name}.", node.body, False)
+
+    add("", tree.body, True)
     return found
 
 
@@ -220,7 +224,7 @@ def test_the_guard_covers_the_field_and_family_methods():
 
 @pytest.mark.parametrize("mod, qual, snippet", [
     ("flows", "g_norm", "    return math.sqrt(v @ g @ v)\n"),
-    ("tangent", "_Kernel.transport", "        de -= frame @ gv.T\n"),
+    ("tangent", "_co_integrate.rhs", "        de -= frame @ gv.T\n"),
     ("fields", "FourierField.value", "        return cos @ self.a\n"),
     ("metrics", "ConformalTorus.jet", "        x = q\n        x @= q\n"),
 ])

@@ -272,10 +272,9 @@ def test_corollary_sign_check_negative_curvature_runs():
 
 @pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
 def test_kernel_jacobi_matrix_matches_public_operator(name):
-    # the kernel's point records of five stage points, stacked and fed to the Jacobi
-    # formula in one call as pass 2 does, against the public single-point operator
+    # the point records of five stage points, stacked and fed to the Jacobi formula
+    # in one call as pass 2 does, against the public single-point operator
     sc = presets.scenario_preset(name)
-    kern = tangent._Kernel(sc)
     rng = np.random.default_rng(41)
     qs, vs, frames, records = [], [], [], []
     for _ in range(5):
@@ -283,14 +282,14 @@ def test_kernel_jacobi_matrix_matches_public_operator(name):
         v = rng.standard_normal(sc.dim)
         v = v / sc.norm(q, v)
         frame = tangent.complete_frame(sc, q, v)
-        records.append([a.copy() for a in kern.transport(q, v, frame)[3]])
+        records.append([a.copy() for a in sc.point(q)])
         qs.append(q), vs.append(v), frames.append(frame)
     pts = PointRecord(*(np.stack(rows) for rows in zip(*records)))
     got, phi_e = geo._jacobi(sc, np.stack(qs), pts, np.stack(vs), np.stack(frames))
     for s, (q, v, frame) in enumerate(zip(qs, vs, frames)):
         want = geo.jacobi_operator(sc, q, v, frame)
         assert np.abs(got[s] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-        ge = frame if kern.flat else frame @ sc.metric(q)
+        ge = frame if sc.metric_family.is_flat else frame @ sc.metric(q)
         assert np.array_equal(phi_e[s], ge @ sc.field(q))
 
 
@@ -314,12 +313,12 @@ def test_jsep_margins_match_the_post_qr_states(name):
 
 
 def test_lyapunov_run_makes_four_kernel_calls_per_step(monkeypatch):
-    # 4 n + 1 stage points, each transported once in pass 1 and given one Jacobi
+    # 4 n + 1 stage points, each given one base step in pass 1 and one Jacobi
     # matrix in pass 2; a QR event adds none.  T spans two blocks plus a remainder
     calls = []
-    transport = tangent._Kernel.transport
-    monkeypatch.setattr(tangent._Kernel, "transport",
-                        lambda self, *args: calls.append(1) or transport(self, *args))
+    accel = tangent.isokinetic_accel
+    monkeypatch.setattr(tangent, "isokinetic_accel",
+                        lambda *args: calls.append(1) or accel(*args))
     points = _count_jacobi_stage_points(monkeypatch)
     sc = presets.scenario_preset("hyperbolic_potential")
     dt = 5e-3
@@ -349,8 +348,8 @@ def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False,
     n = scenario.dim
     nm1 = n - 1
     k = M0.shape[1]
-    kern = tangent._Kernel(scenario)
     fam = scenario.metric_family
+    flat = fam.is_flat
     recenter = (qr and isinstance(fam, ConstantCurvatureChart) and fam.K < 0
                 and fam.dim == 2 and scenario.field_is_zero)
     n_steps = flows.step_count(T, dt)
@@ -364,9 +363,20 @@ def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False,
     def split(y):
         return (y[:n], y[n:o_e], y[o_e:o_M].reshape(nm1, n), y[o_M:o_x].reshape(2 * nm1, k))
 
+    def transport(q, v, frame):
+        # pass 1's stage function: the point record, the base step and the normalized
+        # Weyl transport de = -Gamma(v,e) - phi(e) v + <v,e> E
+        pt = scenario.point(q)
+        ge = frame if flat else frame.dot(pt.g)
+        dv, phi_v, gv = flows.isokinetic_accel(pt, v, flat)
+        de = ge.dot(v)[:, None] * pt.E - ge.dot(pt.E)[:, None] * v
+        if not flat:
+            de -= frame.dot(gv.T)
+        return phi_v, dv, de, pt
+
     def deriv(y):
         q, v, frame, M = split(y)
-        phi_v, dv, de, pt = kern.transport(q, v, frame)
+        phi_v, dv, de, pt = transport(q, v, frame)
         Rmat, phi_e = geo._jacobi(scenario, q, pt, v, frame)
         Mxi = M[:nm1]
         dM = np.concatenate((-phi_v * Mxi + M[nm1:], -Rmat @ Mxi))
@@ -406,8 +416,8 @@ def _one_pass_co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False,
             break
         y = flows.rk4_step(lambda z: deriv(z)[0], y, dt, k1)
         q, v, frame, M = split(y)
-        g = np.eye(n) if kern.flat else scenario.metric(q)
-        v /= np.linalg.norm(v) if kern.flat else np.sqrt(v @ g @ v)
+        g = np.eye(n) if flat else scenario.metric(q)
+        v /= np.linalg.norm(v) if flat else np.sqrt(v @ g @ v)
         step_no = i + 1
         if step_no % renorm_every == 0:
             frame[:] = tangent._g_gram_schmidt(g, v, frame, 1e-6)
