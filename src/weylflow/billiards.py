@@ -726,9 +726,10 @@ def _period_two_stability(table, s1, s2, F12, F21, N1, N2, period):
     )
 
 
-def periodic_orbit_stability(table):
-    """Monodromy of the period-2 bouncing orbit between two scatterers whose
-    axis is parallel to E (on-axis flights are the invariant straight lines)."""
+def bouncing_axis(table):
+    """(s1, s2, dhat, Ehat, L) of the axis between the first two scatterers: its unit
+    vector, E's direction and the gap L.  Raises unless the axis is parallel to E
+    (or E = 0), L > 0 and no other scatterer blocks it."""
     if len(table.scatterers) < 2:
         raise UnsupportedConfigurationError("need two scatterers")
     s1, s2 = table.scatterers[0], table.scatterers[1]
@@ -747,7 +748,13 @@ def periodic_orbit_stability(table):
         t = np.clip((s.center - p1) @ dhat, 0.0, L)
         if np.linalg.norm(p1 + t * dhat - s.center) < s.radius + 1e-12:
             raise NoOrbitError(f"axis segment blocked by scatterer {k}")
+    return s1, s2, dhat, Ehat, L
 
+
+def periodic_orbit_stability(table):
+    """Monodromy of the period-2 bouncing orbit between two scatterers whose
+    axis is parallel to E (on-axis flights are the invariant straight lines)."""
+    s1, s2, dhat, Ehat, L = bouncing_axis(table)
     sign = 1.0 if dhat @ Ehat >= 0 else -1.0
     th_fwd = 0.0 if sign > 0 else np.pi
     th_bwd = np.pi if sign > 0 else 0.0

@@ -54,8 +54,9 @@ NUMERICS = {
 
 
 # a task: its runner run(cfg, outdir) -> (files, summary), the top-level key of the
-# space it runs on (or None), whether it reads "initial", and the numerics keys it reads
-Task = namedtuple("Task", "run space initial numerics")
+# space it runs on (or None), whether it reads "initial", the numerics keys it reads,
+# and a check(space) that raises a WeylflowError where the task cannot run (or None)
+Task = namedtuple("Task", "run space initial numerics check", defaults=(None,))
 
 
 @dataclass
@@ -473,6 +474,12 @@ def _parse_document(doc):
             space = space_presets[preset]()
         else:
             errors.append(f"preset: expected a {spec.space} preset, got {preset!r}")
+    if space is not None and spec.check is not None:
+        try:
+            spec.check(space)
+        except WeylflowError as exc:
+            errors.append(f"{spec.space if spec.space in body else 'preset'}: "
+                          f"task {task} cannot run on it: {exc}")
     initial = _parse_initial(body, space, errors)
 
     if errors:
@@ -696,7 +703,7 @@ TASKS = {
     "curvature-scan": Task(_task_curvature_scan, "scenario", False,
                            ("seed", "n_points", "n_planes")),
     "billiard": Task(_task_billiard, "billiard", True, ("seed", "n_collisions")),
-    "orbit-stability": Task(_task_orbit_stability, "billiard", False, ()),
+    "orbit-stability": Task(_task_orbit_stability, "billiard", False, (), billiards.bouncing_axis),
     "verify": Task(_task_verify, None, False, ()),
 }
 

@@ -2,9 +2,7 @@
 
 Scalar fields expose value/grad/hess and value_grad, the value and gradient
 from one evaluation, bit for bit equal to value and grad (the conformal
-metric reads sigma through it).  A FourierField also has grad_hess: both
-derivatives from one cos/sin evaluation, bit for bit equal to grad and hess;
-the reduced field's Jacobian reads its potential through it.
+metric reads sigma through it).
 
 Vector (thermostat) fields expose ``value(q, metric)``, the contravariant
 components E, and ``jacobian(q, metric, E)``, their Jacobian given E, raising
@@ -71,12 +69,6 @@ class FourierField:
         cos, sin = self._trig(q)
         return (vecdot(cos, self.a) + vecdot(sin, self.b),
                 vecmat(-self.a * sin + self.b * cos, self.freq))
-
-    def grad_hess(self, q):
-        """(grad(q), hess(q)) from one evaluation of the cosines and sines."""
-        cos, sin = self._trig(q)
-        return (vecmat(-self.a * sin + self.b * cos, self.freq),
-                (self.freq.T * (-self.a * cos - self.b * sin)[..., None, :]) @ self.freq)
 
     @property
     def is_zero(self):
@@ -336,7 +328,7 @@ class ReducedField(VectorField):
 
     def jacobian(self, q, metric, E):
         m = (self.h - self.potential.value(q))[..., None, None]
-        gw, hw = self.potential.grad_hess(q)
+        gw, hw = self.potential.grad(q), self.potential.hess(q)
         grad_w = metric.raise_index(gw)
         # num = E_base - grad W = 2 m E_tilde, so
         # d/dq_m [num_k / (2m)] = dnum/(2m) + num_k W_m / (2 m^2) = (dnum + 2 E_tilde_k W_m) / (2m)

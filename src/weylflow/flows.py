@@ -159,10 +159,10 @@ def reduce_to_wflow(scenario, spec):
 
     Checks h > W at REDUCE_CHECK_POINTS seeded sample points of the scenario."""
     rng = np.random.default_rng(0)
-    for _ in range(REDUCE_CHECK_POINTS):
-        q = scenario.sample_point(rng)
-        if spec.h - spec.potential.value(q) <= 0.0:
-            raise InvalidEnergyLevelError(f"h - W <= 0 at q={q}")
+    qs = np.array([scenario.sample_point(rng) for _ in range(REDUCE_CHECK_POINTS)])
+    bad = spec.h - spec.potential.value(qs) <= 0.0
+    if bad.any():
+        raise InvalidEnergyLevelError(f"h - W <= 0 at q={qs[bad.argmax()]}")
     return ReducedField(spec.potential, spec.field, spec.h)
 
 
@@ -342,13 +342,13 @@ def dettmann_morriss(traj, U):
     # field must be locally potential with the supplied potential along the path
     worst = 0.0
     for q in traj.q[::max(1, len(traj.times) // 64)]:
-        loc = sc.local(q)
-        worst = max(worst, np.abs(loc.E + U.grad(q)).max(), np.abs(loc.dE - loc.dE.T).max())
+        dE = sc.field_derivative(q, sc.point(q))[0]
+        worst = max(worst, np.abs(sc.field(q) + U.grad(q)).max(), np.abs(dE - dE.T).max())
     if worst > 1e-8:
         raise NotLocallyPotentialError(
             f"field is not -grad U along the path (residual {worst:.3e})")
 
-    u = np.array([U.value(qi) for qi in traj.q])
+    u = U.value(traj.q)
     tau = cumulative_simpson(np.exp(-u), traj.times)
     p = np.exp(-u)[:, None] * traj.v
     H = 0.5 * np.exp(2 * u) * np.einsum("ij,ij->i", p, p)
@@ -357,8 +357,8 @@ def dettmann_morriss(traj, U):
     tau_grid = np.linspace(tau[0], tau[-1], len(tau))
     qr = CubicSpline(tau, traj.q, axis=0)(tau_grid)
     pr = CubicSpline(tau, p, axis=0)(tau_grid)
-    ur = np.array([U.value(qi) for qi in qr])
-    gur = np.array([U.grad(qi) for qi in qr])
+    ur = U.value(qr)
+    gur = U.grad(qr)
     Hr = 0.5 * np.exp(2 * ur) * np.einsum("ij,ij->i", pr, pr)
 
     dtau = tau_grid[1] - tau_grid[0]
@@ -417,10 +417,10 @@ def transport_tangent_pairs(scenario, initial, pairs, T, dt):
         q, v = y[:n], y[n:2 * n]
         xi = y[2 * n:o_eta].reshape(k, n)
         eta = y[o_eta:].reshape(k, n)
-        loc = scenario.local(q)
-        dv, ev, _ = isokinetic_accel(loc, v, True)
-        Axi = xi @ loc.dE.T
-        dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ loc.E, v) - ev * eta)
+        pt = scenario.point(q)
+        dv, ev, _ = isokinetic_accel(pt, v, True)
+        Axi = xi @ scenario.field_derivative(q, pt)[0].T
+        dEta = (Axi - np.outer(Axi @ v, v) - np.outer(eta @ pt.E, v) - ev * eta)
         return np.concatenate((v, dv, eta.ravel(), dEta.ravel()))
 
     m = n_steps + 1

@@ -128,24 +128,25 @@ def sectional_weyl(scenario, q, X, Y):
     q = np.asarray(q, dtype=float)
     single = np.ndim(X) == 1
     X, Y = gram_schmidt_plane(scenario, q, _rows(X), _rows(Y))
-    loc = scenario.local(q)
-    gX, gY = X @ loc.g, Y @ loc.g                       # rows: <X_p, .>, <Y_p, .>
+    pt = scenario.point(q)
+    gX, gY = X @ pt.g, Y @ pt.g                         # rows: <X_p, .>, <Y_p, .>
 
     # Gram-Schmidt has already rejected dependent pairs: no curvature_operator check
     A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
     op_a, _ = antisymmetric_split(scenario, q, A)
     khat_tensor = _dot(gX, np.einsum("pdc,pc->pd", op_a, Y))
 
-    A_lc = _plane_operator(scenario.curvature_lc_tensor(q), X, Y)
+    A_lc = _plane_operator(scenario.lc_curvature(q, pt.gamma), X, Y)
     K = _dot(gX, np.einsum("pdc,pc->pd", A_lc, Y))
 
-    e_x = gX @ loc.E
-    e_y = gY @ loc.E
-    E_perp = loc.E - e_x[:, None] * X - e_y[:, None] * Y
-    E_perp_sq = _dot(E_perp @ loc.g, E_perp)
+    e_x = gX @ pt.E
+    e_y = gY @ pt.E
+    E_perp = pt.E - e_x[:, None] * X - e_y[:, None] * Y
+    E_perp_sq = _dot(E_perp @ pt.g, E_perp)
     E_plane_sq = e_x**2 + e_y**2
 
-    div_plane = _dot(gX, X @ loc.N.T) + _dot(gY, Y @ loc.N.T)
+    N = scenario.field_derivative(q, pt)[1]
+    div_plane = _dot(gX, X @ N.T) + _dot(gY, Y @ N.T)
 
     khat_formula = K - E_perp_sq - div_plane
     values = dict(K=K, Khat=khat_formula, Khat_tensor=khat_tensor,

@@ -4,22 +4,21 @@ The pair (g, E) defines the Weyl structure; phi = g E is the associated
 1-form.  The scenario is the single entry point the rest of the package uses
 to evaluate metric data, field data, connection coefficients and curvature.
 
-A point is evaluated at two depths.  ``point(q)`` is what a flow reads: the
-metric family's jet, the field's value E and phi = g E, with no derivative
-of E.  ``local(q)`` extends it with dE, the field's Jacobian, and N = grad E
-(the Levi-Civita derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j), for
-the curvature formulas that read grad E.  The per-quantity views (metric,
-field, christoffel, norm, ...) read ``point``.  ``field_derivative`` (dE and
-N) and ``lc_curvature`` (the Levi-Civita R) take q with leading axes, so the
+``point(q)`` is the one point record: the metric family's jet, the field's
+value E and phi = g E.  The per-quantity views (metric, field, christoffel,
+norm, ...) read it.  The curvature formulas that read grad E also call
+``field_derivative(q, pt)`` for dE, the field's Jacobian, and N = grad E (the
+Levi-Civita derivative of E, N[k, m] = d_m E^k + Gamma^k_mj E^j).  It and
+``lc_curvature`` (the Levi-Civita R) take q with leading axes, so the
 co-integration builds them once per block over all its stage points, from
-point records it stored; ``local`` runs the same code at one point.
+point records it stored.
 
-One caching rule covers the per-point quantities (``point``, ``local``,
-``weyl_christoffel``, ``curvature_hat_tensor``, ``curvature_lc_tensor``): each
-is remembered for the last point it was computed at, keyed by the bytes of
-q, or for every point on a homogeneous scenario, where it is q-independent.
-So the views, the flows' stage points and the ~100 planes of a census point
-share one evaluation, and a caller may mutate its q freely between calls.
+One caching rule covers the per-point quantities (``point``,
+``weyl_christoffel``, ``curvature_hat_tensor``): each is remembered for the
+last point it was computed at, keyed by the bytes of q, or for every point on
+a homogeneous scenario, where it is q-independent.  So the views, the flows'
+stage points and the ~100 planes of a census point share one evaluation, and
+a caller may mutate its q freely between calls.
 Remembered arrays are shared with every later caller: read-only by contract,
 never mutated.
 """
@@ -48,19 +47,6 @@ class PointRecord(NamedTuple):
     @property
     def jet(self):
         return MetricJet(*self[:4])
-
-
-class LocalGeometry(NamedTuple):
-    """The point record extended by the field's derivatives (shared arrays: do not mutate)."""
-
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray
-    gamma: np.ndarray
-    E: np.ndarray
-    phi: np.ndarray
-    dE: np.ndarray      # d_m E^k, [k, m]
-    N: np.ndarray       # grad_m E^k = d_m E^k + Gamma^k_mj E^j, [k, m]
 
 
 def _point_key(q):
@@ -116,12 +102,6 @@ class WeylScenario:
         E = self.field_spec.value(q, jet)
         return PointRecord(*jet, E, jet.g.dot(E))
 
-    @_per_point
-    def local(self, q):
-        """LocalGeometry at q: the point record with dE and N."""
-        pt = self.point(q)
-        return LocalGeometry(*pt, *self.field_derivative(q, pt))
-
     def field_derivative(self, q, pt):
         """(dE, N) at q, given the point record pt there; q and pt may carry
         leading axes, a stack of points."""
@@ -146,9 +126,8 @@ class WeylScenario:
 
     def one_form_d1(self, q):
         """dphi[m, j] = d_m phi_j with phi = g E."""
-        # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
-        loc = self.local(q)
-        return loc.dg @ loc.E + (loc.g @ loc.dE).T
+        pt = self.point(q)
+        return _one_form_d1(pt, self.field_derivative(q, pt)[0])
 
     def sample_point(self, rng):
         return self.metric_family.sample_point(rng)
@@ -170,13 +149,14 @@ class WeylScenario:
                 - np.einsum("ij,k->kij", pt.g, pt.E))
 
     def weyl_correction_d1(self, q):
-        loc = self.local(q)
-        dphi = self.one_form_d1(q)
+        pt = self.point(q)
+        dE = self.field_derivative(q, pt)[0]
+        dphi = _one_form_d1(pt, dE)
         eye = np.eye(self.dim)
         return (np.einsum("ki,mj->mkij", eye, dphi)
                 + np.einsum("kj,mi->mkij", eye, dphi)
-                - np.einsum("mij,k->mkij", loc.dg, loc.E)
-                - np.einsum("ij,km->mkij", loc.g, loc.dE))
+                - np.einsum("mij,k->mkij", pt.dg, pt.E)
+                - np.einsum("ij,km->mkij", pt.g, dE))
 
     @_per_point
     def weyl_christoffel(self, q):
@@ -188,11 +168,7 @@ class WeylScenario:
     @_per_point
     def curvature_hat_tensor(self, q):
         """Weyl curvature tensor R^d_{cab}: R(X,Y)Z^d = R^d_{cab} Z^c X^a Y^b."""
-        return self._curvature_tensor(q, weyl=True)
-
-    @_per_point
-    def curvature_lc_tensor(self, q):
-        return self.lc_curvature(q, self.christoffel(q))
+        return _riemann(self.weyl_christoffel(q), self.weyl_christoffel_d1(q))
 
     def lc_curvature(self, q, gamma):
         """Levi-Civita R^d_{cab} at q, given Gamma there: the family's closed form,
@@ -201,10 +177,11 @@ class WeylScenario:
         closed = self.metric_family.riemann_tensor(q)
         return _riemann(gamma, self.christoffel_d1(q)) if closed is None else closed
 
-    def _curvature_tensor(self, q, weyl):
-        if weyl:
-            return _riemann(self.weyl_christoffel(q), self.weyl_christoffel_d1(q))
-        return _riemann(self.christoffel(q), self.christoffel_d1(q))
+
+def _one_form_d1(pt, dE):
+    """dphi[m, j] = d_m phi_j of phi = g E, from the point record pt and dE there."""
+    # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
+    return pt.dg @ pt.E + (pt.g @ dE).T
 
 
 def _riemann(G, dG):

@@ -292,6 +292,30 @@ BILLIARD = {"periods": [1.0, 1.0],
             "scatterers": [{"center": [0.25, 0.25], "radius": 0.36},
                            {"center": [0.75, 0.75], "radius": 0.2}],
             "field_magnitude": 0.5}
+# two scatterers on an axis along E: a table orbit-stability runs on
+TWO_DISK = {"periods": [1.0, 1.0],
+            "scatterers": [{"center": [0.25, 0.5], "radius": 0.1},
+                           {"center": [0.75, 0.5], "radius": 0.1}],
+            "field_magnitude": 0.5}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"task": "orbit-stability", "preset": "sinai_thermostat"}, "preset"),
+    ({"task": "orbit-stability", "billiard": BILLIARD}, "billiard"),
+    ({"task": "orbit-stability", "billiard": dict(TWO_DISK, field_angle=0.5)}, "billiard"),
+], ids=["sinai_preset", "diagonal_table", "field_off_axis"])
+def test_orbit_stability_refuses_a_table_without_a_bouncing_axis(tmp_path, capsys,
+                                                                 monkeypatch, doc, key):
+    assert _errors(doc) == [f"{key}: task orbit-stability cannot run on it: "
+                            "scatterer axis not parallel to E"]
+    monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("dispatched"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["orbit-stability", "--config", str(cfg_path)]) == 2
+    assert f"  - {key}: task orbit-stability cannot run on it" in capsys.readouterr().err
+    for ok in ({"task": "orbit-stability", "preset": "two_disk_orbit"},
+               {"task": "orbit-stability", "billiard": TWO_DISK}):
+        assert cli.parse_config(ok).table is not None
 
 
 @pytest.mark.parametrize("billiard, initial, key", [
@@ -532,7 +556,8 @@ TOP_VALUES = {"preset": "example_1_2", "scenario": MINIMAL["scenario"], "billiar
 def _base(task):
     """A valid config of the task: its preset, if it runs on a space, and nothing else."""
     top = READS[task][0]
-    preset = "example_1_2" if "scenario" in top else "sinai_thermostat"
+    preset = ("example_1_2" if "scenario" in top
+              else "two_disk_orbit" if task == "orbit-stability" else "sinai_thermostat")
     return {"task": task, **({"preset": preset} if "preset" in top else {})}
 
 
@@ -548,6 +573,8 @@ def test_each_task_accepts_exactly_the_keys_it_reads(task):
     base = _base(task)
     cli.parse_config(base)
     for key, value in TOP_VALUES.items():
+        if (task, key) == ("orbit-stability", "billiard"):
+            value = TWO_DISK
         doc = dict(base, **{key: value})
         if key not in top:
             assert _errors(doc) == [f"{key}: task {task} does not read it"]
@@ -649,7 +676,7 @@ PRESET_CONFIGS = (
     + [{"task": "simulate", "initial": {"q": [0.1, 0.2, 0.3]}, "scenario": {
         "metric": {"family": "sol_group"},
         "field": {"type": "sol_left_invariant", "coefficients": [0.0, 0.0, 1.0]}}},
-       {"task": "orbit-stability", "billiard": BILLIARD}]
+       {"task": "orbit-stability", "billiard": TWO_DISK}]
 )
 
 _leaf = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -136,8 +136,13 @@ def test_reduce_to_wflow_rejects_bad_level():
     W = FourierField(2, [((1, 0), 2.0, 0.0)])
     sc = WeylScenario(FlatTorus((1, 1)))
     spec = IsoenergeticSpec(potential=W, field=ConstantField([0.0, 0.0]), h=1.0)
-    with pytest.raises(InvalidEnergyLevelError):
+    with pytest.raises(InvalidEnergyLevelError) as err:
         flows.reduce_to_wflow(sc, spec)
+    # the error names the first of the seeded check points where h <= W
+    rng = np.random.default_rng(0)
+    qs = [sc.sample_point(rng) for _ in range(flows.REDUCE_CHECK_POINTS)]
+    first = next(q for q in qs if spec.h - W.value(q) <= 0.0)
+    assert str(err.value) == f"h - W <= 0 at q={first}"
 
 
 def test_weyl_geodesic_zero_field_is_riemannian_geodesic():
@@ -405,7 +410,7 @@ def test_integrate_one_step_integrals_match_scipy(example_scenario):
     traj = flows.integrate(example_scenario, PhaseState([0.1, 0.2], [np.cos(1.1), np.sin(1.1)]),
                            T=1e-3, dt=1e-3)
     assert len(traj.times) == 2
-    speed = np.array([np.sqrt(v @ (example_scenario.local(q).g @ v))
+    speed = np.array([np.sqrt(v @ (example_scenario.point(q).g @ v))
                       for q, v in zip(traj.q, traj.v)])
     for got, y in ((traj.int_phi, traj.phi_v), (traj.arc_length, speed)):
         want = scipy_cumulative_simpson(y, x=traj.times, initial=0.0)

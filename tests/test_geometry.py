@@ -16,13 +16,13 @@ from weylflow.fields import (
 )
 from weylflow.flows import PhaseState
 from weylflow.metrics import ConformalTorus, ConstantCurvatureChart, FlatTorus, SolGroup
-from weylflow.scenario import WeylScenario, product_scenario
+from weylflow.scenario import WeylScenario, _riemann, product_scenario
 
 
 def generic_christoffel(scenario, q):
     """Reference assembly straight from the metric derivatives."""
     g = scenario.metric(q)
-    dg = scenario.local(q).dg
+    dg = scenario.point(q).dg
     ginv = np.linalg.inv(g)
     S = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
     return np.einsum("kl,lij->kij", ginv, S)
@@ -72,8 +72,8 @@ def test_metric_inv_d1_matches_finite_differences():
     h = 1e-5
     for sc in scenarios:
         q = sc.sample_point(rng)
-        loc = sc.local(q)
-        dginv = -(loc.ginv @ loc.dg @ loc.ginv)
+        pt = sc.point(q)
+        dginv = -(pt.ginv @ pt.dg @ pt.ginv)
         for m in range(sc.dim):
             e = np.zeros(sc.dim)
             e[m] = h
@@ -203,7 +203,7 @@ def test_sectional_weyl_dimension_two_is_K_minus_divergence():
         X, Y = geo.sample_plane(sc, q, rng)
         s = geo.sectional_weyl(sc, q, X, Y)
         gamma = sc.christoffel(q)
-        dE = sc.local(q).dE
+        dE = sc.field_derivative(q, sc.point(q))[0]
         E = sc.field(q)
         div = np.trace(dE) + np.einsum("kkj,j->", gamma, E)
         assert s.Khat == pytest.approx(s.K - div, abs=1e-10)
@@ -441,7 +441,7 @@ def test_conformal_torus_riemann_closed_form_matches_assembly():
     for _ in range(10):
         q = sc.sample_point(rng)
         closed = sc.metric_family.riemann_tensor(q)
-        assert np.abs(closed - sc._curvature_tensor(q, weyl=False)).max() < 1e-12
+        assert np.abs(closed - _riemann(sc.christoffel(q), sc.christoffel_d1(q))).max() < 1e-12
 
 
 def test_sol_riemann_closed_form_matches_assembly():
@@ -450,7 +450,7 @@ def test_sol_riemann_closed_form_matches_assembly():
     for _ in range(10):
         q = sc.sample_point(rng)
         closed = sc.metric_family.riemann_tensor(q)
-        assert np.abs(closed - sc._curvature_tensor(q, weyl=False)).max() < 1e-12
+        assert np.abs(closed - _riemann(sc.christoffel(q), sc.christoffel_d1(q))).max() < 1e-12
 
 
 def test_product_homogeneity_follows_factor_fields():
@@ -525,17 +525,18 @@ def test_local_matches_independent_references(name):
     rng = np.random.default_rng(26)
     for _ in range(5):
         q = sc.sample_point(rng)
-        loc = sc.local(q)
+        pt = sc.point(q)
+        jac, N = sc.field_derivative(q, pt)
         g = sc.metric(q)
         gamma = generic_christoffel(sc, q)
         dE = np.array([_central(sc.field, q, m, 1e-6) for m in range(sc.dim)]).T
         scale = max(np.abs(dE).max(), 1.0)
-        assert np.array_equal(loc.g, g)
-        assert np.abs(loc.ginv - np.linalg.inv(g)).max() < 1e-12 * np.abs(loc.ginv).max()
-        assert np.abs(loc.gamma - gamma).max() < 1e-12
-        assert np.abs(loc.phi - g @ loc.E).max() < 1e-14 * max(np.abs(loc.phi).max(), 1.0)
-        assert np.abs(loc.dE - dE).max() < 1e-7 * scale
-        assert np.abs(loc.N - (dE + gamma @ loc.E)).max() < 1e-7 * scale
+        assert np.array_equal(pt.g, g)
+        assert np.abs(pt.ginv - np.linalg.inv(g)).max() < 1e-12 * np.abs(pt.ginv).max()
+        assert np.abs(pt.gamma - gamma).max() < 1e-12
+        assert np.abs(pt.phi - g @ pt.E).max() < 1e-14 * max(np.abs(pt.phi).max(), 1.0)
+        assert np.abs(jac - dE).max() < 1e-7 * scale
+        assert np.abs(N - (dE + gamma @ pt.E)).max() < 1e-7 * scale
 
 
 # -- the per-point memo --------------------------------------------------------
@@ -545,9 +546,11 @@ NON_HOMOGENEOUS = [name for name in sorted(presets.GEOMETRY_PRESETS)
 
 
 def _point_data(sc, q):
-    """Every memoised quantity at q, as a flat list of arrays."""
-    return [*sc.local(q), sc.weyl_christoffel(q), sc.curvature_hat_tensor(q),
-            sc.curvature_lc_tensor(q)]
+    """Every memoised quantity at q, and dE, N and the Levi-Civita R built from
+    the memoised point record, as a flat list of arrays."""
+    pt = sc.point(q)
+    return [*pt, *sc.field_derivative(q, pt), sc.weyl_christoffel(q),
+            sc.curvature_hat_tensor(q), sc.lc_curvature(q, pt.gamma)]
 
 
 def _all_equal(got, ref):
@@ -611,11 +614,13 @@ def test_no_caller_mutates_memoised_arrays(read_only_memo, name):
     tangent.transport_frame(sc, traj)
     flows.integrate(sc, state, T=0.1, dt=1e-2, kind="weyl_geodesic")
     geo.curvature_sign_scan(sc, 2, 5, 0, include_field_planes=True)
-    assert not sc.local(state.q).g.flags.writeable
+    assert not sc.point(state.q).g.flags.writeable
+    assert not sc.weyl_christoffel(state.q).flags.writeable
+    assert not sc.curvature_hat_tensor(state.q).flags.writeable
 
 
 @pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
-def test_census_builds_at_most_two_tensors_per_point(name):
+def test_census_builds_at_most_two_tensors_per_point(monkeypatch, name):
     sc = presets.scenario_preset(name)
     builds = []
 
@@ -627,11 +632,30 @@ def test_census_builds_at_most_two_tensors_per_point(name):
             return out
         return wrapper
 
-    sc._curvature_tensor = counted(sc._curvature_tensor)
+    monkeypatch.setattr("weylflow.scenario._riemann", counted(_riemann))
     sc.metric_family.riemann_tensor = counted(sc.metric_family.riemann_tensor)
     n_points = 3
     geo.curvature_sign_scan(sc, n_points, 20, 0, include_field_planes=True)
     assert 0 < len(builds) <= 2 * n_points
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_census_builds_field_derivative_at_most_twice_per_point(monkeypatch, name):
+    # sectional_weyl reads N once; curvature_hat_tensor reads dE once through
+    # weyl_correction_d1, which shares it with its dphi
+    sc = presets.scenario_preset(name)
+    build = sc.field_derivative
+    builds = []
+
+    def counted(q, pt):
+        builds.append(np.array(q))
+        return build(q, pt)
+
+    monkeypatch.setattr(sc, "field_derivative", counted)
+    n_points = 3
+    geo.curvature_sign_scan(sc, n_points, 20, 0, include_field_planes=True)
+    assert 0 < len(builds) <= 2 * n_points
+    assert all(q.ndim == 1 for q in builds)
 
 
 def test_tensor_route_does_not_read_the_closed_form_riemann_tensor(monkeypatch):
@@ -648,15 +672,15 @@ def test_tensor_route_does_not_read_the_closed_form_riemann_tensor(monkeypatch):
 
 def _reference_plane(sc, q, X, Y):
     """(K, Khat_tensor, Khat, margin) of one g-orthonormal plane by plain matrix products."""
-    loc = sc.local(q)
-    g = loc.g
+    pt = sc.point(q)
+    g, N = pt.g, sc.field_derivative(q, pt)[1]
     A = np.tensordot(sc.curvature_hat_tensor(q), np.outer(X, Y), axes=2)
     A_anti = 0.5 * (A - np.linalg.inv(g) @ A.T @ g)
     khat_tensor = X @ g @ A_anti @ Y
-    K = X @ g @ np.tensordot(sc.curvature_lc_tensor(q), np.outer(X, Y), axes=2) @ Y
-    e_x, e_y = X @ g @ loc.E, Y @ g @ loc.E
-    E_perp = loc.E - e_x * X - e_y * Y
-    div = X @ g @ loc.N @ X + Y @ g @ loc.N @ Y
+    K = X @ g @ np.tensordot(sc.lc_curvature(q, pt.gamma), np.outer(X, Y), axes=2) @ Y
+    e_x, e_y = X @ g @ pt.E, Y @ g @ pt.E
+    E_perp = pt.E - e_x * X - e_y * Y
+    div = X @ g @ N @ X + Y @ g @ N @ Y
     khat = K - E_perp @ g @ E_perp - div
     return K, khat_tensor, khat, khat + 0.25 * (e_x**2 + e_y**2)
 

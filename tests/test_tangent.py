@@ -133,7 +133,7 @@ def _quotient_rhs(sc, q, v, xi, chi):
     the frame completing v, with R from geometry.jacobi_operator."""
     frame = tangent.complete_frame(sc, q, v)
     Rmat = geo.jacobi_operator(sc, q, v, frame)
-    phi = sc.local(q).phi
+    phi = sc.point(q).phi
     return float((frame @ phi) @ xi), -float(phi @ v) * xi + chi, -Rmat @ xi
 
 
