@@ -10,6 +10,13 @@ of the distance and refined to 1e-12 in time by a safeguarded Newton method
 (``_rtsafe``) with analytic derivatives.  The rotation between world and
 field-aligned coordinates has one formula (``BilliardTable._turn``), shared
 by arrays and by the per-step arithmetic on float pairs.
+The collision loop (``run_billiard``) carries q and v as float pairs, wraps
+them with Python ``divmod`` and calls ``free_flight`` with floats, whose march
+(``_search``) runs on floats alone.  Numpy arrays are built for the recorded
+events, the final ``sbar`` and the curvature kick's <E, N>, which stays a
+numpy product: BLAS fuses its multiply-add, and the float sum Ex*Nx + Ey*Ny
+differs from it in the last bit in about 1 of 4 random pairs (49,406 of
+200,000 normal E against unit N).
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
 at each specular reflection, as scalar arithmetic: a unit vector and two
@@ -241,11 +248,13 @@ class ThermostatFlight:
         """(x, y, vx, vy) at one time t, as floats: the root refinement's path."""
         if self.straight:
             return self.x0 + t * self.vx0, self.y0 + t * self.vy0, self.vx0, self.vy0
-        T = self.T0 * math.exp(-self.a * t)
-        den = 1.0 + T * T
-        x = self.x0 + t + math.log(den / self._den0) / self.a
-        y = self.y0 + (self.theta0 - 2.0 * math.atan(T)) / self.a
-        return x, y, (1.0 - T * T) / den, 2.0 * T / den
+        a = self.a
+        T = self.T0 * math.exp(-a * t)
+        TT = T * T
+        den = 1.0 + TT
+        x = self.x0 + t + math.log(den / self._den0) / a
+        y = self.y0 + (self.theta0 - 2.0 * math.atan(T)) / a
+        return x, y, (1.0 - TT) / den, 2.0 * T / den
 
 
 @dataclass
@@ -356,34 +365,46 @@ def _search(flight, table, t_cap):
       parts shorter than BISECT_TOL: u moves less than that on such a part,
       which starts more than BISECT_TOL outside, so it holds no entry.
     """
-    h, to_a, back = table.cell, -table._sin, table._sin
-    Lx, Ly = table._period_xy
+    h, to_a, back, k = table.cell, -table._sin, table._sin, flight.bend
+    turn, pos_vel = table._turn, flight.pos_vel_scalar
+    (Lx, Ly), discs = table._period_xy, table._discs
+    far = 0.5 * min(Lx, Ly)
     t, state = 0.0, (flight.x0, flight.y0, flight.vx0, flight.vy0)
     while True:
-        px, py = table._turn(state[0], state[1], back)
-        near, step = [], 0.5 * min(Lx, Ly)
-        for idx, ((cx, cy), r) in enumerate(table._discs):
+        px, py = turn(state[0], state[1], back)
+        near, step = [], far
+        for idx, ((cx, cy), r) in enumerate(discs):
+            # the 2x2 block of images: two x-shifts by two y-shifts
             mx, my = math.floor((px - cx) / Lx), math.floor((py - cy) / Ly)
-            for shift in ((mx * Lx, my * Ly), ((mx + 1) * Lx, my * Ly),
-                          (mx * Lx, (my + 1) * Ly), ((mx + 1) * Lx, (my + 1) * Ly)):
-                c = cx + shift[0], cy + shift[1]
-                d = math.hypot(px - c[0], py - c[1]) - r
-                if d > step and d > h:
-                    continue        # at unit speed the bound is at least d
-                c_a = table._turn(*c, to_a)
-                e = _radial(state, c_a, r, flight.bend)
-                s = _entry_bound(e[0], e[1], flight.bend)
-                if s <= h:
-                    near.append((idx, c, c_a, r, shift, e))
-                elif s < step:
-                    step = s
-        t1 = min(t + h if near else t + step - 0.5 * h, t_cap)
-        state = flight.pos_vel_scalar(t1)
-        hits = [(_first_crossing(flight, c_a, r, t, t1, e, _radial(state, c_a, r, flight.bend)),
-                 idx, c, shift) for idx, c, c_a, r, shift, e in near if e[0] > BISECT_TOL]
-        hits = [hit for hit in hits if hit[0] is not None]
-        if hits or t1 >= t_cap:
-            return min(hits, key=lambda hit: hit[0], default=None)
+            sx0, sx1 = mx * Lx, (mx + 1) * Lx
+            c00, c01 = cx + sx0, cx + sx1
+            cols = ((sx0, c00, px - c00), (sx1, c01, px - c01))
+            for sy in (my * Ly, (my + 1) * Ly):
+                c1 = cy + sy
+                dy = py - c1
+                for sx, c0, dx in cols:
+                    d = math.hypot(dx, dy) - r
+                    if d > step and d > h:
+                        continue        # at unit speed the bound is at least d
+                    c_a = turn(c0, c1, to_a)
+                    e = _radial(state, c_a, r, k)
+                    s = _entry_bound(e[0], e[1], k)
+                    if s <= h:
+                        near.append((idx, (c0, c1), c_a, r, (sx, sy), e))
+                    elif s < step:
+                        step = s
+        t1 = t + h if near else t + step - 0.5 * h
+        if t_cap < t1:
+            t1 = t_cap
+        state = pos_vel(t1)
+        if near:
+            hits = [(_first_crossing(flight, c_a, r, t, t1, e, _radial(state, c_a, r, k)),
+                     idx, c, shift) for idx, c, c_a, r, shift, e in near if e[0] > BISECT_TOL]
+            hits = [hit for hit in hits if hit[0] is not None]
+            if hits:
+                return min(hits, key=lambda hit: hit[0])
+        if t1 >= t_cap:
+            return None
         t = t1
 
 
@@ -405,7 +426,8 @@ def _entry_bound(d, du, k):
     d = d if d > 0.0 else 0.0
     root = math.sqrt(du * du + 2.0 * k * d)
     if du < 0.0:
-        return max(d, 2.0 * d / (root - du))
+        s = 2.0 * d / (root - du)
+        return s if s > d else d
     return (du + root) / k if k > 0.0 else math.inf
 
 
@@ -622,10 +644,17 @@ def run_billiard(table, q0, v0, n_collisions):
     with the event, and the start angle is carried over from the previous
     event (``theta_out_aligned`` after a reflection).
 
-    Before every flight q is wrapped into the fundamental cell and the
-    lattice shift it took off is added to two integers, so q never grows
-    past the digits the flight's start check needs, however far the field
-    drives the particle.
+    q and v are carried as float pairs.  Before every flight q is wrapped
+    into the fundamental cell by Python ``divmod`` on each coordinate (the
+    bits of ``np.divmod``, signs of zero included) and the lattice shift it
+    took off is added to two ints, so q never grows past the digits the
+    flight's start check needs, however far the field drives the particle.
+    ``free_flight`` takes the pairs, and the next state is read back as
+    floats from the event's impact point and specular image ``v_out``; no
+    ``reflect`` call is needed, since its grazing test cannot fail on an
+    event that is not flagged grazing.  Arrays are built only in the events,
+    for the kick's <E, N> (a numpy product whose fused multiply-add the float
+    sum Ex*Nx + Ey*Ny would not reproduce) and for ``sbar``.
 
     Pair identity: det F = sin(theta1)/sin(theta0) = e^{-int phi} and
     det R = 1, so lambda1 + lambda2 equals ``sbar``, the time average of
@@ -638,24 +667,25 @@ def run_billiard(table, q0, v0, n_collisions):
     flight up to the restart, the same no-reflection path as a capped
     flight, and only the reflection is dropped.
     """
-    q = np.asarray(q0, dtype=float)
+    start = np.asarray(q0, dtype=float)
     v = np.asarray(v0, dtype=float)
-    v = v / np.linalg.norm(v)
-    start = q
-    shift = np.zeros(2, dtype=np.int64)          # lattice cells left behind by the wraps
+    (qx, qy), (vx, vy) = start.tolist(), (v / np.linalg.norm(v)).tolist()
+    Lx, Ly = table._period_xy
+    mx = my = 0                                 # lattice cells left behind by the wraps
     events = []
     t_total = 0.0
     grazing = 0
     open_count = 0
     consecutive_caps = 0
     tangent = (1.0, 0.0, 0.0, 0.0)
-    th0 = _aligned_angle(table, v)              # aligned angle at the flight's start
+    th0 = _aligned_angle(table, (vx, vy))       # aligned angle at the flight's start
     times = []
 
     while len(events) < n_collisions:
-        cells, q = np.divmod(q, table.periods)
-        shift += cells.astype(np.int64)
-        ev = free_flight(table, q, v)
+        cx, qx = divmod(qx, Lx)
+        cy, qy = divmod(qy, Ly)
+        mx, my = mx + int(cx), my + int(cy)
+        ev = free_flight(table, (qx, qy), (vx, vy))
         if isinstance(ev, OpenFlight):
             open_count += 1
             consecutive_caps += 1
@@ -666,25 +696,27 @@ def run_billiard(table, q0, v0, n_collisions):
             if ev.grazing:
                 grazing += 1
                 # restart just past the tangency, keeping the incoming direction
-                fl = ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
+                s = -table._sin
+                fl = ThermostatFlight(table._turn(qx, qy, s), table._turn(vx, vy, s), table.a)
                 ev = _coast(table, fl, ev.time_of_flight + GRAZE_SKIP)
         t_total += ev.time_of_flight
         if isinstance(ev, OpenFlight):      # capped or restarted: no reflection
             f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned, ev.time_of_flight)
             tangent = _tangent_step(tangent, f, shear, 0.0)
-            q, v = ev.end_q, ev.end_v
-            th0 = _aligned_angle(table, v)
+            (qx, qy), (vx, vy) = ev.end_q.tolist(), ev.end_v.tolist()
+            th0 = _aligned_angle(table, (vx, vy))
             continue
         f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
         kick = _reflection_kick(table, table.scatterers[ev.scatterer].radius,
                                 ev.normal, ev.cos_incidence)
         tangent = _tangent_step(tangent, f, shear, kick)
-        q, v = reflect(ev)
+        (qx, qy), (vx, vy) = ev.point.tolist(), ev.v_out.tolist()
         th0 = ev.theta_out_aligned
         events.append(ev)
         times.append(t_total)
 
-    sbar = -float(table.field @ (q + shift * table.periods - start)) / t_total
+    shift = np.array([mx, my], dtype=np.int64)
+    sbar = -float(table.field @ (np.array([qx, qy]) + shift * table.periods - start)) / t_total
     exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]
     return BilliardRun(events=events, total_time=t_total, grazing_count=grazing,
                        open_count=open_count, lambda1=float(exps[0]), exponents=exps,

@@ -374,15 +374,16 @@ SPACES = {"scenario": (presets.GEOMETRY_PRESETS, _parse_scenario),
 
 def _parse_initial(doc, space, errors):
     """Optional initial q and v in the space (a scenario, a table, or None): v
-    nonzero, q inside the metric's chart and outside the scatterers."""
+    nonzero with a float64 v.v that is a finite normal number (the runs divide
+    v by its length), q inside the metric's chart and outside the scatterers."""
     idoc = _object(doc, "initial", "", errors, {"q", "v"}) or {}
     table = isinstance(space, billiards.BilliardTable)
     dim = 2 if table else None if space is None else space.dim
     initial = {key: _vector(idoc, key, "initial", errors, length=dim)
                for key in ("q", "v") if key in idoc}
     q, v = initial.get("q"), initial.get("v")
-    if v is not None and not any(v):
-        errors.append("initial.v: must be nonzero")
+    if v is not None and not sys.float_info.min <= sum(x * x for x in v) < math.inf:
+        errors.append(f"initial.v: must be nonzero, with v.v a finite normal float64: {v}")
     if q is None or space is None:
         return initial
     if table:

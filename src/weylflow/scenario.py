@@ -61,9 +61,11 @@ def _per_point(build):
     def method(self, q):
         # a homogeneous hit is one dict read: the flows look up q-independent data every stage
         hit = self._memo.get(name)
-        if hit is not None and (self.is_homogeneous or hit[0] == _point_key(q)):
+        if hit is not None and self.is_homogeneous:
             return hit[1]
-        hit = self._memo[name] = _point_key(q), build(self, q)
+        key = _point_key(q)
+        if hit is None or hit[0] != key:
+            hit = self._memo[name] = key, build(self, q)
         return hit[1]
 
     return method

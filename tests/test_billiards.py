@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -824,3 +826,177 @@ def test_grazing_restart_composes_its_flight_map(monkeypatch):
     for tof in advanced:
         t += tof
     assert run.total_time == run.collision_times[-1] == t
+
+
+# -- the float-pair collision loop against the array loop it replaced ----------
+
+def _array_loop(table, q0, v0, n_collisions):
+    """run_billiard as an array loop, the oracle of its float-pair loop: q and v
+    as numpy pairs, the wrap by np.divmod onto an int64 shift, free_flight on
+    arrays and reflect's copies.  Returns the BilliardRun fields it compares."""
+    q = np.asarray(q0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    v = v / np.linalg.norm(v)
+    start = q
+    shift = np.zeros(2, dtype=np.int64)
+    events, times = [], []
+    t_total, grazing, open_count = 0.0, 0, 0
+    tangent = (1.0, 0.0, 0.0, 0.0)
+    th0 = bl._aligned_angle(table, v)
+    while len(events) < n_collisions:
+        cells, q = np.divmod(q, table.periods)
+        shift += cells.astype(np.int64)
+        ev = bl.free_flight(table, q, v)
+        if isinstance(ev, bl.OpenFlight):
+            open_count += 1
+        elif ev.grazing:
+            grazing += 1
+            fl = bl.ThermostatFlight(table.to_aligned(q), table.to_aligned(v), table.a)
+            ev = bl._coast(table, fl, ev.time_of_flight + bl.GRAZE_SKIP)
+        t_total += ev.time_of_flight
+        if isinstance(ev, bl.OpenFlight):
+            f, shear = bl._flight_entries(table.a, th0, ev.theta_end_aligned, ev.time_of_flight)
+            tangent = bl._tangent_step(tangent, f, shear, 0.0)
+            q, v = ev.end_q, ev.end_v
+            th0 = bl._aligned_angle(table, v)
+            continue
+        f, shear = bl._flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
+        kick = bl._reflection_kick(table, table.scatterers[ev.scatterer].radius,
+                                   ev.normal, ev.cos_incidence)
+        tangent = bl._tangent_step(tangent, f, shear, kick)
+        q, v = bl.reflect(ev)
+        th0 = ev.theta_out_aligned
+        events.append(ev)
+        times.append(t_total)
+    sbar = -float(table.field @ (q + shift * table.periods - start)) / t_total
+    exps = np.sort([tangent[2] / t_total, tangent[3] / t_total])[::-1]
+    return dict(events=events, total_time=t_total, grazing_count=grazing,
+                open_count=open_count, exponents=exps, collision_times=np.array(times),
+                sbar=sbar)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_runs_the_oracle(table, q0, v0, n_collisions):
+    """run_billiard gives the array loop's bits in every event field and result."""
+    run = bl.run_billiard(table, q0, v0, n_collisions)
+    ref = _array_loop(table, q0, v0, n_collisions)
+    assert len(run.events) == len(ref["events"]) == n_collisions
+    for got, want in zip(run.events, ref["events"]):
+        for field in dataclasses.fields(bl.CollisionEvent):
+            assert _same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+    for name, want in ref.items():
+        if name != "events":
+            assert _same_bits(getattr(run, name), want), name
+    return run
+
+
+def _lorentz_gas_starts(table, seed, count):
+    """Starts as the lorentz_gas benchmark draws them: q 1e-3 outside every
+    scatterer, v at a uniform angle."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    while len(starts) < count:
+        q = rng.uniform(0.0, 1.0, 2) * table.periods
+        if table.outside(q, tol=1e-3):
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            starts.append((q, np.array([math.cos(th), math.sin(th)])))
+    return starts
+
+
+@pytest.mark.parametrize("name", ["sinai_thermostat", "explicit_rE_0.9"])
+def test_float_loop_gives_the_array_loop_bits_on_the_lorentz_gas_tables(name):
+    table = TANGENT_TABLES[name]()
+    for q0, v0 in _lorentz_gas_starts(table, 25, 2):
+        _assert_runs_the_oracle(table, q0, v0, 300)
+
+
+def test_float_loop_gives_the_array_loop_bits_on_open_flights():
+    run = _assert_runs_the_oracle(_open_table(0.5), START_Q, START_V, 300)
+    assert run.open_count > 0
+
+
+def test_float_loop_gives_the_array_loop_bits_on_the_field_driven_orbit():
+    table = bl.BilliardTable((1.0, 1.0), [((0.5, 0.5), 0.05)], 1.0, math.sqrt(2.0))
+    _assert_runs_the_oracle(table, np.array([0.7, 0.25]),
+                            np.array([math.cos(0.6), math.sin(0.6)]), 10_000)
+
+
+def test_float_loop_gives_the_array_loop_bits_across_a_grazing_restart(monkeypatch):
+    # a fake tangency half-way along the fifth flight of each loop, as in
+    # test_grazing_restart_composes_its_flight_map
+    real = bl.free_flight
+    calls, per_loop = [], 301      # flights of one loop: 300 collisions and the restart
+
+    def grazing_fifth(table, q, v):
+        ev = real(table, q, v)
+        calls.append(ev)
+        if len(calls) % per_loop == 5:
+            ev = dataclasses.replace(ev, time_of_flight=0.5 * ev.time_of_flight, grazing=True)
+        return ev
+
+    monkeypatch.setattr(bl, "free_flight", grazing_fifth)
+    run = _assert_runs_the_oracle(_explicit(), START_Q, START_V, 300)
+    assert run.grazing_count == 1
+    assert len(calls) == 2 * per_loop
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=st.one_of(st.floats(-1e17, 1e17), st.sampled_from([-0.0, 0.0, -1.0, -1e-300])),
+       y=st.floats(-1e17, 1e17), periods=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+def test_float_divmod_wraps_as_numpy_divmod(x, y, periods):
+    # the wrap of q: quotient, remainder and the sign of a zero remainder
+    cells, rem = np.divmod(np.array([x, y]), np.array(periods))
+    for i, (xi, L) in enumerate(zip((x, y), periods)):
+        c, r = divmod(xi, L)
+        assert _same_bits(np.float64(c), cells[i]) and _same_bits(np.float64(r), rem[i])
+        assert math.copysign(1.0, r) == math.copysign(1.0, rem[i])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(qs=st.lists(st.tuples(st.floats(-1e16, 1e16), st.floats(-1e16, 1e16)),
+                   min_size=1, max_size=20),
+       periods=st.tuples(st.floats(1e-1, 1e1), st.floats(1e-1, 1e1)))
+def test_int_shift_sums_as_the_int64_shift(qs, periods):
+    shift, mx, my = np.zeros(2, dtype=np.int64), 0, 0
+    for x, y in qs:
+        shift += np.divmod(np.array([x, y]), np.array(periods))[0].astype(np.int64)
+        mx, my = mx + int(divmod(x, periods[0])[0]), my + int(divmod(y, periods[1])[0])
+    assert _same_bits(np.array([mx, my], dtype=np.int64), shift)
+    assert shift.tolist() == [mx, my]
+
+
+# -- the march stays on floats: _search calls no numpy -------------------------
+
+BILLIARDS_SRC = Path(bl.__file__).read_text()
+
+
+def numpy_lines(source, name="_search"):
+    """Lines of the module-level function name that name numpy (np or numpy),
+    or ['missing'] when the module has no such function."""
+    node = next((n for n in ast.parse(source).body
+                 if isinstance(n, ast.FunctionDef) and n.name == name), None)
+    if node is None:
+        return ["missing"]
+    return sorted(n.lineno for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and n.id in ("np", "numpy"))
+
+
+def test_search_uses_no_numpy():
+    assert numpy_lines(BILLIARDS_SRC) == []
+
+
+def test_the_numpy_guard_sees_a_call_put_back():
+    node = next(n for n in ast.parse(BILLIARDS_SRC).body
+                if isinstance(n, ast.FunctionDef) and n.name == "_search")
+    lines = BILLIARDS_SRC.splitlines(keepends=True)
+    lines.insert(node.body[-1].lineno - 1, "    h = np.float64(h)\n")
+    assert numpy_lines("".join(lines)) == [node.body[-1].lineno]
+
+
+def test_the_numpy_guard_reports_a_renamed_search():
+    assert numpy_lines(BILLIARDS_SRC.replace("def _search(", "def _search_renamed(")) == [
+        "missing"]

@@ -336,6 +336,45 @@ def test_main_rejects_bad_billiard_config(tmp_path, capsys, billiard, initial, k
     assert not (tmp_path / "out").exists()
 
 
+# an initial v whose float64 v.v overflows, or underflows below the normal range,
+# has no length to divide by; each of these configs once ran from v = 0 or crashed
+HUGE_V, TINY_V = [1e308, 1e308], [1e-170, 1e-170]
+NUMERICS = {"simulate": {"T": 0.01}, "lyapunov": {"T": 0.01}, "billiard": {"n_collisions": 5}}
+START_Q = {"simulate": [0.3, 0.4], "lyapunov": [0.3, 0.4], "billiard": [0.7, 0.25]}
+PRESET = {"simulate": "example_1_2", "lyapunov": "example_1_2", "billiard": "sinai_thermostat"}
+
+
+def _run_with_v(tmp_path, task, v):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": task, "preset": PRESET[task],
+                                    "initial": {"q": START_Q[task], "v": v},
+                                    "numerics": NUMERICS[task]}))
+    return cli.main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("task, v", [("simulate", HUGE_V), ("billiard", TINY_V),
+                                     ("billiard", HUGE_V), ("lyapunov", HUGE_V),
+                                     ("lyapunov", TINY_V)],
+                         ids=["simulate_huge", "billiard_tiny", "billiard_huge",
+                              "lyapunov_huge", "lyapunov_tiny"])
+def test_main_refuses_a_velocity_without_a_float64_length(tmp_path, capsys, task, v):
+    assert _run_with_v(tmp_path, task, v) == 2
+    assert "  - initial.v: must be nonzero, with v.v a finite normal float64" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("task", ["simulate", "lyapunov", "billiard"])
+def test_a_velocity_at_extreme_scale_still_runs(tmp_path, task, scale):
+    assert _run_with_v(tmp_path, task, [0.6 * scale, 0.8 * scale]) == 0
+    if task == "simulate":
+        row = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert abs(float(row[5])) < 1e-12          # speed_residual: a unit start
+    if task == "billiard":
+        assert len((tmp_path / "out" / "collisions.csv").read_text().splitlines()) == 6
+
+
 def test_a_table_is_checked_against_initial_q_after_an_earlier_error():
     # a bad numerics value must not hide the initial.q check against the scatterers
     doc = {"task": "billiard",

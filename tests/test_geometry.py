@@ -3,7 +3,7 @@ import pytest
 from conftest import default_initial_state
 
 from weylflow import geometry as geo
-from weylflow import flows, presets, tangent
+from weylflow import flows, presets, scenario, tangent
 from weylflow.errors import DegenerateMetricError, DegeneratePlaneError
 from weylflow.fields import (
     ConstantField,
@@ -577,6 +577,20 @@ def test_memo_sees_in_place_mutation_of_q(name):
     moved = _point_data(sc, q)
     assert _all_equal(moved, _point_data(presets.scenario_preset(name), q.copy()))
     assert not _all_equal(moved, first)
+
+
+@pytest.mark.parametrize("name", ["example_1_2", "hyperbolic_potential"])
+def test_memo_computes_one_key_per_call(monkeypatch, name):
+    # a miss compares and stores one key; a homogeneous hit computes none
+    keys = []
+    monkeypatch.setattr(scenario, "_point_key",
+                        lambda q, real=scenario._point_key: keys.append(1) or real(q))
+    sc = presets.scenario_preset(name)
+    rng = np.random.default_rng(33)
+    q1, q2 = sc.sample_point(rng), sc.sample_point(rng)
+    for q in (q1, q1, q2):
+        sc.point(q)
+    assert len(keys) == (1 if sc.is_homogeneous else 3)
 
 
 class _ReadOnlyMemo(dict):
