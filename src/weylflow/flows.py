@@ -17,7 +17,7 @@ holds, where a tuple of arrays would cost a numpy call per part per stage.
 each sample's record (|v|_g, phi(v), the residuals) after the loop, over all
 samples at once.  The isokinetic step (``isokinetic_accel``) and the
 projection's speed (``g_norm``) have one home, shared with the co-integration's
-frame transport, so both loops advance (q, v) with the same bits.
+pass 1, so both loops advance (q, v) with the same bits.
 
 Line integrals along the stored samples use ``cumulative_simpson``, a numpy
 port of scipy's routine of that name that gives the same bits.  It is here
@@ -123,11 +123,6 @@ def gamma_vv(G, v):
 def g_norm(v, g):
     """|v|_g, the projection's speed; g None is the flat metric (numpy's norm of v)."""
     return math.sqrt(v.dot(v) if g is None else v.dot(g).dot(v))
-
-
-def isokinetic_rhs(scenario, q, v):
-    """(dq/dt, dv/dt) of the Gaussian thermostat on |v|_g = 1:  Dv/dt = E - <E, v> v."""
-    return v, isokinetic_accel(scenario.point(q), v, scenario.metric_family.is_flat)[0]
 
 
 def isoenergetic_rhs(scenario, spec, q, v):

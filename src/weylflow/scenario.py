@@ -126,11 +126,6 @@ class WeylScenario:
     def field(self, q):
         return self.point(q).E
 
-    def one_form_d1(self, q):
-        """dphi[m, j] = d_m phi_j with phi = g E."""
-        pt = self.point(q)
-        return _one_form_d1(pt, self.field_derivative(q, pt)[0])
-
     def sample_point(self, rng):
         return self.metric_family.sample_point(rng)
 
@@ -153,7 +148,8 @@ class WeylScenario:
     def weyl_correction_d1(self, q):
         pt = self.point(q)
         dE = self.field_derivative(q, pt)[0]
-        dphi = _one_form_d1(pt, dE)
+        # dphi[m, j] = d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l, the derivative of phi
+        dphi = pt.dg @ pt.E + (pt.g @ dE).T
         eye = np.eye(self.dim)
         return (np.einsum("ki,mj->mkij", eye, dphi)
                 + np.einsum("kj,mi->mkij", eye, dphi)
@@ -178,12 +174,6 @@ class WeylScenario:
         leading axes, a stack of points."""
         closed = self.metric_family.riemann_tensor(q)
         return _riemann(gamma, self.christoffel_d1(q)) if closed is None else closed
-
-
-def _one_form_d1(pt, dE):
-    """dphi[m, j] = d_m phi_j of phi = g E, from the point record pt and dE there."""
-    # d_m (g_jl E^l) = d_m g_jl E^l + g_jl d_m E^l
-    return pt.dg @ pt.E + (pt.g @ dE).T
 
 
 def _riemann(G, dG):

@@ -29,27 +29,31 @@ full Weyl tensor (WeylScenario.curvature_hat_tensor) stays the test oracle.
 One integrator (_co_integrate) advances the flow, the frame and a block M of
 k quotient tangent columns [xi; chi] by RK4 (k = 0 transports the frame
 alone and builds no Jacobi matrix), and cleans the frame up by g-Gram-Schmidt
-every renorm_every steps.  The base flow, the frame and int phi never read M,
-and M obeys the linear system M' = A(t) M, A = [[-phi(v), 1], [-R, 0]], so
-each block of BLOCK steps runs in two passes:
+every renorm_every steps.  The base flow and int phi read neither the frame
+nor M, the frame never reads M, and M obeys the linear system M' = A(t) M,
+A = [[-phi(v), 1], [-R, 0]], so each block of BLOCK steps runs in two passes:
 
-* pass 1 advances [q, v, frame, int phi] with rk4_step, step after step, by
-  the same operations as a run without columns, so q, v, the frames and
-  int phi carry the same bits whatever k is.  Its stage function calls
-  scenario.point(q) and reads only that record: g, Gamma, E and phi, no
-  derivative of E and no curvature.  It calls flows.isokinetic_accel for the
-  base step and the projection calls flows.g_norm, so q and v carry the bits
-  of flows.integrate's isokinetic run.  Each of its 4 b + 1 stage points
-  (4 per step and the next step's k1) stores [q, v, frame] and the point
-  record in a stage row;
-* pass 2 makes one geometry._jacobi call over the block's stage rows: it
-  builds each point's field Jacobian, N = grad E, the Levi-Civita curvature,
-  W = R(., v) v - N, the shift < grad_v E, v >, phi(e_a) and the Jacobi
-  matrices, each as one stacked evaluation.  Then it forms each step's RK4
-  propagator P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) of the linear system in
-  stacked matmuls and advances M <- P M.  This is exactly the RK4 step of
-  the columns, so only their roundoff differs from stepping them with the
-  base.
+* pass 1 advances [q, v, int phi] with rk4_step, step after step.  Its
+  stage function calls scenario.point(q) and flows.isokinetic_accel, and the
+  projection calls flows.g_norm, so q and v carry the bits of
+  flows.integrate's isokinetic run, and q, v and int phi do not depend on k.
+  Each of its 4 b + 1 stage points (4 per step and the next step's k1)
+  stores [q, v, int phi] and the point record in a stage row; each cleanup
+  step stores the g and v that the frame's cleanup reads, and on a
+  recentring step the q before the move;
+* pass 2 first steps the frame.  Its rows obey F' = F B, linear in F, with
+  B = g v (x) E - g E (x) v - (Gamma v)^T read from the base stage, so it
+  builds A = B^T at the block's 4 b stage points as one stack and advances
+  F <- F P^T, one product per step; each cleanup step runs the finiteness
+  check, the Gram drift gate, the g-Gram-Schmidt cleanup and the recentring
+  push.  Then one geometry._jacobi call over the block's stage rows, at the
+  stage frames that _propagators' stage maps give, builds each point's field
+  Jacobian, N = grad E, the Levi-Civita curvature, W = R(., v) v - N, the
+  shift < grad_v E, v >, phi(e_a) and the Jacobi matrices, each as one
+  stacked evaluation, and M advances by M <- P M.  _propagators is the one
+  home of the RK4 coefficients, so the frame and M differ only by roundoff
+  from stepping them with the base.  A frame-only run is pass 1 and the
+  frame half of pass 2.
 
 Memory does not grow with T: the stage rows hold one block.  The run is in
 one of two modes:
@@ -76,7 +80,7 @@ import numpy as np
 from .errors import FrameCollapseError, NonFiniteStateError, UnsupportedConfigurationError
 from .flows import g_norm, isokinetic_accel, rk4_step, step_count
 from .geometry import _jacobi
-from .metrics import ConstantCurvatureChart
+from .metrics import ConstantCurvatureChart, matvec, vecmat
 from .scenario import PointRecord
 
 CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
@@ -176,20 +180,25 @@ def burn_steps(burn_in, dt, renorm_every):
 
 def _propagators(A, dt):
     """RK4 propagators (b, d, d) of y' = A(t) y from its (4 b, d, d) stage
-    matrices A_1..A_4 of each step, in step order:
+    matrices A_1..A_4 of each step, in step order, and each step's stage maps
+    (b, 3, d, d):
 
         P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4),  K1 = A_1,  K2 = A_2 (I + dt/2 K1),
         K3 = A_3 (I + dt/2 K2),  K4 = A_4 (I + dt K3),
 
-    so that P y is the classical RK4 step of y.
+    so that P y is the classical RK4 step of y, and the maps I + dt/2 K1,
+    I + dt/2 K2 and I + dt K3 take y to the step's stage points 2, 3 and 4.
     """
     A1, A2, A3, A4 = A[0::4], A[1::4], A[2::4], A[3::4]
     K2 = A2 + (0.5 * dt) * (A2 @ A1)
     K3 = A3 + (0.5 * dt) * (A3 @ K2)
     K4 = A4 + dt * (A4 @ K3)
     P = (dt / 6.0) * (A1 + 2.0 * (K2 + K3) + K4)
-    P.reshape(len(P), -1)[:, :: P.shape[-1] + 1] += 1.0
-    return P
+    maps = np.stack((A1, K2, K3), axis=1) * np.array([0.5 * dt, 0.5 * dt, dt])[:, None, None]
+    d = A.shape[-1]
+    for X in (P, maps):
+        X.reshape(-1, d * d)[:, :: d + 1] += 1.0
+    return P, maps
 
 
 def _first_nonfinite(Mh, a, b):
@@ -207,7 +216,8 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     cleaned up; with qr the columns are also re-orthonormalized (see the
     module docstring), otherwise they stay raw and the run also records xi0,
     phi(v) and <R xi, xi> per sample.  Each block of BLOCK steps runs pass 1
-    (base and frame, recording the stages) then pass 2 (the columns).
+    (q, v and int phi, recording the stages) then pass 2 (the frame, then the
+    columns), so a frame failure surfaces once its block's pass 1 is done.
     """
     n = scenario.dim
     nm1 = n - 1
@@ -229,10 +239,9 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     block = min(BLOCK, n_steps)
     S = 4 * block + 1          # stage rows of a block: 4 per step and the next step's k1
 
-    # pass 1 state y = [q, v, frame, int_phi]; int_phi has derivative phi(v)
-    o_e = 2 * n
-    o_p = o_e + nm1 * n
-    hist = np.empty((m, o_p + 1))
+    # pass 1 state y = [q, v, int_phi]; int_phi has derivative phi(v)
+    hist = np.empty((m, 2 * n + 1))
+    frames = np.empty((m, nm1, n))
     # the column state [xi; chi] (and, raw, the row xi0' = phi(e_a) xi_a): M' = A M
     d = 2 * nm1 + (0 if qr else 1)
     Mh = np.empty((m, d, k))
@@ -240,9 +249,8 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     Mh[0, 2 * nm1:] = 0.0
     out = {
         "times": initial.t + dt * np.arange(m),
-        "q": hist[:, :n], "v": hist[:, n:o_e],
-        "frames": hist[:, o_e:o_p].reshape(m, nm1, n),
-        "M": Mh[:, :2 * nm1], "int_phi": hist[:, o_p],
+        "q": hist[:, :n], "v": hist[:, n:-1], "frames": frames,
+        "M": Mh[:, :2 * nm1], "int_phi": hist[:, -1],
     }
     if qr:
         lsum = np.zeros(k)
@@ -252,16 +260,18 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         out.update(xi0=Mh[:, 2 * nm1], phi_v=np.empty(m), curv_quad=np.empty((m, k)))
 
     # stage rows: rk4_step's k1..k4 (phi(v) in the last column) and what pass 2 reads:
-    # the stage's [q, v, frame] and its point record but phi (g, g^-1, dg, Gamma, E)
-    kst = np.empty((S, o_p + 1))
-    stages = [kst]
+    # the stage's [q, v, int_phi] and its point record but phi (g, g^-1, dg, Gamma, E)
+    kst = np.empty((S, 2 * n + 1))
+    yst = np.empty((S, 2 * n + 1))
+    ptst = [np.empty((S,) + (n,) * rank) for rank in (2, 2, 3, 3, 1)]
+    stages = [kst, yst, *ptst]
+    # what each step's cleanup reads: g and v, and q before a recentring move
+    g_c, v_c, q_c = np.empty((block, n, n)), np.empty((block, n)), np.empty((block, n))
     if k:
-        yst = np.empty((S, o_p))
-        fst = yst[:, o_e:].reshape(S, nm1, n)
-        ptst = [np.empty((S,) + (n,) * rank) for rank in (2, 2, 3, 3, 1)]
+        fst = np.empty((S, nm1, n))
         pst = np.empty((S, nm1))
         Rst = np.empty((S, nm1, nm1))
-        stages += [yst, *ptst, pst, Rst]
+        stages += [pst, Rst]
         diag = np.arange(nm1)
         A = np.zeros((S - 1, d, d))
         A[:, diag, diag + nm1] = 1.0
@@ -271,39 +281,60 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
         # pass 1: the base derivative, written into its stage row with the point record
         r = row[0]
         row[0] = r + 1
-        v, frame = y[n:o_e], y[o_e:o_p].reshape(nm1, n)
+        v = y[n:-1]
         pt = point(y[:n])
-        ge = frame if flat else frame.dot(pt.g)    # rows: <e_a, .>
-        dv, phi_v, gv = isokinetic_accel(pt, v, flat)
-        # normalized Weyl transport: de = -Gamma(v,e) - phi(e) v + <v,e> E
-        de = ge.dot(v)[:, None] * pt.E - ge.dot(pt.E)[:, None] * v
-        if not flat:
-            de -= frame.dot(gv.T)
-        if k:
-            yst[r] = y[:o_p]
-            for buf, a in zip(ptst, pt):
-                buf[r] = a
-        return np.concatenate((v, dv, de.ravel(), [phi_v]), out=kst[r])
+        dv, phi_v, _ = isokinetic_accel(pt, v, flat)
+        yst[r] = y
+        for buf, a in zip(ptst, pt):
+            buf[r] = a
+        return np.concatenate((v, dv, [phi_v]), out=kst[r])
 
-    def columns(i0, b):
-        # pass 2 over steps i0..i0+b-1, whose stage rows 0..4b are written; row 0 of a
-        # later block is the last block's final row, whose Jacobi matrix is already made
+    def pass2(i0, b):
+        # steps i0..i0+b-1, whose stage rows 0..4b are written; row 0 of a later block is
+        # the last block's final row, whose Jacobi matrix is already made.  The frame first:
+        # its rows obey F' = F Af^T, Af = E (g v)^T - v (g E)^T - Gamma v at each stage
+        g, E, v = ptst[0][:4 * b], ptst[4][:4 * b], yst[:4 * b, n:-1]
+        Af = (E[:, :, None] * matvec(g, v)[:, None, :] - v[:, :, None] * matvec(g, E)[:, None, :]
+              - vecmat(v[:, None, :], ptst[3][:4 * b]))
+        P, maps = _propagators(Af, dt)
+        for j in range(b):
+            s = i0 + j + 1
+            frame = frames[s]
+            frames[s - 1].dot(P[j].T, out=frame)
+            if s % renorm_every == 0:
+                if not np.isfinite(frame).all():
+                    raise NonFiniteStateError(f"non-finite state by step {s}")
+                gram = frame.dot(g_c[j]).dot(frame.T)
+                if np.abs(gram - np.eye(nm1)).max() > 0.5:
+                    raise FrameCollapseError("frame drifted too far between cleanups")
+                frame[:] = _g_gram_schmidt(g_c[j], v_c[j], frame, 1e-6)
+                if recenter:
+                    q = q_c[j]
+                    push = fam.recenter_map(q)[1]
+                    frame[:] = [push(q, e) for e in frame]
+        # then the columns
         i1 = i0 + b
         rows = slice(0, 4 * b + 1, 4)          # the stage rows of samples i0..i1
         if not qr:
             out["phi_v"][i0:i1 + 1] = kst[rows, -1]
         if not k:
             return
+        # the stage frames: F at each step's start, then F (I + ...)^T by its stage maps
+        F = frames[i0:i1, None]
+        fst4 = fst[:4 * b].reshape(b, 4, nm1, n)
+        fst4[:, :1] = F
+        fst4[:, 1:] = F @ maps.transpose(0, 1, 3, 2)
+        fst[4 * b] = frames[i1]
         lo, hi = (1 if i0 else 0), 4 * b + 1
         pts = PointRecord(*(buf[lo:hi] for buf in ptst), None)
-        Rst[lo:hi], pst[lo:hi] = _jacobi(scenario, yst[lo:hi, :n], pts, yst[lo:hi, n:o_e],
+        Rst[lo:hi], pst[lo:hi] = _jacobi(scenario, yst[lo:hi, :n], pts, yst[lo:hi, n:-1],
                                          fst[lo:hi])
         Ab = A[:4 * b]
         Ab[:, diag, diag] = -kst[:4 * b, -1, None]
         Ab[:, nm1:2 * nm1, :nm1] = -Rst[:4 * b]
         if not qr:
             Ab[:, 2 * nm1, :nm1] = pst[:4 * b]
-        P = _propagators(Ab, dt)
+        P = _propagators(Ab, dt)[0]
         events = []
         checked = i0 + 1
         for j in range(b):
@@ -334,7 +365,8 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.v, dtype=float)
     v = v / scenario.norm(q, v)
-    y = np.concatenate((q, v, complete_frame(scenario, q, v).ravel(), [0.0]))
+    frames[0] = complete_frame(scenario, q, v)
+    y = np.concatenate((q, v, [0.0]))
     hist[0] = y
     rhs(y)
     i0 = 0
@@ -347,25 +379,22 @@ def _co_integrate(scenario, initial, T, dt, renorm_every, M0, qr=False, burn_in=
             row[0] = 1
         for j in range(b):
             y = rk4_step(rhs, y, dt, kst[4 * j])
-            q, v, frame = y[:n], y[n:o_e], y[o_e:o_p].reshape(nm1, n)
+            q, v = y[:n], y[n:-1]
             g = point(q).g      # the identity on a flat metric
             v /= g_norm(v, None if flat else g)
             step_no = i0 + j + 1
             if step_no % renorm_every == 0:
                 if not np.isfinite(y).all():
                     raise NonFiniteStateError(f"non-finite state by step {step_no}")
-                gram = frame.dot(g).dot(frame.T)
-                if np.abs(gram - np.eye(n - 1)).max() > 0.5:
-                    raise FrameCollapseError("frame drifted too far between cleanups")
-                frame[:] = _g_gram_schmidt(g, v, frame, 1e-6)
+                g_c[j], v_c[j] = g, v
                 if recenter:
+                    q_c[j] = q
                     move, push = fam.recenter_map(q)
                     v[:] = push(q, v)
-                    frame[:] = np.array([push(q, e) for e in frame])
                     q[:] = move(q)
             hist[step_no] = y
             rhs(y)
-        columns(i0, b)
+        pass2(i0, b)
         i0 += b
     return out
 

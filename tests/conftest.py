@@ -14,6 +14,13 @@ def default_initial_state(scenario, seed=0):
     return q, v
 
 
+def one_form_d1(scenario, q):
+    """dphi[m, j] = d_m phi_j of phi = g E at q: d_m g_jl E^l + g_jl d_m E^l."""
+    pt = scenario.point(q)
+    dE = scenario.field_derivative(q, pt)[0]       # dE[l, m] = d_m E^l
+    return np.einsum("mjl,l->mj", pt.dg, pt.E) + np.einsum("jl,lm->mj", pt.g, dE)
+
+
 # Two scenarios with no closed-form Riemann tensor, so their Levi-Civita curvature
 # is assembled from the Christoffels; no preset takes that route.
 

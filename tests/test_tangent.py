@@ -468,13 +468,18 @@ def test_two_passes_match_the_one_pass_oracle(name, mode):
         kw = dict(renorm_every=10, M0=np.random.default_rng(1).standard_normal((2 * nm1, 2)))
     got = tangent._co_integrate(sc, st, T, dt, **kw)
     want = _one_pass_co_integrate(sc, st, T, dt, **kw)
-    for key in ("q", "v", "frames", "int_phi"):
+    for key in ("q", "v", "int_phi"):
         assert np.array_equal(got[key], want[key]), key
+    # a propagator product sums in another order than the stage sum
+    assert _close(got["frames"], want["frames"], rel=1e-14)
     assert _close(got["M"], want["M"])
     if mode == "qr":
         assert _close(got["lsum"], want["lsum"])
-        for key in ("lam", "jsep"):
-            assert _close(got["windows"][key], want["windows"][key]), key
+        assert _close(got["windows"]["lam"], want["windows"]["lam"])
+        # a dimensionless margin, which is pure roundoff where the frame does not turn
+        jsep, want_jsep = np.array(got["windows"]["jsep"]), np.array(want["windows"]["jsep"])
+        assert (jsep.shape == want_jsep.shape and np.abs(jsep - want_jsep).max()
+                <= 1e-12 * max(np.abs(want_jsep).max(), 1.0))
         for key in ("t", "sbar"):
             assert got["windows"][key] == want["windows"][key], key
     else:
@@ -488,13 +493,45 @@ def test_propagator_is_the_rk4_step_of_the_linear_system():
     dt = 0.05
     for d in (2, 5, 7):
         A = rng.standard_normal((8, d, d))       # two steps' stage matrices
-        P = tangent._propagators(A, dt)
+        P, maps = tangent._propagators(A, dt)
         for j in range(2):
             stage = iter(A[4 * j:4 * j + 4])
-            rhs = lambda y: next(stage) @ y
+            args = []     # y + dt/2 k1, y + dt/2 k2 and y + dt k3, as rk4_step forms them
+            rhs = lambda y: args.append(y) or next(stage) @ y
             y0 = rng.standard_normal((d, 3))
             want = flows.rk4_step(rhs, y0, dt, rhs(y0))
             assert np.abs(P[j] @ y0 - want).max() <= 1e-14 * np.abs(want).max()
+            assert len(args) == 4 and maps.shape == (2, 3, d, d)
+            for got, arg in zip(maps[j] @ y0, args[1:]):
+                assert np.abs(got - arg).max() <= 1e-14 * np.abs(arg).max()
+
+
+@pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
+def test_the_base_and_the_frame_do_not_depend_on_the_columns(name):
+    # q, v, int phi and the frames carry the same bits whatever the number of columns
+    sc = presets.scenario_preset(name)
+    st = PhaseState(*default_initial_state(sc, seed=2))
+    nm1 = sc.dim - 1
+    M0 = np.random.default_rng(3).standard_normal((2 * nm1, 2))
+    T, dt = (tangent.BLOCK + 13) * 2e-3, 2e-3
+    runs = [tangent._co_integrate(sc, st, T, dt, renorm_every=10, M0=M0[:, :k])
+            for k in (0, 1, 2)]
+    for run in runs[1:]:
+        for key in ("q", "v", "int_phi", "frames"):
+            assert np.array_equal(run[key], runs[0][key]), key
+
+
+@pytest.mark.parametrize("columns", [0, 2])
+def test_a_coarse_step_trips_the_frame_drift_gate(columns):
+    # at dt |E| = 5 the RK4 step of the frame leaves the unit circle, and the frame
+    # drifts far from g-orthonormal before its first cleanup; a fine step does not
+    sc = flat_torus_scenario((1, 1), ConstantField([10.0, 0.0]))
+    st = PhaseState([0.1, 0.2], [0.0, 1.0])
+    M0 = np.eye(2)[:, :columns]
+    with pytest.raises(FrameCollapseError, match="drifted"):
+        tangent._co_integrate(sc, st, T=10.0, dt=0.5, renorm_every=10, M0=M0)
+    run = tangent._co_integrate(sc, st, T=1.0, dt=0.01, renorm_every=10, M0=M0)
+    assert np.abs(np.einsum("mai,mbi->mab", run["frames"], run["frames"]) - 1.0).max() < 1e-5
 
 
 class _NanPastX(VectorField):
