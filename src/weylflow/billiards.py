@@ -11,12 +11,12 @@ of the distance and refined to 1e-12 in time by a safeguarded Newton method
 field-aligned coordinates has one formula (``BilliardTable._turn``), shared
 by arrays and by the per-step arithmetic on float pairs.
 The collision loop (``run_billiard``) carries q and v as float pairs, wraps
-them with Python ``divmod`` and calls ``free_flight`` with floats, whose march
-(``_search``) runs on floats alone.  Numpy arrays are built for the recorded
-events, the final ``sbar`` and the curvature kick's <E, N>, which stays a
-numpy product: BLAS fuses its multiply-add, and the float sum Ex*Nx + Ey*Ny
-differs from it in the last bit in about 1 of 4 random pairs (49,406 of
-200,000 normal E against unit N).
+them with Python ``divmod`` and calls ``free_flight`` with floats; the flight,
+its march (``_search``) and the events it returns hold floats and float pairs
+alone.  Numpy arrays are built only for the final ``sbar`` and the curvature
+kick's <E, N>, which stays a numpy product: BLAS fuses its multiply-add, and
+the float sum Ex*Nx + Ey*Ny differs from it in the last bit in about 1 of 4
+random pairs (49,406 of 200,000 normal E against unit N).
 The quotient tangent dynamics is propagated in closed form across flights
 (curvature vanishes on the 2-torus with constant field) and a curvature kick
 at each specular reflection, as scalar arithmetic: a unit vector and two
@@ -214,12 +214,6 @@ class ThermostatFlight:
             self.T0 = math.tan(0.5 * self.theta0)
             self._den0 = 1.0 + self.T0**2
 
-    def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.straight:
-            return np.full_like(t, self.theta0)
-        return 2.0 * np.arctan(self.T0 * np.exp(-self.a * t))
-
     def pos_vel(self, t):
         """Positions and unit velocities at the times t (each t.shape + (2,))."""
         t = np.asarray(t, dtype=float)
@@ -259,14 +253,16 @@ class ThermostatFlight:
 
 @dataclass
 class CollisionEvent:
+    """One collision; every vector is an (x, y) pair of floats in world coordinates."""
+
     time_of_flight: float
     scatterer: int
-    point: np.ndarray           # impact point, same (unwrapped) frame as the flight
-    normal: np.ndarray          # outward unit normal of the hit image circle
-    v_in: np.ndarray
-    v_out: np.ndarray
+    point: tuple[float, float]        # impact point, same (unwrapped) frame as the flight
+    normal: tuple[float, float]       # outward unit normal of the hit image circle
+    v_in: tuple[float, float]
+    v_out: tuple[float, float]        # the specular image of v_in
     cos_incidence: float
-    image_shift: np.ndarray
+    image_shift: tuple[float, float]  # centre of the hit image minus its scatterer's centre
     grazing: bool
     theta_in_aligned: float
     theta_out_aligned: float
@@ -275,8 +271,8 @@ class CollisionEvent:
 @dataclass
 class OpenFlight:
     time_of_flight: float
-    end_q: np.ndarray
-    end_v: np.ndarray
+    end_q: tuple[float, float]
+    end_v: tuple[float, float]
     theta_end_aligned: float    # velocity angle at the cap, before rotating back to world
 
 
@@ -294,7 +290,7 @@ def free_flight(table, q, v):
     n = math.hypot(vx, vy)
     vx, vy = vx / n, vy / n
     if not table.outside((qx, qy), tol=1e-12):
-        raise InvalidStateError(f"flight starts inside a scatterer at q={np.array([qx, qy])}")
+        raise InvalidStateError(f"flight starts inside a scatterer at q=({qx}, {qy})")
     t_cap = FLIGHT_CAP_FACTOR * max(table._period_xy)
     to_a, back = -table._sin, table._sin
     flight = ThermostatFlight(table._turn(qx, qy, to_a), table._turn(vx, vy, to_a), table.a)
@@ -313,9 +309,9 @@ def free_flight(table, q, v):
     ox, oy = vx - 2.0 * vn * nx, vy - 2.0 * vn * ny
     oax, oay = table._turn(ox, oy, to_a)
     return CollisionEvent(
-        time_of_flight=t_star, scatterer=idx, point=np.array([px, py]),
-        normal=np.array([nx, ny]), v_in=np.array([vx, vy]), v_out=np.array([ox, oy]),
-        cos_incidence=-vn, image_shift=np.array(shift), grazing=abs(vn) < GRAZING_TOL,
+        time_of_flight=t_star, scatterer=idx, point=(px, py), normal=(nx, ny),
+        v_in=(vx, vy), v_out=(ox, oy), cos_incidence=-vn, image_shift=shift,
+        grazing=abs(vn) < GRAZING_TOL,
         theta_in_aligned=math.atan2(vay, vax), theta_out_aligned=math.atan2(oay, oax),
     )
 
@@ -323,8 +319,8 @@ def free_flight(table, q, v):
 def _coast(table, flight, t):
     """The OpenFlight of flight run for time t with no reflection."""
     x, y, vx, vy = flight.pos_vel_scalar(t)
-    return OpenFlight(t, table.from_aligned((x, y)), table.from_aligned((vx, vy)),
-                      math.atan2(vy, vx))
+    back = table._sin
+    return OpenFlight(t, table._turn(x, y, back), table._turn(vx, vy, back), math.atan2(vy, vx))
 
 
 def _search(flight, table, t_cap):
@@ -508,12 +504,13 @@ def _rtsafe(fdf, xl, xh, fl, fh):
     return x, vals
 
 
+# perfbench/spans.py wraps this name; it leaves with the benchmark repair (ROADMAP item 6)
 def reflect(event):
-    """Specular reflection v' = v - 2 <v, N> N; grazing events are rejected."""
+    """Specular reflection v' = v - 2 <v, N> N as arrays; grazing events are rejected."""
     if abs(event.cos_incidence) < GRAZING_TOL:
         raise GrazingCollisionError(
             f"tangential collision at {event.point} (cos={event.cos_incidence:.2e})")
-    return event.point.copy(), event.v_out.copy()
+    return np.array(event.point), np.array(event.v_out)
 
 
 @dataclass
@@ -649,12 +646,12 @@ def run_billiard(table, q0, v0, n_collisions):
     bits of ``np.divmod``, signs of zero included) and the lattice shift it
     took off is added to two ints, so q never grows past the digits the
     flight's start check needs, however far the field drives the particle.
-    ``free_flight`` takes the pairs, and the next state is read back as
-    floats from the event's impact point and specular image ``v_out``; no
+    ``free_flight`` takes the pairs, and the next state is the event's
+    impact point and specular image ``v_out``, float pairs too; no
     ``reflect`` call is needed, since its grazing test cannot fail on an
-    event that is not flagged grazing.  Arrays are built only in the events,
-    for the kick's <E, N> (a numpy product whose fused multiply-add the float
-    sum Ex*Nx + Ey*Ny would not reproduce) and for ``sbar``.
+    event that is not flagged grazing.  Arrays are built only for the kick's
+    <E, N> (a numpy product whose fused multiply-add the float sum
+    Ex*Nx + Ey*Ny would not reproduce) and for ``sbar``.
 
     Pair identity: det F = sin(theta1)/sin(theta0) = e^{-int phi} and
     det R = 1, so lambda1 + lambda2 equals ``sbar``, the time average of
@@ -703,14 +700,14 @@ def run_billiard(table, q0, v0, n_collisions):
         if isinstance(ev, OpenFlight):      # capped or restarted: no reflection
             f, shear = _flight_entries(table.a, th0, ev.theta_end_aligned, ev.time_of_flight)
             tangent = _tangent_step(tangent, f, shear, 0.0)
-            (qx, qy), (vx, vy) = ev.end_q.tolist(), ev.end_v.tolist()
+            (qx, qy), (vx, vy) = ev.end_q, ev.end_v
             th0 = _aligned_angle(table, (vx, vy))
             continue
         f, shear = _flight_entries(table.a, th0, ev.theta_in_aligned, ev.time_of_flight)
         kick = _reflection_kick(table, table.scatterers[ev.scatterer].radius,
                                 ev.normal, ev.cos_incidence)
         tangent = _tangent_step(tangent, f, shear, kick)
-        (qx, qy), (vx, vy) = ev.point.tolist(), ev.v_out.tolist()
+        (qx, qy), (vx, vy) = ev.point, ev.v_out
         th0 = ev.theta_out_aligned
         events.append(ev)
         times.append(t_total)

@@ -449,13 +449,17 @@ def _parse_document(doc):
     if burn_in is not None and burn_in >= T:
         errors.append(f"numerics.burn_in: must be < numerics.T, got burn_in={burn_in!r} and T={T!r}")
     elif burn_in is not None and T >= dt and math.isfinite(T / dt):
-        # the burn-in ends at a renormalization event; one must come before the last step
-        burn = tangent.burn_steps(burn_in, dt, numerics["renorm_every"])
+        # the burn-in ends at a renormalization event, and one more must come by the last
+        # step: the J-separation margins are read at the events after the burn-in
+        every = numerics["renorm_every"]
+        burn = tangent.burn_steps(burn_in, dt, every)
         n_steps = flows.step_count(T, dt)
-        if burn >= n_steps:
+        if burn + every > n_steps:
             errors.append(f"numerics.burn_in: rounds up to step {burn} (a renormalization event"
-                          f" every numerics.renorm_every={numerics['renorm_every']} steps),"
-                          f" leaving none of the {n_steps} steps of numerics.T to average over")
+                          f" every numerics.renorm_every={every} steps), leaving no event"
+                          f" after it among the {n_steps} steps of numerics.T" if burn_in > 0
+                          else f"numerics.renorm_every: must be at most the {n_steps} steps of"
+                          f" numerics.T, got renorm_every={every}")
 
     directory = (_object(body, "output", "", errors, {"directory"}) or {}).get("directory", ".")
     if not isinstance(directory, str):

@@ -26,7 +26,6 @@ from .errors import DegeneratePlaneError
 from .metrics import matvec, vecdot, vecmat
 
 ZERO_CENSUS_TOL = 1e-9  # |Khat| below this counts as an analytic zero in scans
-DEPENDENCE_TOL = 1e-12  # curvature_operator rejects X, Y whose angle has sin^2 at most this
 
 
 @dataclass
@@ -103,22 +102,6 @@ def _plane_operator(R, X, Y):
     return (XY @ R.reshape(n * n, n * n).T).reshape(P, n, n)
 
 
-def curvature_operator(scenario, q, X, Y):
-    """Matrix of the Weyl curvature operator Rhat(X, Y) acting on tangent vectors at q.
-
-    X, Y are (n,) vectors, giving an (n, n) matrix, or (P, n) stacks, giving (P, n, n).
-    """
-    q = np.asarray(q, dtype=float)
-    single = np.ndim(X) == 1
-    X, Y = _rows(X), _rows(Y)
-    xx_yy = _dot(X, X) * _dot(Y, Y)
-    # relative bound: sin^2 of the angle; an exactly dependent pair leaves ~1e-15 of roundoff
-    if (xx_yy - _dot(X, Y) ** 2 <= DEPENDENCE_TOL * xx_yy).any():
-        raise DegeneratePlaneError(f"X, Y linearly dependent at q={q}")
-    A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
-    return A[0] if single else A
-
-
 def sectional_weyl(scenario, q, X, Y):
     """Sectional Weyl curvature of span{X, Y} by both routes.
 
@@ -131,7 +114,7 @@ def sectional_weyl(scenario, q, X, Y):
     pt = scenario.point(q)
     gX, gY = X @ pt.g, Y @ pt.g                         # rows: <X_p, .>, <Y_p, .>
 
-    # Gram-Schmidt has already rejected dependent pairs: no curvature_operator check
+    # Gram-Schmidt has already rejected dependent pairs
     A = _plane_operator(scenario.curvature_hat_tensor(q), X, Y)
     op_a, _ = antisymmetric_split(scenario, q, A)
     khat_tensor = _dot(gX, np.einsum("pdc,pc->pd", op_a, Y))
@@ -156,22 +139,6 @@ def sectional_weyl(scenario, q, X, Y):
         return CurvatureSample(q=q, X=X[0], Y=Y[0],
                                **{k: float(v[0]) for k, v in values.items()})
     return CurvatureSample(q=np.broadcast_to(q, X.shape), X=X, Y=Y, **values)
-
-
-def jacobi_operator(scenario, q, v, frame):
-    """Jacobi matrix R[a, b] = < Rhat_a(e_b, v) v, e_a > in closed form.
-
-    frame holds g-orthonormal vectors e_1..e_{n-1} completing the unit vector
-    v.  With the Levi-Civita R and grad, phi_c = phi(e_c) and N X = grad_X E:
-
-        R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
-                  + phi_a phi_b - < grad_{e_b} E, e_a >
-
-    The last term is not symmetrized: for a non-closed E the matrix is not
-    symmetric.  This is _jacobi at one point; the co-integration calls _jacobi
-    on the stacks of a block's stage points.
-    """
-    return _jacobi(scenario, q, scenario.point(q), v, frame)[0]
 
 
 def _jacobi_inputs(scenario, q, pt, v):
@@ -205,6 +172,8 @@ def _jacobi(scenario, q, pt, v, frame):
 
     The curvature and field terms share one sandwich ge @ (W @ frame^T), with
     ge = frame @ g (the frame itself when flat) and W from _jacobi_inputs.
+    The field term < grad_{e_b} E, e_a > is not symmetrized: for a non-closed E
+    the matrix is not symmetric.
     """
     ge = frame if scenario.metric_family.is_flat else frame @ pt.g
     phi_e = matvec(ge, pt.E)

@@ -115,6 +115,7 @@ class WeylScenario:
     def metric(self, q):
         return self.point(q).g
 
+    # perfbench/spans.py wraps this name; it leaves with the benchmark repair (ROADMAP item 6)
     def metric_inv(self, q):
         return self.point(q).ginv
 

@@ -11,9 +11,8 @@ transport rescaled by e^{int phi} (so frames stay g-orthonormal).  Lyapunov
 exponents of the quotient system are extracted by the standard QR
 (Benettin) procedure co-integrated with the base flow and the frame.
 
-The Jacobi formula (geometry._jacobi, whose single-point form is
-geometry.jacobi_operator) builds R in closed form from the Levi-Civita
-curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
+The Jacobi formula (geometry._jacobi) builds R in closed form from the
+Levi-Civita curvature and grad E (N X = grad_X E, phi_c = phi(e_c)):
 
     R[a, b] = < R(e_b, v) v, e_a > - (sum_c phi_c^2 + < grad_v E, v >) delta_ab
               + phi_a phi_b - < grad_{e_b} E, e_a >
@@ -64,9 +63,9 @@ one of two modes:
   boundary.  A QR event's J-separation margin is read at the next step's k1,
   the stage point of the post-cleanup, post-QR (q, v, frame), so a Lyapunov
   run of n steps has 4 n + 1 stage points.
-* raw columns (linearized_run, transport_frame): the columns are never
-  renormalized, q stays in the starting chart, and each column also carries
-  its along-flow coordinate xi0 (one more row of the linear system,
+* raw columns (linearized_run, and a frame-only run with k = 0): the columns
+  are never renormalized, q stays in the starting chart, and each column also
+  carries its along-flow coordinate xi0 (one more row of the linear system,
   xi0' = phi(e_a) xi_a); every sample records phi(v) and <R xi, xi>, the
   inputs of the J-form check.
 """
@@ -83,7 +82,7 @@ from .geometry import _jacobi
 from .metrics import ConstantCurvatureChart, matvec, vecmat
 from .scenario import PointRecord
 
-CLEANUP_EVERY = 10   # steps between frame cleanups in transport_frame and linearized_run
+CLEANUP_EVERY = 10   # steps between frame cleanups in linearized_run
 BLOCK = 64           # steps per two-pass block of the co-integration
 
 
@@ -94,15 +93,6 @@ class TangentVector:
     xi0: float
     xi: np.ndarray
     chi: np.ndarray
-
-
-@dataclass
-class FrameRun:
-    times: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    frames: np.ndarray   # (m, n-1, n)
-    int_phi: np.ndarray
 
 
 @dataclass
@@ -159,16 +149,6 @@ def _g_gram_schmidt(g, v, rows, tol):
             if len(basis) == n:
                 return np.array(basis[1:])
     raise FrameCollapseError("could not complete an orthonormal frame")
-
-
-def transport_frame(scenario, trajectory):
-    """Weyl-parallel transport of an initial orthonormal frame along a trajectory,
-    normalized by e^{int phi}; returns the frame history in the trajectory's chart."""
-    run = _co_integrate(scenario, trajectory.state(0),
-                        T=(len(trajectory.times) - 1) * trajectory.dt, dt=trajectory.dt,
-                        renorm_every=CLEANUP_EVERY, M0=np.zeros((2 * (scenario.dim - 1), 0)))
-    return FrameRun(times=run["times"], q=run["q"], v=run["v"],
-                    frames=run["frames"], int_phi=run["int_phi"])
 
 
 def burn_steps(burn_in, dt, renorm_every):

@@ -36,8 +36,8 @@ def test_zero_field_flight_matches_ray_circle():
     tb = bl.BilliardTable((1, 1), [((0.5, 0.5), 0.2)], 0.0)
     ev = bl.free_flight(tb, np.array([0.1, 0.5]), np.array([1.0, 0.0]))
     assert ev.time_of_flight == pytest.approx(0.2, abs=1e-12)
-    assert np.abs(ev.point - np.array([0.3, 0.5])).max() < 1e-12
-    assert np.abs(ev.normal - np.array([-1.0, 0.0])).max() < 1e-12
+    assert np.abs(np.asarray(ev.point) - np.array([0.3, 0.5])).max() < 1e-12
+    assert np.abs(np.asarray(ev.normal) - np.array([-1.0, 0.0])).max() < 1e-12
 
 
 def test_invariant_line_flight_stays_straight():
@@ -54,7 +54,7 @@ def test_curved_flight_collision_against_dense_rk4():
     q0 = np.array([0.15, 0.42])
     v0 = np.array([np.cos(0.15), np.sin(0.15)])
     ev = bl.free_flight(tb, q0, v0)
-    assert not ev.image_shift.any()           # hits the base circle directly
+    assert not np.asarray(ev.image_shift).any()   # hits the base circle directly
     assert ev.time_of_flight < 0.3
 
     E = np.array([a, 0.0])
@@ -86,7 +86,7 @@ def test_curved_flight_collision_against_dense_rk4():
     assert t_cross is not None
     assert ev.time_of_flight == pytest.approx(t_cross, abs=1e-8)
     p_or = bl.ThermostatFlight(q0, v0, a).pos(np.array([t_cross]))[0]
-    assert np.abs(ev.point - p_or).max() < 1e-8
+    assert np.abs(np.asarray(ev.point) - p_or).max() < 1e-8
 
 
 def test_flight_positions_match_rk4_batch():
@@ -131,13 +131,14 @@ def test_reflect_45_degrees():
     tb = bl.BilliardTable((8, 8), [((4.0, 4.0), 1.0)], 0.0)
     ev = bl.free_flight(tb, np.array([6.0, 3.0]),
                         np.array([-1 / np.sqrt(2), 1 / np.sqrt(2)]))
-    assert np.abs(ev.point - np.array([5.0, 4.0])).max() < 1e-10
+    assert np.abs(np.asarray(ev.point) - np.array([5.0, 4.0])).max() < 1e-10
     _, v_out = bl.reflect(ev)
     assert np.abs(v_out - np.array([1 / np.sqrt(2), 1 / np.sqrt(2)])).max() < 1e-10
     # specular law: normal component flips, tangential preserved
-    assert (ev.v_out @ ev.normal) == pytest.approx(-(ev.v_in @ ev.normal), abs=1e-12)
+    ev_in, ev_out, normal = np.asarray(ev.v_in), np.asarray(ev.v_out), np.asarray(ev.normal)
+    assert (ev_out @ normal) == pytest.approx(-(ev_in @ normal), abs=1e-12)
     tang = np.array([-ev.normal[1], ev.normal[0]])
-    assert (ev.v_out @ tang) == pytest.approx(ev.v_in @ tang, abs=1e-12)
+    assert (ev_out @ tang) == pytest.approx(ev_in @ tang, abs=1e-12)
 
 
 def test_flight_from_inside_scatterer_rejected(sinai):
@@ -209,9 +210,10 @@ def test_run_billiard_unit_speed_and_determinism(sinai_field):
     assert np.abs(np.array(speeds) - 1.0).max() < 1e-10
     for ev in run1.events:
         s = sinai_field.scatterers[ev.scatterer]
-        center = s.center + ev.image_shift
-        assert abs(np.linalg.norm(ev.point - center) - s.radius) < 1e-10
-        resid = ev.v_out - (ev.v_in - 2 * (ev.v_in @ ev.normal) * ev.normal)
+        center = s.center + np.asarray(ev.image_shift)
+        assert abs(np.linalg.norm(np.asarray(ev.point) - center) - s.radius) < 1e-10
+        v_in, normal = np.asarray(ev.v_in), np.asarray(ev.normal)
+        resid = np.asarray(ev.v_out) - (v_in - 2 * (v_in @ normal) * normal)
         assert np.abs(resid).max() < 1e-12
 
 
@@ -238,9 +240,9 @@ def test_run_billiard_retraces_under_reversal(sinai_field):
     v0 = np.array([np.cos(0.6), np.sin(0.6)])
     run = bl.run_billiard(sinai_field, q0, v0, 40)
     last = run.events[-1]
-    back = bl.run_billiard(sinai_field, last.point, -last.v_in, 39)
-    fwd_pts = [ev.point % 1.0 for ev in run.events[::-1]]
-    errs = [np.abs((ev.point % 1.0) - p).max()
+    back = bl.run_billiard(sinai_field, last.point, -np.asarray(last.v_in), 39)
+    fwd_pts = [np.asarray(ev.point) % 1.0 for ev in run.events[::-1]]
+    errs = [np.abs((np.asarray(ev.point) % 1.0) - p).max()
             for ev, p in zip(back.events, fwd_pts[1:])]
     assert max(errs[:10]) < 1e-8
 
@@ -286,7 +288,8 @@ def test_tangent_maps_match_finite_difference_oracle():
         R = bl._reflection_matrix(tb, tb.scatterers[e.scatterer].radius, e.normal,
                                   e.cos_incidence)
         flo = bl.ThermostatFlight(tb.to_aligned(e.point), tb.to_aligned(e.v_out), a)
-        th_tau = float(flo.theta(np.array([tau]))[0])
+        _, _, vx_tau, vy_tau = flo.pos_vel_scalar(tau)
+        th_tau = math.atan2(vy_tau, vx_tau)     # the aligned velocity angle at tau
         Fpost = bl.flight_tangent_matrix(a, e.theta_out_aligned, th_tau, tau)
         M_impl = Fpost @ R @ F
         rel = np.abs(M_fd - M_impl).max() / np.abs(M_impl).max()
@@ -907,6 +910,28 @@ def _lorentz_gas_starts(table, seed, count):
     return starts
 
 
+def _not_floats(ev):
+    """Fields of an event that are neither a Python float, int or bool nor a
+    2-tuple of Python floats."""
+    def plain(x):
+        if type(x) is tuple:
+            return len(x) == 2 and all(type(c) is float for c in x)
+        return type(x) in (float, int, bool)
+    return [f.name for f in dataclasses.fields(ev) if not plain(getattr(ev, f.name))]
+
+
+def test_free_flight_events_carry_python_floats():
+    # the collision loop reads its next state from the event with no conversion
+    kinds = set()
+    for name, make in sorted(TANGENT_TABLES.items()):
+        table = make()
+        for q0, v0 in _lorentz_gas_starts(table, 9, 20):
+            ev = bl.free_flight(table, q0, v0)
+            kinds.add(type(ev))
+            assert _not_floats(ev) == [], (name, ev)
+    assert kinds == {bl.CollisionEvent, bl.OpenFlight}
+
+
 @pytest.mark.parametrize("name", ["sinai_thermostat", "explicit_rE_0.9"])
 def test_float_loop_gives_the_array_loop_bits_on_the_lorentz_gas_tables(name):
     table = TANGENT_TABLES[name]()
@@ -969,7 +994,7 @@ def test_int_shift_sums_as_the_int64_shift(qs, periods):
     assert shift.tolist() == [mx, my]
 
 
-# -- the march stays on floats: _search calls no numpy -------------------------
+# -- floats only: _search, free_flight and _coast call no numpy ---------------
 
 BILLIARDS_SRC = Path(bl.__file__).read_text()
 
@@ -987,6 +1012,11 @@ def numpy_lines(source, name="_search"):
 
 def test_search_uses_no_numpy():
     assert numpy_lines(BILLIARDS_SRC) == []
+
+
+@pytest.mark.parametrize("name", ["free_flight", "_coast"])
+def test_the_flight_and_its_events_use_no_numpy(name):
+    assert numpy_lines(BILLIARDS_SRC, name) == []
 
 
 def test_the_numpy_guard_sees_a_call_put_back():

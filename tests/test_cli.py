@@ -472,6 +472,23 @@ def test_parse_rejects_a_burn_in_that_rounds_up_to_T():
     cli.parse_config(doc)
 
 
+@pytest.mark.parametrize("numerics, key", [
+    # no renormalization event at all within T
+    ({"T": 1.0, "dt": 0.01, "renorm_every": 1000}, "numerics.renorm_every"),
+    # the burn-in (60 < 100 steps) ends at step 60, and the next event would be at 120
+    ({"T": 1.0, "dt": 0.01, "renorm_every": 60, "burn_in": 0.5}, "numerics.burn_in"),
+])
+def test_main_rejects_a_run_with_no_event_after_the_burn_in(tmp_path, capsys, numerics, key):
+    # such a run used to exit 0 and write "mean_jsep_margin": NaN, which strict JSON rejects
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"task": "lyapunov", "preset": "example_1_2",
+                                    "numerics": numerics}))
+    rc = cli.main(["lyapunov", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"  - {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_non_finite_numbers():
     # Python's json module reads NaN and Infinity
     doc = {"task": "billiard", "numerics": {"n_collisions": float("inf")},

@@ -42,26 +42,33 @@ def hyperbolic_report(hyperbolic):
                                      T=120.0, dt=5e-3)
 
 
+def _transport_frame(sc, traj):
+    """The frame-only run along traj: the co-integration with no tangent columns."""
+    T = (len(traj.times) - 1) * traj.dt
+    return tangent._co_integrate(sc, traj.state(0), T, traj.dt, tangent.CLEANUP_EVERY,
+                                 M0=np.zeros((2 * (sc.dim - 1), 0)))
+
+
 def test_transport_frame_flat_no_field_is_constant():
     sc = flat_torus_scenario((1, 1))
     traj = flows.integrate(sc, PhaseState([0.1, 0.2], [np.cos(0.6), np.sin(0.6)]),
                            T=3.0, dt=1e-3)
-    run = tangent.transport_frame(sc, traj)
-    assert np.abs(run.frames - run.frames[0]).max() < 1e-12
-    assert np.abs(run.int_phi).max() < 1e-14
+    run = _transport_frame(sc, traj)
+    assert np.abs(run["frames"] - run["frames"][0]).max() < 1e-12
+    assert np.abs(run["int_phi"]).max() < 1e-14
 
 
 def test_transport_frame_orthonormal_and_dilation():
     # along the field line of Example 1.2 the raw transport contracts like e^{-a t}
     sc = flat_torus_scenario((1, 1), ConstantField([1.0, 0.0]))
     traj = flows.integrate(sc, PhaseState([0.0, 0.0], [1.0, 0.0]), T=4.0, dt=1e-3)
-    run = tangent.transport_frame(sc, traj)
-    for i in range(0, len(run.times), 400):
-        e = run.frames[i]
-        v = run.v[i]
+    run = _transport_frame(sc, traj)
+    for i in range(0, len(run["times"]), 400):
+        e = run["frames"][i]
+        v = run["v"][i]
         assert abs(e[0] @ e[0] - 1.0) < 1e-8
         assert abs(e[0] @ v) < 1e-8
-    assert np.abs(np.exp(-run.int_phi) - np.exp(-run.times)).max() < 1e-8
+    assert np.abs(np.exp(-run["int_phi"]) - np.exp(-run["times"])).max() < 1e-8
 
 
 def test_transport_frame_stays_orthonormal_generic():
@@ -71,13 +78,13 @@ def test_transport_frame_stays_orthonormal_generic():
     v0 = rng.standard_normal(2)
     v0 /= sc.norm(q0, v0)
     traj = flows.integrate(sc, PhaseState(q0, v0), T=4.0, dt=1e-3)
-    run = tangent.transport_frame(sc, traj)
-    for i in range(0, len(run.times), 200):
-        g = sc.metric(run.q[i])
-        e = run.frames[i]
+    run = _transport_frame(sc, traj)
+    for i in range(0, len(run["times"]), 200):
+        g = sc.metric(run["q"][i])
+        e = run["frames"][i]
         gram = e @ g @ e.T
         assert np.abs(gram - np.eye(1)).max() < 1e-8
-        assert abs(float(e[0] @ g @ run.v[i])) < 1e-8
+        assert abs(float(e[0] @ g @ run["v"][i])) < 1e-8
 
 
 def test_transport_frame_stays_in_the_trajectory_chart(hyperbolic):
@@ -86,9 +93,9 @@ def test_transport_frame_stays_in_the_trajectory_chart(hyperbolic):
     v0 = np.array([np.cos(0.3), np.sin(0.3)])
     traj = flows.integrate(hyperbolic, PhaseState(q0, v0 / hyperbolic.norm(q0, v0)),
                            T=3.0, dt=1e-3)
-    run = tangent.transport_frame(hyperbolic, traj)
+    run = _transport_frame(hyperbolic, traj)
     assert np.abs(traj.q).max() > 1.5      # far from the start, near the chart's edge at 2
-    assert np.abs(run.q - traj.q).max() < 1e-9
+    assert np.abs(run["q"] - traj.q).max() < 1e-9
 
 
 def _count_jacobi_stage_points(monkeypatch):
@@ -110,7 +117,7 @@ def test_transport_frame_builds_no_jacobi_matrix(monkeypatch):
     sc = presets.scenario_preset("conformal_gradient")
     q0, v0 = default_initial_state(sc)
     traj = flows.integrate(sc, PhaseState(q0, v0), T=0.05, dt=1e-3)
-    tangent.transport_frame(sc, traj)
+    _transport_frame(sc, traj)
     assert points[0] == 0
     tangent.linearized_run(sc, PhaseState(q0, v0), TangentVector(0.0, np.ones(1), np.zeros(1)),
                            T=0.05, dt=1e-3)
@@ -130,9 +137,9 @@ def test_gram_schmidt_rejects_a_frame_row_parallel_to_v():
 
 def _quotient_rhs(sc, q, v, xi, chi):
     """dxi0 = phi(e_a) xi_a, dxi = -phi(v) xi + chi and dchi = -R xi at (q, v), in
-    the frame completing v, with R from geometry.jacobi_operator."""
+    the frame completing v, with R from geometry._jacobi."""
     frame = tangent.complete_frame(sc, q, v)
-    Rmat = geo.jacobi_operator(sc, q, v, frame)
+    Rmat = geo._jacobi(sc, q, sc.point(q), v, frame)[0]
     phi = sc.point(q).phi
     return float((frame @ phi) @ xi), -float(phi @ v) * xi + chi, -Rmat @ xi
 
@@ -273,7 +280,7 @@ def test_corollary_sign_check_negative_curvature_runs():
 @pytest.mark.parametrize("name", sorted(presets.GEOMETRY_PRESETS))
 def test_kernel_jacobi_matrix_matches_public_operator(name):
     # the point records of five stage points, stacked and fed to the Jacobi formula
-    # in one call as pass 2 does, against the public single-point operator
+    # in one call as pass 2 does, against the formula at each point alone
     sc = presets.scenario_preset(name)
     rng = np.random.default_rng(41)
     qs, vs, frames, records = [], [], [], []
@@ -287,7 +294,7 @@ def test_kernel_jacobi_matrix_matches_public_operator(name):
     pts = PointRecord(*(np.stack(rows) for rows in zip(*records)))
     got, phi_e = geo._jacobi(sc, np.stack(qs), pts, np.stack(vs), np.stack(frames))
     for s, (q, v, frame) in enumerate(zip(qs, vs, frames)):
-        want = geo.jacobi_operator(sc, q, v, frame)
+        want = geo._jacobi(sc, q, sc.point(q), v, frame)[0]
         assert np.abs(got[s] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
         ge = frame if sc.metric_family.is_flat else frame @ sc.metric(q)
         assert np.array_equal(phi_e[s], ge @ sc.field(q))
@@ -306,7 +313,8 @@ def test_jsep_margins_match_the_post_qr_states(name):
     assert len(jsep) == len(events) == len(run["windows"]["t"])
     nm1 = sc.dim - 1
     for i, got in zip(events, jsep):
-        Rmat = geo.jacobi_operator(sc, run["q"][i], run["v"][i], run["frames"][i])
+        q = run["q"][i]
+        Rmat = geo._jacobi(sc, q, sc.point(q), run["v"][i], run["frames"][i])[0]
         xi, chi = run["M"][i][:nm1, 0], run["M"][i][nm1:, 0]
         want = (chi @ chi - xi @ Rmat @ xi) / (xi @ xi + chi @ chi)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
